@@ -2,10 +2,27 @@
 certificates.
 
 The social cost y -> (sum_i |x_i - y|^p)^(1/p) is minimized in closed form
-for p in {1, 2, inf} (lower median, mean, midrange) and by bisection on the
-monotone derivative of sum_i |x_i - y|^p otherwise. The same weighted
-bisection engine serves single profiles, batched deviation curves, and the
-certificate's four-point profiles.
+for p in {1, 2, inf} (lower median, mean, midrange). Otherwise the minimizer
+is the root of the nondecreasing derivative
+
+    D(y) = sum_i w_i sign(y - x_i) |y - x_i|^(p-1),
+
+found by safeguarded Newton steps with D'(y) = (p-1) sum_i w_i |y - x_i|^(p-2).
+Each row is first shifted to its midpoint and divided by its half-span, so
+every point lies in [-1, 1]; at each iterate the peak distance m is factored
+out of D and D' (the way core._lp_norm factors it out of the norm), so every
+power in D lies in [0, 1] and the peak's is exactly 1: nothing overflows and
+the sign of D survives underflow, for spans up to about 1e308 and p up to
+1e6. A bracket [a, b] with D(a) <= 0 <= D(b) is kept throughout. The
+Newton step is replaced by bisection when it would leave the bracket, when
+D' is not finite (p < 2 on a data point), or when it is more than half the
+previous step (the rtsafe rule). A point is returned only once it is
+certified: D changes sign within BRACKET_TOL half-spans on either side.
+
+The algorithm has two kernels chosen by call shape: `_solve_row`, pure
+Python, for one row (optimal_location and the deviation polish, where numpy's
+per-call overhead would dominate), and `_bisect_rows`, numpy, for batches of
+weighted rows (deviation curves and certificate residuals).
 
 Root finding: `smallest_positive_root` locates the leftmost sign change of a
 scalar function by linear scan plus bisection; `adversarial_root` applies it
@@ -38,11 +55,13 @@ __all__ = [
     "adversarial_roots",
 ]
 
-# Interior bisection stops once the bracket is this narrow (relative to span).
+# An optimum is certified once the derivative changes sign within this many
+# half-spans of its row on either side.
 BRACKET_TOL = 1e-12
 # Default width target for refined root brackets, relative to 1 + root.
 ROOT_TOL = 1e-12
 _MAX_BISECT = 200
+_MAX_NEWTON = 200
 _ROOT_RETRIES = 8
 _SWEEP_CHUNK = 1 << 16
 
@@ -56,7 +75,8 @@ class OptResult:
     """Minimizer of the social cost, its cost, and the method used.
 
     method is one of "closed_form_median", "closed_form_mean",
-    "closed_form_midrange", "derivative_bisection".
+    "closed_form_midrange", "derivative_bisection"; the last names the
+    safeguarded Newton solve on the derivative, whose fallback steps bisect.
     """
 
     location: float
@@ -69,9 +89,10 @@ def optimal_location(profile: LocationProfile, p: float) -> OptResult:
 
     p = 1 returns the lower median (the left endpoint of the median
     interval, which is all optimal); p = 2 the mean; p = inf the midrange.
-    Other finite p have a unique minimizer by strict convexity, bracketed to
-    width 1e-12 * (1 + span) by derivative bisection. The result always lies
-    in [low, high].
+    Other finite p have a unique minimizer by strict convexity, found by the
+    scaled, safeguarded Newton solve and certified to within
+    1e-12 * span / 2 (a derivative sign change on either side). The result
+    always lies in [low, high].
     """
     p = validate_pnorm(p)
     xs = profile.sorted_values
@@ -86,7 +107,7 @@ def optimal_location(profile: LocationProfile, p: float) -> OptResult:
         loc = 0.5 * (float(xs[0]) + float(xs[-1]))
         method = "closed_form_midrange"
     else:
-        loc = float(_bisect_rows(xs[None, :], None, p)[0])
+        loc = _solve_row(xs.tolist(), p)
         method = "derivative_bisection"
     return OptResult(loc, social_cost(profile, loc, p), method)
 
@@ -96,31 +117,170 @@ def optimal_cost(profile: LocationProfile, p: float) -> float:
     return optimal_location(profile, p).cost
 
 
-def _bisect_rows(points: np.ndarray, weights, p: float) -> np.ndarray:
-    """Row-wise derivative bisection for 1 < p < inf.
+def _row_slopes(zs: list, t: float, e: float, m: float) -> tuple[float, float]:
+    # D(t) / m^e and D'(t) / m^e for one scaled row, m the peak distance
+    s0 = s1 = 0.0
+    try:
+        for z in zs:
+            d = (t - z) / m
+            g = abs(d) ** (e - 1.0)
+            s0 += g
+            s1 += g * d
+    except (OverflowError, ZeroDivisionError):
+        # p < 2 with t on, or a subnormal away from, a data point: D' = inf
+        return sum(math.copysign(abs((t - z) / m) ** e, t - z) for z in zs), math.inf
+    return s1, e * s0 / m
 
-    Returns, per row, the minimizer of sum_j w_j |y - x_j|^p. The bracket
-    keeps D(lo) <= 0 <= D(hi) for the nondecreasing derivative
-    D(y) = sum_j w_j sign(y - x_j) |y - x_j|^(p-1) and stops once narrower
-    than BRACKET_TOL * (1 + row span) or floats cannot split it further.
+
+def _solve_row(points: list, p: float) -> float:
+    """Minimizer of sum_j |y - x_j|^p over one unweighted row, 1 < p < inf.
+
+    The pure-Python kernel of the solve in the module docstring; same steps
+    and certificate as `_bisect_rows`.
     """
-    pts = np.asarray(points, dtype=float)
-    lo = pts.min(axis=1)
-    hi = pts.max(axis=1)
-    tol = BRACKET_TOL * (1.0 + (hi - lo))
-    for _ in range(_MAX_BISECT):
-        mid = 0.5 * (lo + hi)
-        active = ((hi - lo) > tol) & (mid > lo) & (mid < hi)
-        if not active.any():
+    lo, hi = min(points), max(points)
+    center = 0.5 * lo + 0.5 * hi
+    half = 0.5 * hi - 0.5 * lo
+    if not half > 0.0:
+        return lo
+    zs = [(x - center) / half for x in points]
+    zlo, zhi = min(zs), max(zs)
+    e = p - 1.0
+    tol = BRACKET_TOL
+    a, b = zlo, zhi
+    t = est = sum(zs) / len(zs)
+    dx_old = b - a
+    f, df = _row_slopes(zs, t, e, max(t - zlo, zhi - t))
+    for _ in range(_MAX_NEWTON):
+        if f <= 0.0:
+            a = t
+        if f >= 0.0:
+            b = t
+        if est - a <= tol and b - est <= tol:
             break
-        diff = mid[:, None] - pts
-        terms = np.sign(diff) * np.abs(diff) ** (p - 1.0)
-        if weights is not None:
-            terms = terms * weights
-        downhill = terms.sum(axis=1) <= 0.0
-        lo = np.where(active & downhill, mid, lo)
-        hi = np.where(active & ~downhill, mid, hi)
-    return 0.5 * (lo + hi)
+        dx = 0.5 * (b - a)
+        est = a + dx
+        if 0.0 < df < math.inf:
+            step = f / df
+            if a <= t - step <= b and abs(2.0 * f) <= abs(dx_old * df):
+                dx, est = step, t - step
+        dx_old = dx
+        t = est
+        if abs(dx) < tol:
+            # converged: probe the still-open side of the bracket
+            t = est + 0.5 * tol if b - est > tol else est - 0.5 * tol
+        f, df = _row_slopes(zs, t, e, max(t - zlo, zhi - t))
+    return min(max(center + half * est, lo), hi)
+
+
+def _bisect_rows(points: np.ndarray, weights, p: float) -> np.ndarray:
+    """Row-wise minimizer of sum_j w_j |y - x_j|^p for 1 < p < inf.
+
+    The numpy kernel of the scaled, safeguarded Newton solve in the module
+    docstring, for a (B, n) batch; weights is None or broadcasts against
+    points. Each returned point is certified: the derivative changes sign
+    within BRACKET_TOL half-spans of it, and it lies in [row min, row max].
+    Rows still uncertified after _MAX_NEWTON steps keep their last estimate.
+    """
+    # points run down the columns, so per-row reductions add contiguous vectors
+    cols = np.array(np.asarray(points, dtype=float).T, order="C")
+    lo = cols.min(axis=0)
+    hi = cols.max(axis=0)
+    center = 0.5 * lo + 0.5 * hi
+    half = 0.5 * hi - 0.5 * lo
+    live = half > 0.0
+    out = center.copy()
+    w = None
+    if weights is not None:
+        w = np.ascontiguousarray(np.broadcast_to(np.asarray(weights, dtype=float), cols.T.shape).T)
+    if not live.all():
+        if live.any():
+            cols, w = cols[:, live], (None if w is None else w[:, live])
+            out[live] = _bisect_rows(cols.T, None if w is None else w.T, p)
+        return np.clip(out, lo, hi)
+    cols -= center
+    cols /= half
+    t = _newton_rows(cols, w, p - 1.0)
+    return np.clip(center + half * t, lo, hi)
+
+
+def _rows_slopes(z, w, t, e, zlo, zhi):
+    # D(t) / m^e and D'(t) / m^e per scaled row (a column of z), m the peak distance
+    m = np.maximum(t - zlo, zhi - t)
+    d = t - z
+    d /= m
+    g = np.abs(d)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g **= e - 1.0
+        d *= g
+    if e < 1.0:
+        # p < 2 on a data point: D' is infinite and the term of D is zero
+        d[g == np.inf] = 0.0
+    if w is not None:
+        g *= w
+        d *= w
+    return d.sum(axis=0), e * g.sum(axis=0) / m
+
+
+def _newton_rows(z: np.ndarray, w, e: float) -> np.ndarray:
+    if w is None:
+        zlo, zhi = z.min(axis=0), z.max(axis=0)
+        t = z.mean(axis=0)
+    else:
+        # the peak and the bracket come from the points that carry weight
+        carried = w > 0.0
+        zlo = np.where(carried, z, np.inf).min(axis=0)
+        zhi = np.where(carried, z, -np.inf).max(axis=0)
+        t = (z * w).sum(axis=0) / w.sum(axis=0)
+    tol = BRACKET_TOL
+    out = np.empty(z.shape[1])
+    rows = np.arange(z.shape[1])
+    pending = np.ones(z.shape[1], dtype=bool)
+    a, b, est = zlo, zhi, t
+    dx_old = b - a
+    f, df = _rows_slopes(z, w, t, e, zlo, zhi)
+    for _ in range(_MAX_NEWTON):
+        a = np.where(f <= 0.0, t, a)
+        b = np.where(f >= 0.0, t, b)
+        done = pending & (est - a <= tol) & (b - est <= tol)
+        if done.any():
+            out[rows[done]] = est[done]
+            pending &= ~done
+            left = np.count_nonzero(pending)
+            if not left:
+                return out
+            if 2 * left <= pending.size:
+                # Shrink to the batch size halved until pending rows fill
+                # half of it, pending rows first; certified filler rows
+                # iterate harmlessly and are never written again. Shrinking
+                # to the exact pending count fragmented the heap, so peak
+                # RSS grew with every call.
+                size = pending.size // 2
+                while 2 * left <= size:
+                    size //= 2
+                keep = np.concatenate([np.flatnonzero(pending), np.flatnonzero(~pending)[: size - left]])
+                rows, z, zlo, zhi = rows[keep], z[:, keep], zlo[keep], zhi[keep]
+                w = None if w is None else w[:, keep]
+                a, b, t, f, df, dx_old = a[keep], b[keep], t[keep], f[keep], df[keep], dx_old[keep]
+                pending = pending[keep]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            step = f / df
+            newton_t = t - step
+            newton = (
+                np.isfinite(df)
+                & (newton_t >= a)
+                & (newton_t <= b)
+                & (np.abs(2.0 * f) <= np.abs(dx_old * df))
+            )
+        dx = np.where(newton, step, 0.5 * (b - a))
+        est = np.where(newton, newton_t, a + 0.5 * (b - a))
+        dx_old = dx
+        # converged rows probe the still-open side of their bracket
+        probe = np.where(b - est > tol, est + 0.5 * tol, est - 0.5 * tol)
+        t = np.where(np.abs(dx) < tol, probe, est)
+        f, df = _rows_slopes(z, w, t, e, zlo, zhi)
+    out[rows[pending]] = est[pending]
+    return out
 
 
 def smallest_positive_root(f, scan_step: float, max_bound: float, tol: float = ROOT_TOL) -> float:

@@ -34,7 +34,7 @@ from ..mechanisms import (
     ThreePoint,
     run,
 )
-from ..optimizer import _bisect_rows, _cached_adversarial_roots
+from ..optimizer import _bisect_rows, _cached_adversarial_roots, _solve_row
 from .reports import DeviationReport, SearchConfig
 
 __all__ = [
@@ -192,26 +192,6 @@ def deviation_cost_curve(spec, profile, p, agent, reports) -> np.ndarray:
     return np.abs(locs - x) @ probs
 
 
-def _scalar_optimal(points: tuple, p: float) -> float:
-    # pure-Python bisection for 1 < p < inf minimizing sum |y - x|^p
-    lo, hi = min(points), max(points)
-    tol = 1e-12 * (1.0 + hi - lo)
-    e = p - 1.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        deriv = 0.0
-        for x in points:
-            d = mid - x
-            deriv += abs(d) ** e if d > 0 else -((-d) ** e) if d < 0 else 0.0
-        if deriv <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def _point_atoms_fn(spec, profile, p, agent):
     """Scalar sibling of _atom_table: report -> [(location, weight)]."""
     n = profile.n
@@ -267,8 +247,8 @@ def _point_optimal_fn(others: np.ndarray, p: float, as_atom: bool):
         o_lo, o_hi = float(others.min()), float(others.max())
         f = lambda r: 0.5 * (min(r, o_lo) + max(r, o_hi))
     else:
-        fixed = tuple(others.tolist())
-        f = lambda r: _scalar_optimal(fixed + (r,), p)
+        fixed = others.tolist()
+        f = lambda r: _solve_row([*fixed, r], p)
     if as_atom:
         return lambda r: [(f(r), 1.0)]
     return f

@@ -79,6 +79,13 @@ class TestEval:
         assert out == ""
         assert json.loads(target.read_text())["spec"] == "lrm"
 
+    def test_optimum_on_a_huge_span(self, capsys):
+        code, out, _ = run_cli(
+            capsys, ["eval", "--spec", "opt", "--profile", "0,1e300", "--p", "3"]
+        )
+        assert code == 0
+        assert json.loads(out)["opt_location"] == pytest.approx(5e299, rel=1e-12)
+
 
 class TestSpcheck:
     def test_median_is_clean(self, capsys):

@@ -108,6 +108,12 @@ class TestBestDeviation:
         assert report.gain == 0.5
         assert report.deviated_cost == 0.0
 
+    def test_optimal_rule_on_a_huge_span(self):
+        # the polish solves optima in scaled coordinates, so 1e300 raises nothing
+        report = best_deviation(Optimal(), LocationProfile([0.0, 1e300]), 3.0, agent=1)
+        assert report.gain == pytest.approx(5e299, rel=1e-9)
+        assert report.best_misreport == -1e300
+
     def test_three_point_stretch_amount_verified_by_grid(self):
         spec = ThreePoint(0.2)
         prof = LocationProfile([0.0, 1.0])

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lpfacility import (
     LocationProfile,
@@ -15,6 +17,7 @@ from lpfacility import (
     smallest_positive_root,
     social_cost,
 )
+from lpfacility.optimizer import BRACKET_TOL, _bisect_rows, _solve_row
 
 
 def brute_force_cost_curve(values, grid, p):
@@ -105,6 +108,95 @@ class TestOptimalLocation:
             ys = rng.uniform(prof.low - 1, prof.high + 1, size=1000)
             costs = brute_force_cost_curve(prof.values, ys, p)
             assert best <= costs.min() + 1e-10
+
+
+class TestExtremeRows:
+    """Spans near the float limits and huge p: right answers, not overflow."""
+
+    def test_huge_span_p3_is_the_midpoint(self):
+        prof = LocationProfile([0.0, 1e300])
+        res = optimal_location(prof, 3.0)
+        assert res.location == pytest.approx(5e299, rel=1e-12)
+        assert res.cost <= social_cost(prof, 5e299, 3.0)
+
+    def test_huge_p_lands_on_the_midrange(self):
+        prof = LocationProfile([0.0, 0.1, 10.0])
+        res = optimal_location(prof, 1e6)
+        assert res.location == pytest.approx(5.0, rel=1e-9)
+        assert res.cost <= social_cost(prof, 5.0, 1e6)
+
+    @pytest.mark.parametrize("values", [[-1e308, 1e308], [-1e308, 0.0, 1e308]])
+    def test_span_past_float_max_stays_finite(self, values):
+        res = optimal_location(LocationProfile(values), 3.0)
+        assert res.location == 0.0
+        assert math.isfinite(res.cost)
+
+    def test_tolerance_scales_with_the_span(self):
+        tiny = optimal_location(LocationProfile([0.0, 1e-13, 1e-12]), 3.0).location
+        unit = optimal_location(LocationProfile([0.0, 0.1, 1.0]), 3.0).location
+        assert tiny == pytest.approx(1e-12 * unit, rel=1e-9, abs=0.0)
+
+    def test_three_point_closed_form(self):
+        # on (0.3, 1) the derivative y^2 + (y - 0.3)^2 - (1 - y)^2 is y^2 + 1.4y - 0.91
+        res = optimal_location(LocationProfile([0.0, 0.3, 1.0]), 3.0)
+        assert abs(res.location - (-1.4 + math.sqrt(5.6)) / 2.0) <= 1e-15
+
+
+SOLVER_P = (1.01, 1.1, 1.5, 2.5, 3.0, 3.3, 5.0, 8.0, 20.0, 1e6)
+
+
+@st.composite
+def solver_rows(draw):
+    """Rows of 2 to 12 points on a 1e-3 grid, so ties and duplicates are
+    common, scaled to spans from about 1e-12 to 1e300."""
+    n = draw(st.integers(2, 12))
+    pool = draw(st.lists(st.integers(-1000, 1000), min_size=1, max_size=n))
+    picks = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    scale = 10.0 ** draw(st.integers(-12, 300))
+    return [k / 1000.0 * scale for k in picks]
+
+
+def peak_factored_derivative(values, y, p):
+    # independent oracle: sum sign(y - x) |y - x|^(p-1), divided by the peak's power
+    d = y - np.asarray(values, dtype=float)
+    peak = np.abs(d).max()
+    if peak == 0.0:
+        return 0.0
+    return float(np.sum(np.sign(d) * (np.abs(d) / peak) ** (p - 1.0)))
+
+
+class TestSolverCertificate:
+    @given(values=solver_rows(), p=st.sampled_from(SOLVER_P))
+    def test_both_kernels_return_certified_points(self, values, p):
+        lo, hi = min(values), max(values)
+        tol = BRACKET_TOL * (0.5 * hi - 0.5 * lo)
+        scalar = _solve_row(values, p)
+        batched = float(_bisect_rows(np.array([values]), None, p)[0])
+        for y in (scalar, batched):
+            assert lo <= y <= hi
+            if tol > 0.0:
+                assert peak_factored_derivative(values, y - tol, p) <= 0.0
+                assert peak_factored_derivative(values, y + tol, p) >= 0.0
+        assert abs(scalar - batched) <= tol
+
+    @pytest.mark.parametrize("p", SOLVER_P)
+    def test_batched_rows_match_the_scalar_kernel(self, p):
+        rng = np.random.default_rng(24)
+        rows = rng.uniform(-1.0, 1.0, size=(300, 6)) * 10.0 ** rng.integers(-12, 300, size=(300, 1))
+        rows[::7, 1] = rows[::7, 0]
+        batched = _bisect_rows(rows, None, p)
+        for row, y in zip(rows, batched):
+            tol = BRACKET_TOL * (0.5 * row.max() - 0.5 * row.min())
+            assert abs(_solve_row(row.tolist(), p) - y) <= tol
+
+    def test_weighted_rows_match_repeated_points(self):
+        # integer weights act as repeated points
+        points = np.array([[-1.5, 0.0, 1.0, 2.5], [0.0, 0.2, 0.9, 1e-3]])
+        weights = np.array([[2.0, 0.0, 3.0, 1.0], [1.0, 4.0, 1.0, 2.0]])
+        got = _bisect_rows(points, weights, 3.0)
+        for row, w, y in zip(points, weights, got):
+            expanded = np.repeat(row, w.astype(int)).tolist()
+            assert y == pytest.approx(_solve_row(expanded, 3.0), abs=1e-12)
 
 
 class TestSmallestPositiveRoot:

@@ -79,6 +79,15 @@ class TestRatio:
             p = float(rng.choice([1.0, 1.5, 2.0, 4.0]))
             assert ratio(Median(), prof, p).ratio >= 1.0 - 1e-12
 
+    def test_huge_span_median_ratio(self):
+        value = ratio(Median(), LocationProfile([0.0, 1e300]), 3.0).ratio
+        assert abs(value - 2.0 ** (2.0 / 3.0)) <= 1e-12
+
+    def test_tiny_span_ratio_is_scale_invariant(self):
+        tiny = ratio(Median(), LocationProfile([0.0, 1e-13, 1e-12]), 3.0).ratio
+        unit = ratio(Median(), LocationProfile([0.0, 0.1, 1.0]), 3.0).ratio
+        assert abs(tiny - unit) <= 1e-12
+
 
 class TestWorstRatioSearch:
     def test_median_search_approaches_the_supremum(self):
