@@ -16,11 +16,10 @@ lines produce byte-identical output.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 
-from .core import LocationProfile, expected_social_cost, parse_pnorm
+from .core import LocationProfile, NonFiniteResult, parse_pnorm
 from .mechanisms import ThreePoint, parse_mechanism, run
 from .optimizer import optimal_location
 from .verification.certificates import mixture_bound_certificate
@@ -128,22 +127,19 @@ def _cmd_eval(args) -> int:
     profile = _parse_profile(args.profile)
     spec = _parse_spec(args.spec)
     p = _parse_p(args.p)
-    dist = run(spec, profile, p)
-    mech_cost = expected_social_cost(profile, dist, p)
-    opt = optimal_location(profile, p)
-    if opt.cost == 0.0:
-        value = 1.0 if mech_cost == 0.0 else math.inf
-    else:
-        value = mech_cost / opt.cost
+    try:
+        report = ratio(spec, profile, p)
+    except NonFiniteResult as exc:
+        raise InputError(str(exc)) from exc
     payload = {
         "spec": args.spec.strip(),
         "profile": profile.values.tolist(),
         "p": p,
-        "distribution": _distribution_dict(dist),
-        "mechanism_cost": mech_cost,
-        "opt_location": opt.location,
-        "opt_cost": opt.cost,
-        "ratio": value,
+        "distribution": _distribution_dict(run(spec, profile, p)),
+        "mechanism_cost": report.mechanism_cost,
+        "opt_location": optimal_location(profile, p).location,
+        "opt_cost": report.opt_cost,
+        "ratio": report.ratio,
     }
     if args.format == "csv":
         flat = [(k, v) for k, v in payload.items() if k not in ("distribution", "profile")]

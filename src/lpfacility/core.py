@@ -42,6 +42,11 @@ __all__ = [
 ATOM_MASS_TOL = 1e-12
 
 
+class NonFiniteResult(ValueError):
+    """A cost or a misreport that overflows a double: refused, never
+    returned as inf or NaN."""
+
+
 def validate_pnorm(p: float) -> float:
     """Return the cost exponent as a float, math.inf included.
 
@@ -74,11 +79,11 @@ class LocationProfile:
 
     Keeps the original order (dictatorships and per-agent deviation reports
     need agent identity) alongside an ascending sorted view (rank-based rules
-    need order statistics). Instances are immutable; the arrays are
-    read-only.
+    need order statistics), and the extreme reports `low` and `high` as
+    floats. Instances are immutable; the arrays are read-only.
     """
 
-    __slots__ = ("values", "sorted_values", "order")
+    __slots__ = ("values", "sorted_values", "order", "low", "high")
 
     def __init__(self, locations):
         values = np.array(locations, dtype=float)
@@ -95,6 +100,8 @@ class LocationProfile:
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "sorted_values", sorted_values)
         object.__setattr__(self, "order", order)
+        object.__setattr__(self, "low", float(sorted_values[0]))
+        object.__setattr__(self, "high", float(sorted_values[-1]))
 
     def __setattr__(self, name, value):
         raise AttributeError("LocationProfile is immutable")
@@ -102,14 +109,6 @@ class LocationProfile:
     @property
     def n(self) -> int:
         return int(self.values.size)
-
-    @property
-    def low(self) -> float:
-        return float(self.sorted_values[0])
-
-    @property
-    def high(self) -> float:
-        return float(self.sorted_values[-1])
 
     @property
     def span(self) -> float:
@@ -172,12 +171,14 @@ class FacilityDistribution:
         total = float(probabilities.sum())
         if abs(total - 1.0) > ATOM_MASS_TOL:
             raise ValueError(f"atom probabilities sum to {total!r}, not 1")
-        unique, inverse = np.unique(locations, return_inverse=True)
-        merged = np.zeros(unique.size)
-        np.add.at(merged, inverse, probabilities)
-        keep = merged > 0.0
-        locs = unique[keep]
-        probs = merged[keep]
+        # each location's mass is summed in input order; a dict merges the
+        # few atoms of a rule faster than np.unique
+        merged = {}
+        for loc, prob in zip(locations.tolist(), probabilities.tolist()):
+            merged[loc] = merged.get(loc, 0.0) + prob
+        kept = sorted(atom for atom in merged.items() if atom[1] > 0.0)
+        locs = np.array([loc for loc, _ in kept])
+        probs = np.array([prob for _, prob in kept])
         for arr in (locs, probs):
             arr.flags.writeable = False
         object.__setattr__(self, "locations", locs)
@@ -243,7 +244,11 @@ def _lp_norm(distances: np.ndarray, p: float) -> float:
 def social_cost(profile: LocationProfile, y: float, p: float) -> float:
     """L_p norm of the agent distance vector to y (max distance at p=inf)."""
     p = validate_pnorm(p)
-    return _lp_norm(np.abs(profile.values - float(y)), p)
+    y = float(y)
+    # checked in Python floats, which overflow to inf without numpy's warning
+    if max(profile.high - y, y - profile.low) == math.inf:
+        return math.inf
+    return _lp_norm(np.abs(profile.values - y), p)
 
 
 def expected_social_cost(
@@ -271,6 +276,14 @@ def order_statistic(profile: LocationProfile, j: int) -> float:
     if not 1 <= j <= profile.n:
         raise IndexError(f"order statistic {j} out of range for {profile.n} agents")
     return float(profile.sorted_values[j - 1])
+
+
+def _rank_window(others: list, rank: int) -> tuple[float, float]:
+    """[lo, hi] with the rank-th smallest of others + [r] equal to r
+    clipped to it, for the others sorted ascending (+-inf past the ends)."""
+    lo = others[rank - 2] if rank >= 2 else -math.inf
+    hi = others[rank - 1] if rank <= len(others) else math.inf
+    return lo, hi
 
 
 def reflect(profile: LocationProfile) -> LocationProfile:

@@ -1,9 +1,13 @@
 """Mechanism catalog: rules mapping reported profiles to facility outcomes.
 
-Specs are small immutable values describing a rule; `run` is the single
-dispatcher applying one to a profile. Randomized rules return their full
-finite distribution rather than samples, so downstream cost computations are
-exact expectations.
+Specs are small immutable values describing a rule. `_outcome_plan` is the
+one place that gives a spec its meaning: it turns a rule, a profile and one
+agent into atoms (a weight and a location as a function of that agent's
+report). `run` evaluates the plan at agent 1's truthful report; the
+misreport search evaluates it over candidate reports in numpy and at single
+points in pure Python. Randomized rules return their full finite
+distribution rather than samples, so downstream cost computations are exact
+expectations.
 
 Text round-trip: `parse_mechanism` / `format_mechanism` speak a canonical
 grammar used by the command line and by serialized reports:
@@ -24,13 +28,13 @@ import numpy as np
 from .core import (
     FacilityDistribution,
     LocationProfile,
+    _rank_window,
     format_pnorm,
     order_statistic,
     parse_pnorm,
-    point_mass,
     validate_pnorm,
 )
-from .optimizer import optimal_location
+from .optimizer import _optimum, _optimum_rows
 
 __all__ = [
     "ArityMismatch",
@@ -62,6 +66,11 @@ class ArityMismatch(ValueError):
 
 class InvalidWeight(ValueError):
     """Probability weights that are negative or do not sum to one."""
+
+
+def _require_two(n: int, label: str) -> None:
+    if n != 2:
+        raise ArityMismatch(f"{label} is a two-agent rule, profile has {n}")
 
 
 def _check_positive_index(value, label: str) -> int:
@@ -189,26 +198,14 @@ def median_location(profile: LocationProfile) -> float:
     return order_statistic(profile, (profile.n + 1) // 2)
 
 
-def _require_two(profile: LocationProfile, label: str) -> None:
-    if profile.n != 2:
-        raise ArityMismatch(f"{label} is a two-agent rule, profile has {profile.n}")
-
-
 def lrm_distribution(profile: LocationProfile) -> FacilityDistribution:
     """Quarter mass on each extreme report, half on their midpoint."""
-    _require_two(profile, "lrm")
-    a, b = profile.low, profile.high
-    return FacilityDistribution(((a, 0.25), (0.5 * (a + b), 0.5), (b, 0.25)))
+    return run(LRM(), profile, 1.0)
 
 
 def three_point_distribution(profile: LocationProfile, q_end: float) -> FacilityDistribution:
     """Mass q_end on each extreme report, 1 - 2*q_end on their midpoint."""
-    _require_two(profile, "threepoint")
-    q = float(q_end)
-    if not 0.0 <= q <= 0.5:
-        raise InvalidWeight(f"q_end must lie in [0, 1/2], got {q_end!r}")
-    a, b = profile.low, profile.high
-    return FacilityDistribution(((a, q), (0.5 * (a + b), 1.0 - 2.0 * q), (b, q)))
+    return run(ThreePoint(q_end), profile, 1.0)
 
 
 def run(spec: MechanismSpec, reported: LocationProfile, p: float) -> FacilityDistribution:
@@ -219,68 +216,109 @@ def run(spec: MechanismSpec, reported: LocationProfile, p: float) -> FacilityDis
     profile size (two-agent rules, out-of-range ranks or dictators).
     """
     p = validate_pnorm(p)
-    return _dispatch(spec, reported, p)
+    others, atoms = _outcome_plan(spec, reported, p, 1)
+    locations = _plan_at(others, atoms, float(reported.values[0]))
+    return FacilityDistribution(zip(locations, [atom[0] for atom in atoms]))
 
 
-def _dispatch(spec, profile, p):
+def _outcome_plan(spec, profile: LocationProfile, p: float, agent: int):
+    """The rule's outcome as data, with `agent`'s report r left free.
+
+    Returns (others, atoms): the other agents' reports sorted ascending, and
+    one (weight, slope, shift, lo, hi, q, mirrored) tuple per atom. The
+    atom's location is slope * r + shift clipped to [lo, hi] when q is None,
+    else the L_q optimum of others + [r]; when mirrored, it is reflected
+    about the midpoint of the two reports (r + others[0] minus it). Mixture
+    components of zero weight are left out.
+    """
+    values = profile.values.tolist()
+    n = len(values)
+    others = sorted(values[: agent - 1] + values[agent:])
+    inf = math.inf
+
+    def ranked(rank, w):
+        if rank > n:
+            raise ArityMismatch(f"order statistic {rank} needs {rank} agents, profile has {n}")
+        return (w, 1.0, 0.0, *_rank_window(others, rank), None, False)
+
+    def dictated(i, w):
+        if i > n:
+            raise ArityMismatch(f"dictator {i} needs {i} agents, profile has {n}")
+        if i == agent:
+            return (w, 1.0, 0.0, -inf, inf, None, False)
+        return (w, 0.0, values[i - 1], -inf, inf, None, False)
+
     if isinstance(spec, Median):
-        return point_mass(median_location(profile))
-    if isinstance(spec, OrderStatistic):
-        if spec.rank > profile.n:
-            raise ArityMismatch(
-                f"order statistic {spec.rank} needs {spec.rank} agents, profile has {profile.n}"
-            )
-        return point_mass(order_statistic(profile, spec.rank))
-    if isinstance(spec, Dictator):
-        if spec.agent > profile.n:
-            raise ArityMismatch(
-                f"dictator {spec.agent} needs {spec.agent} agents, profile has {profile.n}"
-            )
-        return point_mass(float(profile.values[spec.agent - 1]))
-    if isinstance(spec, Optimal):
-        return point_mass(optimal_location(profile, p if spec.p is None else spec.p).location)
-    if isinstance(spec, LRM):
-        return lrm_distribution(profile)
-    if isinstance(spec, ThreePoint):
-        return three_point_distribution(profile, spec.q_end)
-    if isinstance(spec, Mixture):
-        return _run_mixture(spec, profile, p)
-    if isinstance(spec, Mirror):
-        _require_two(profile, "mirror")
-        return _mirror_distribution(_dispatch(spec.inner, profile, p), profile)
-    if isinstance(spec, Symmetrized):
-        _require_two(profile, "symmetrize")
-        inner = _dispatch(spec.inner, profile, p)
-        mirrored = _mirror_distribution(inner, profile)
-        halves = [(l, 0.5 * w) for l, w in inner.atoms()]
-        halves += [(l, 0.5 * w) for l, w in mirrored.atoms()]
-        return FacilityDistribution(halves)
-    raise TypeError(f"unknown mechanism spec {spec!r}")
+        atoms = [ranked((n + 1) // 2, 1.0)]
+    elif isinstance(spec, OrderStatistic):
+        atoms = [ranked(spec.rank, 1.0)]
+    elif isinstance(spec, Dictator):
+        atoms = [dictated(spec.agent, 1.0)]
+    elif isinstance(spec, Optimal):
+        atoms = [(1.0, 0.0, 0.0, -inf, inf, p if spec.p is None else spec.p, False)]
+    elif isinstance(spec, (LRM, ThreePoint)):
+        _require_two(n, "lrm" if isinstance(spec, LRM) else "threepoint")
+        q, o = (0.25 if isinstance(spec, LRM) else spec.q_end), others[0]
+        atoms = [
+            (q, 1.0, 0.0, -inf, o, None, False),
+            (1.0 - 2.0 * q, 0.5, 0.5 * o, -inf, inf, None, False),
+            (q, 1.0, 0.0, o, inf, None, False),
+        ]
+    elif isinstance(spec, Mixture):
+        for label, weights in (("dictator", spec.dictator_weights), ("order", spec.order_weights)):
+            if weights and len(weights) != n:
+                raise ArityMismatch(f"{label} weights sized {len(weights)} for {n} agents")
+        atoms = [dictated(i, w) for i, w in enumerate(spec.dictator_weights, 1) if w > 0.0]
+        atoms += [ranked(j, w) for j, w in enumerate(spec.order_weights, 1) if w > 0.0]
+        if spec.opt_weight > 0.0:
+            atoms.append((spec.opt_weight, 0.0, 0.0, -inf, inf, p if spec.p is None else spec.p, False))
+    elif isinstance(spec, (Mirror, Symmetrized)):
+        _require_two(n, "mirror" if isinstance(spec, Mirror) else "symmetrize")
+        inner = _outcome_plan(spec.inner, profile, p, agent)[1]
+        atoms = [(*atom[:6], not atom[6]) for atom in inner]
+        if isinstance(spec, Symmetrized):
+            atoms = [(0.5 * atom[0], *atom[1:]) for atom in inner + atoms]
+    else:
+        raise TypeError(f"unknown mechanism spec {spec!r}")
+    return others, atoms
 
 
-def _mirror_distribution(dist: FacilityDistribution, profile: LocationProfile) -> FacilityDistribution:
-    t = profile.low + profile.high
-    return FacilityDistribution(zip((t - dist.locations).tolist(), dist.probabilities.tolist()))
+def _plan_at(others: list, atoms: list, r: float, x: float | None = None):
+    """The plan at report r in pure Python: the atom locations, or, given
+    x, the expected distance from x to them, summed directly."""
+    locations = []
+    total = 0.0
+    for w, slope, shift, lo, hi, q, mirrored in atoms:
+        if q is None:
+            y = slope * r + shift
+            if y < lo:
+                y = lo
+            elif y > hi:
+                y = hi
+        else:
+            y = _optimum(sorted([*others, r]), q)
+        if mirrored:
+            y = r + others[0] - y
+        if x is None:
+            locations.append(y)
+        else:
+            total += w * abs(x - y)
+    return locations if x is None else total
 
 
-def _expand_weights(weights, n: int, label: str) -> np.ndarray:
-    if len(weights) == 0:
-        return np.zeros(n)
-    if len(weights) != n:
-        raise ArityMismatch(f"{label} weights sized {len(weights)} for {n} agents")
-    return np.asarray(weights, dtype=float)
-
-
-def _run_mixture(spec: Mixture, profile: LocationProfile, p: float) -> FacilityDistribution:
-    n = profile.n
-    dict_w = _expand_weights(spec.dictator_weights, n, "dictator")
-    order_w = _expand_weights(spec.order_weights, n, "order")
-    atoms = list(zip(profile.values.tolist(), dict_w.tolist()))
-    atoms += list(zip(profile.sorted_values.tolist(), order_w.tolist()))
-    if spec.opt_weight > 0.0:
-        y = optimal_location(profile, p if spec.p is None else spec.p).location
-        atoms.append((y, spec.opt_weight))
-    return FacilityDistribution(atoms)
+def _plan_costs(others: list, atoms: list, x: float, reports: np.ndarray) -> np.ndarray:
+    """The expected distance from x to the plan's outcome at each report,
+    one numpy column per atom; optima come from the batched kernel."""
+    total = np.zeros(reports.size)
+    for w, slope, shift, lo, hi, q, mirrored in atoms:
+        if q is None:
+            y = np.clip(reports if slope == 1.0 and shift == 0.0 else slope * reports + shift, lo, hi)
+        else:
+            y = _optimum_rows(others, reports, q)
+        if mirrored:
+            y = reports + others[0] - y
+        total += w * np.abs(x - y)
+    return total
 
 
 def format_mechanism(spec: MechanismSpec) -> str:

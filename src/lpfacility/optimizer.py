@@ -19,10 +19,13 @@ D' is not finite (p < 2 on a data point), or when it is more than half the
 previous step (the rtsafe rule). A point is returned only once it is
 certified: D changes sign within BRACKET_TOL half-spans on either side.
 
-The algorithm has two kernels chosen by call shape: `_solve_row`, pure
-Python, for one row (optimal_location and the deviation polish, where numpy's
-per-call overhead would dominate), and `_bisect_rows`, numpy, for batches of
-weighted rows (deviation curves and certificate residuals).
+The optimum has two kernels chosen by call shape, each holding the closed
+forms once. `_optimum` is pure Python for one row (optimal_location, `run`
+and the deviation polish, where numpy's per-call overhead would dominate)
+and solves with `_solve_row`. `_optimum_rows` is numpy for a batch of rows
+that differ in one report (deviation curves); it reads the closed forms off
+the other reports in O(C) and solves with `_bisect_rows`, which also takes
+the weighted rows of certificate residuals.
 
 Root finding: `smallest_positive_root` locates the leftmost sign change of a
 scalar function by linear scan plus bisection; `adversarial_root` applies it
@@ -43,7 +46,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import LocationProfile, social_cost, validate_pnorm
+from .core import LocationProfile, _rank_window, social_cost, validate_pnorm
 
 __all__ = [
     "OptResult",
@@ -84,6 +87,9 @@ class OptResult:
     method: str
 
 
+_METHODS = {1.0: "closed_form_median", 2.0: "closed_form_mean", math.inf: "closed_form_midrange"}
+
+
 def optimal_location(profile: LocationProfile, p: float) -> OptResult:
     """Facility location minimizing the L_p social cost.
 
@@ -95,21 +101,38 @@ def optimal_location(profile: LocationProfile, p: float) -> OptResult:
     always lies in [low, high].
     """
     p = validate_pnorm(p)
-    xs = profile.sorted_values
-    n = xs.size
+    loc = _optimum(profile.sorted_values.tolist(), p)
+    return OptResult(loc, social_cost(profile, loc, p), _METHODS.get(p, "derivative_bisection"))
+
+
+def _optimum(row: list, p: float) -> float:
+    """The one-row kernel: minimizer of the L_p cost of a sorted list of
+    floats, by the closed forms at p in {1, 2, inf}, else `_solve_row`."""
+    n = len(row)
     if p == 1.0:
-        loc = float(xs[(n + 1) // 2 - 1])
-        method = "closed_form_median"
-    elif p == 2.0:
-        loc = float(xs.mean())
-        method = "closed_form_mean"
-    elif math.isinf(p):
-        loc = 0.5 * (float(xs[0]) + float(xs[-1]))
-        method = "closed_form_midrange"
-    else:
-        loc = _solve_row(xs.tolist(), p)
-        method = "derivative_bisection"
-    return OptResult(loc, social_cost(profile, loc, p), method)
+        return row[(n + 1) // 2 - 1]
+    if p == 2.0:
+        return math.fsum(row) / n
+    if math.isinf(p):
+        return 0.5 * (row[0] + row[-1])
+    return _solve_row(row, p)
+
+
+def _optimum_rows(others: list, reports: np.ndarray, p: float) -> np.ndarray:
+    """The batched kernel: minimizer of each row others + [r], r in reports,
+    for the others sorted ascending. The closed forms read the others'
+    summary in O(C); other p solve the (C, n) batch with `_bisect_rows`."""
+    n = len(others) + 1
+    if p == 1.0:
+        return np.clip(reports, *_rank_window(others, (n + 1) // 2))
+    if p == 2.0:
+        return (math.fsum(others) + reports) / n
+    if math.isinf(p):
+        return 0.5 * (np.minimum(reports, others[0]) + np.maximum(reports, others[-1]))
+    rows = np.empty((reports.size, n))
+    rows[:, :-1] = others
+    rows[:, -1] = reports
+    return _bisect_rows(rows, None, p)
 
 
 def optimal_cost(profile: LocationProfile, p: float) -> float:

@@ -10,6 +10,7 @@ import numpy as np
 from ..core import (
     FacilityDistribution,
     LocationProfile,
+    NonFiniteResult,
     expected_social_cost,
     validate_pnorm,
 )
@@ -34,6 +35,8 @@ def _report_for_distribution(
 ) -> RatioReport:
     mech = expected_social_cost(profile, dist, p)
     opt = optimal_cost(profile, p)
+    if not (math.isfinite(mech) and math.isfinite(opt)):
+        raise NonFiniteResult(f"social cost overflows on {profile!r}: {mech!r} against {opt!r}")
     if opt == 0.0:
         # all agents coincide: any mass off that point is infinitely bad
         value = 1.0 if mech == 0.0 else math.inf
@@ -52,18 +55,17 @@ def ratio(spec, profile: LocationProfile, p: float) -> RatioReport:
     return _report_for_distribution(spec, profile, p, run(spec, profile, p))
 
 
-def _search_families(n: int, p: float) -> list[LocationProfile]:
-    profiles = []
-    for m in range(1, n):
-        # all two-point 0/1 splits: covers half-half and all-but-one clusters
-        profiles.append(LocationProfile([0.0] * (n - m) + [1.0] * m))
-    if n % 2 == 0 and not math.isinf(p) and float(p).is_integer() and p >= 3:
-        k = n // 2
-        for j, a in enumerate(_cached_adversarial_roots(k, int(p)), start=1):
-            counts = (j, k - j, k - j + 1, j - 1)
-            points = (-a, 0.0, 1.0, 1.0 + a)
-            profiles.append(LocationProfile(np.repeat(points, counts)))
-    return profiles
+def four_block_profiles(n: int, p: float) -> list[LocationProfile]:
+    """The adversarial four-block profiles of the searches: for n = 2k at
+    integer p >= 3, per rank j, j agents at -a_j, k - j at 0, k - j + 1 at 1
+    and j - 1 at 1 + a_j, with a_j the rank root; none otherwise."""
+    if n % 2 or math.isinf(p) or not float(p).is_integer() or p < 3:
+        return []
+    k = n // 2
+    return [
+        LocationProfile(np.repeat((-a, 0.0, 1.0, 1.0 + a), (j, k - j, k - j + 1, j - 1)))
+        for j, a in enumerate(_cached_adversarial_roots(k, int(p)), start=1)
+    ]
 
 
 def worst_ratio_search(
@@ -81,7 +83,9 @@ def worst_ratio_search(
         raise ValueError(f"need at least two agents, got n={n}")
     rng = np.random.default_rng(cfg.seed)
     best: RatioReport | None = None
-    for prof in _search_families(n, p):
+    # every two-point 0/1 split: covers half-half and all-but-one clusters
+    splits = [LocationProfile([0.0] * (n - m) + [1.0] * m) for m in range(1, n)]
+    for prof in splits + four_block_profiles(n, p):
         report = ratio(spec, prof, p)
         if report.opt_cost == 0.0:
             continue

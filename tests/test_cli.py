@@ -86,6 +86,14 @@ class TestEval:
         assert code == 0
         assert json.loads(out)["opt_location"] == pytest.approx(5e299, rel=1e-12)
 
+    def test_overflowing_cost_is_refused(self, capsys):
+        code, out, err = run_cli(
+            capsys, ["eval", "--spec", "median", "--profile=-1e308,1e308", "--p", "3"]
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestSpcheck:
     def test_median_is_clean(self, capsys):

@@ -153,6 +153,11 @@ class TestCosts:
         assert math.isfinite(value)
         assert value == pytest.approx(1e155, rel=1e-12)
 
+    def test_distance_past_the_largest_double_costs_inf(self):
+        prof = LocationProfile([-1e308, 1e308])
+        assert social_cost(prof, -1e308, 3.0) == math.inf
+        assert social_cost(prof, 0.0, 3.0) == 1.2599210498948732e308
+
     def test_expected_social_cost_hand_sum(self):
         prof = LocationProfile([0.0, 1.0])
         d = FacilityDistribution([(0.0, 0.25), (0.5, 0.5), (1.0, 0.25)])

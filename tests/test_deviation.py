@@ -27,7 +27,8 @@ from lpfacility import (
     symmetric_sp_margin,
     violation_threshold,
 )
-from lpfacility.verification.deviation import _point_atoms_fn
+from lpfacility.core import NonFiniteResult
+from lpfacility.mechanisms import _outcome_plan, _plan_at
 
 
 class TestCandidates:
@@ -88,12 +89,13 @@ class TestDeviationCostCurve:
         prof = LocationProfile(rng.uniform(-2, 2, size=n))
         agent = 1
         x = float(prof.values[0])
-        atoms_fn = _point_atoms_fn(spec, prof, 2.0, agent)
         reports = rng.uniform(-3, 3, size=15)
-        batch = deviation_cost_curve(spec, prof, 2.0, agent, reports)
-        for r, cost in zip(reports, batch):
-            scalar = sum(w * abs(x - l) for l, w in atoms_fn(float(r)))
-            assert scalar == pytest.approx(cost, abs=1e-10)
+        for p in (1.0, 1.5, 2.0, 3.0, float("inf")):
+            others, atoms = _outcome_plan(spec, prof, p, agent)
+            batch = deviation_cost_curve(spec, prof, p, agent, reports)
+            for r, cost in zip(reports, batch):
+                scalar = _plan_at(others, atoms, float(r), x)
+                assert scalar == pytest.approx(cost, abs=1e-10)
 
 
 class TestBestDeviation:
@@ -113,6 +115,13 @@ class TestBestDeviation:
         report = best_deviation(Optimal(), LocationProfile([0.0, 1e300]), 3.0, agent=1)
         assert report.gain == pytest.approx(5e299, rel=1e-9)
         assert report.best_misreport == -1e300
+
+    @pytest.mark.parametrize("spec", [Median(), Optimal()])
+    @pytest.mark.parametrize("values", [[-1e308, 1e308], [0.0, 1e308]])
+    def test_overflowing_misreport_window_is_refused(self, spec, values):
+        # the window reaches 2 spans past the profile, beyond the largest double
+        with pytest.raises(NonFiniteResult):
+            best_deviation(spec, LocationProfile(values), 3.0, agent=1)
 
     def test_three_point_stretch_amount_verified_by_grid(self):
         spec = ThreePoint(0.2)

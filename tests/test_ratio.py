@@ -13,12 +13,14 @@ from lpfacility import (
     Optimal,
     RatioSearchConfig,
     expected_social_cost,
+    optimal_location,
     point_mass,
     ratio,
     run,
     social_cost,
     worst_ratio_search,
 )
+from lpfacility.core import NonFiniteResult
 from lpfacility.verification.ratio import _report_for_distribution
 
 
@@ -45,10 +47,14 @@ class TestRatio:
         assert report.ratio == pytest.approx(0.5 * (2.0 ** (1.0 - 1.0 / p) + 1.0), abs=1e-12)
 
     def test_optimal_rule_ratio_is_exactly_one(self):
+        # run places the optimum through the same one-row kernel as
+        # optimal_location, so the two agree to the last bit
         rng = np.random.default_rng(51)
         for _ in range(20):
             prof = LocationProfile(rng.uniform(-3, 3, size=int(rng.integers(2, 9))))
-            assert ratio(Optimal(), prof, 2.7).ratio == 1.0
+            for p in (1.0, 1.5, 2.0, 2.7, 3.0, math.inf):
+                assert ratio(Optimal(), prof, p).ratio == 1.0
+                assert run(Optimal(), prof, p).locations[0] == optimal_location(prof, p).location
 
     def test_degenerate_profile_convention(self):
         report = ratio(Median(), LocationProfile([4.0, 4.0, 4.0]), 2.0)
@@ -82,6 +88,11 @@ class TestRatio:
     def test_huge_span_median_ratio(self):
         value = ratio(Median(), LocationProfile([0.0, 1e300]), 3.0).ratio
         assert abs(value - 2.0 ** (2.0 / 3.0)) <= 1e-12
+
+    def test_overflowing_cost_is_refused(self):
+        # the median sits at -1e308, 2e308 from the other agent
+        with pytest.raises(NonFiniteResult):
+            ratio(Median(), LocationProfile([-1e308, 1e308]), 3.0)
 
     def test_tiny_span_ratio_is_scale_invariant(self):
         tiny = ratio(Median(), LocationProfile([0.0, 1e-13, 1e-12]), 3.0).ratio
