@@ -8,8 +8,9 @@ Subcommands:
   thm3      sweep the mixture lower-bound certificate over k
   frontier  trace the two-agent three-point family: SP margin vs ratio
 
-Exit codes: 0 success, 1 internal error, 2 malformed input, 3 a
-strategyproofness violation was found (spcheck only). Identical command
+Exit codes: 0 success, 1 internal error, 2 malformed input (also a spec
+that does not fit the profile size, or a rank root past double precision),
+3 a strategyproofness violation was found (spcheck only). Identical command
 lines produce byte-identical output.
 """
 
@@ -20,8 +21,8 @@ import os
 import sys
 
 from .core import LocationProfile, NonFiniteResult, parse_pnorm
-from .mechanisms import ThreePoint, parse_mechanism, run
-from .optimizer import optimal_location
+from .mechanisms import ArityMismatch, ThreePoint, parse_mechanism, run
+from .optimizer import NoRootFound, optimal_location
 from .verification.certificates import mixture_bound_certificate
 from .verification.deviation import (
     DEFAULT_VIOLATION_TOL,
@@ -309,7 +310,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except InputError as exc:
+    except (InputError, ArityMismatch, NoRootFound) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except Exception as exc:  # pragma: no cover - defensive

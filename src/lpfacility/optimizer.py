@@ -27,15 +27,22 @@ that differ in one report (deviation curves); it reads the closed forms off
 the other reports in O(C) and solves with `_bisect_rows`, which also takes
 the weighted rows of certificate residuals.
 
-Root finding: `smallest_positive_root` locates the leftmost sign change of a
-scalar function by linear scan plus bisection; `adversarial_root` applies it
-to the rank root function
+Rank roots: for rank j among 2k agents and e = p - 1, the root a_j of
 
-    g(a) = j * a^(p-1) - (k - j + 1) - (j - 1) * (1 + a)^(p-1)
+    g_j(a) = j * a^e - (k - j + 1) - (j - 1) * (1 + a)^e
 
-whose smallest positive root a_j prices, for rank j among 2k agents, the
-stretch at which pulling the facility toward a distant block stops paying.
-`adversarial_roots` computes all k of them in one sweep.
+prices the stretch at which pulling the facility toward a distant block
+stops paying. Each g_j has exactly one positive root: g_1 = a^e - k is
+increasing; for j >= 2, g_j(0) = -k < 0 and g_j' changes sign once, where
+(a / (1 + a))^(e-1) = (j - 1) / j, so g_j falls, then rises to +inf. So one
+numpy kernel, `_rank_roots`, bisects twice: over the index i of the grid
+min(i * step, bound), step = max(1e-3, k^(1/e) / 1e3), bound = 2^e * k
+(doubled while g_j(bound) < 0), to the first cell with g_j(lo) < 0 <=
+g_j(hi); then inside that cell, below tol * (1 + root). g_j is unscaled, its
+powers taken by repeated squaring; a cell whose ends are not both finite
+(the powers overflowed) is refused with NoRootFound. `adversarial_root` and
+`adversarial_roots` are its one-rank and all-rank cases;
+`smallest_positive_root` scans and bisects a caller's scalar function.
 """
 
 from __future__ import annotations
@@ -66,11 +73,10 @@ ROOT_TOL = 1e-12
 _MAX_BISECT = 200
 _MAX_NEWTON = 200
 _ROOT_RETRIES = 8
-_SWEEP_CHUNK = 1 << 16
 
 
 class NoRootFound(RuntimeError):
-    """No sign change found on the scanned interval."""
+    """No sign change found on the scanned interval, or none with finite ends."""
 
 
 @dataclass(frozen=True)
@@ -365,17 +371,6 @@ def _validate_rank_query(j: int, k: int, p: int) -> tuple[int, int, int]:
     return j, k, p
 
 
-def _rank_root_function(j: int, k: int, p: int):
-    block = float(k - j + 1)
-    shifted = float(j - 1)
-    e = p - 1
-
-    def g(a: float) -> float:
-        return j * a**e - block - shifted * (1.0 + a) ** e
-
-    return g
-
-
 def _rank_scan_step(k: int, p: int) -> float:
     return max(1e-3, k ** (1.0 / (p - 1)) / 1e3)
 
@@ -383,24 +378,14 @@ def _rank_scan_step(k: int, p: int) -> float:
 def adversarial_root(j: int, k: int, p: int, tol: float = ROOT_TOL) -> float:
     """Smallest positive root a_j of the rank root function for 2k agents.
 
-    Ranks above k fold symmetrically: a_j = a_(2k-j+1). The scan step is
-    max(1e-3, k^(1/(p-1))/1e3) and the initial bound 2^(p-1) * k, doubled on
-    failure up to a retry cap before giving up with diagnostics.
+    Ranks above k fold symmetrically: a_j = a_(2k-j+1). The one-rank case of
+    `adversarial_roots`, bit for bit: the same grid cell, the same bisection.
+    Raises NoRootFound when the root cannot be bracketed in double precision.
     """
     j, k, p = _validate_rank_query(j, k, p)
     if j > k:
         j = 2 * k - j + 1
-    g = _rank_root_function(j, k, p)
-    step = _rank_scan_step(k, p)
-    bound = 2.0 ** (p - 1) * k
-    for _ in range(_ROOT_RETRIES):
-        try:
-            return smallest_positive_root(g, step, bound, tol)
-        except NoRootFound:
-            bound *= 2.0
-    raise NoRootFound(
-        f"no rank root for j={j}, k={k}, p={p} scanned up to {bound!r}"
-    )
+    return float(_rank_roots(np.array([float(j)]), k, p, tol)[0])
 
 
 def _powi(x: np.ndarray, e: int) -> np.ndarray:
@@ -417,103 +402,71 @@ def _powi(x: np.ndarray, e: int) -> np.ndarray:
 
 
 def adversarial_roots(k: int, p: int, tol: float = ROOT_TOL) -> np.ndarray:
-    """All rank roots a_1..a_k at the same scan resolution as adversarial_root.
+    """All rank roots a_1..a_k, each equal to adversarial_root(j, k, p, tol).
 
-    One left-to-right sweep brackets every rank at once: writing
-    g_j(a) = j * u(a) + v(a) with u(a) = a^(p-1) + 1 - (1+a)^(p-1), which is
-    strictly negative for a > 0 once p > 2, the ranks nonnegative at a scan
-    point are exactly j <= (k + 1 - (1+a)^(p-1)) / u(a), so a running
-    maximum of that threshold resolves each rank's first crossing cell in a
-    single pass. Brackets are re-verified against the direct g_j sign and
-    refined by row-wise bisection.
+    Each rank's first grid cell with a sign change is found by bisection
+    over the grid index, then shrunk below tol * (1 + root) by bisection;
+    see the module docstring. The result is read-only. Raises NoRootFound
+    when a rank's root cannot be bracketed in double precision.
     """
     _, k, p = _validate_rank_query(1, k, p)
-    step = _rank_scan_step(k, p)
-    bound = 2.0 ** (p - 1) * k
-    for _ in range(_ROOT_RETRIES):
-        brackets = _sweep_rank_brackets(k, p, step, bound)
-        if brackets is not None:
-            lo, hi = brackets
-            break
-        bound *= 2.0
-    else:
-        raise NoRootFound(f"rank root sweep exhausted bound {bound!r} for k={k}, p={p}")
-    _realign_rank_brackets(k, p, step, lo, hi)
-    return _refine_rank_brackets(k, p, lo, hi, tol)
+    return _rank_roots(np.arange(1, k + 1, dtype=float), k, p, tol)
 
 
-def _sweep_rank_brackets(k: int, p: int, step: float, bound: float):
+def _rank_roots(js: np.ndarray, k: int, p: int, tol: float) -> np.ndarray:
+    """The rank-root kernel: the root a_j of g_j for each rank j in js."""
     e = p - 1
-    lo = np.zeros(k)
-    hi = np.zeros(k)
-    resolved = 0
-    running_max = -math.inf
-    prev_t = 0.0
-    start = 1
-    while prev_t < bound:
-        idx = np.arange(start, start + _SWEEP_CHUNK)
-        ts = np.minimum(idx * step, bound)
-        # trim indices past the capped endpoint
-        past = np.nonzero(ts >= bound)[0]
-        if past.size:
-            ts = ts[: past[0] + 1]
-            idx = idx[: past[0] + 1]
-        grown = _powi(1.0 + ts, e)
-        u = _powi(ts, e) + 1.0 - grown
-        with np.errstate(divide="ignore", invalid="ignore"):
-            threshold = np.where(u < 0.0, (k + 1.0 - grown) / u, math.inf)
-        threshold = np.maximum.accumulate(threshold)
-        threshold = np.maximum(threshold, running_max)
-        top = float(threshold[-1])
-        new_max = k if top >= k else int(top)
-        if new_max > resolved:
-            ranks = np.arange(resolved + 1, new_max + 1, dtype=float)
-            cells = np.searchsorted(threshold, ranks, side="left")
-            hi[resolved:new_max] = ts[cells]
-            lo[resolved:new_max] = np.where(
-                cells > 0, ts[np.maximum(cells - 1, 0)], prev_t
-            )
-            resolved = new_max
-            if resolved == k:
-                return lo, hi
-        running_max = top
-        prev_t = float(ts[-1])
-        start += ts.size
-    return None
-
-
-def _realign_rank_brackets(k: int, p: int, step: float, lo, hi) -> None:
-    # The threshold form and the direct sign can disagree by an ulp at a cell
-    # edge; walk each bracket until it holds under direct evaluation.
-    for j in range(1, k + 1):
-        g = _rank_root_function(j, k, p)
-        a, b = float(lo[j - 1]), float(hi[j - 1])
-        guard = 0
-        while g(b) < 0.0:
-            a, b = b, b + step
-            guard += 1
-            if guard > 10_000:
-                raise NoRootFound(f"bracket realignment ran away for rank {j}")
-        while a > 0.0 and g(a) >= 0.0:
-            b, a = a, max(0.0, a - step)
-            guard += 1
-            if guard > 10_000:
-                raise NoRootFound(f"bracket realignment ran away for rank {j}")
-        lo[j - 1], hi[j - 1] = a, b
-
-
-def _refine_rank_brackets(k: int, p: int, lo, hi, tol: float) -> np.ndarray:
-    e = p - 1
-    js = np.arange(1, k + 1, dtype=float)
     blocks = k - js + 1.0
     shifted = js - 1.0
+
+    def g(a):
+        return js * _powi(a, e) - blocks - shifted * _powi(1.0 + a, e)
+
+    step = _rank_scan_step(k, p)
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = np.full(js.shape, np.ldexp(float(k), e))
+        for _ in range(_ROOT_RETRIES):
+            short = g(bound) < 0.0
+            if not short.any():
+                break
+            bound[short] *= 2.0
+        else:
+            raise NoRootFound(f"no rank root for k={k}, p={p} scanned up to {bound.max()!r}")
+        # Bisect the grid index i, grid point min(i * step, bound), keeping
+        # g(lo) < 0 and "g(hi) not negative". NaN (inf - inf past overflow)
+        # counts as not negative, which keeps the predicate monotone; a cell
+        # with a non-finite end is refused below. Indices stop at 2^62, so
+        # lo + hi fits in int64.
+        lo = np.zeros(js.shape, dtype=np.int64)
+        hi = np.minimum(np.ceil(bound / step) + 1.0, 2.0**62).astype(np.int64)
+        while True:
+            live = hi - lo > 1
+            if not live.any():
+                break
+            mid = (lo + hi) // 2
+            up = ~(g(np.minimum(mid * step, bound)) < 0.0)
+            hi = np.where(live & up, mid, hi)
+            lo = np.where(live & ~up, mid, lo)
+        a = np.minimum(lo * step, bound)
+        b = np.minimum(hi * step, bound)
+        ga, gb = g(a), g(b)
+    bad = ~(np.isfinite(ga) & np.isfinite(gb) & (ga < 0.0) & (gb >= 0.0))
+    if bad.any():
+        j = int(js[bad][0])
+        raise NoRootFound(
+            f"rank root j={j}, k={k}, p={p} has no finite bracket near {float(b[bad][0])!r}: "
+            "the powers overflow double precision"
+        )
+    return _refine_rank_brackets(g, a, b, tol)
+
+
+def _refine_rank_brackets(g, lo, hi, tol: float) -> np.ndarray:
     for _ in range(_MAX_BISECT):
         mid = 0.5 * (lo + hi)
         active = ((hi - lo) > tol * (1.0 + hi)) & (mid > lo) & (mid < hi)
         if not active.any():
             break
-        values = js * _powi(mid, e) - blocks - shifted * _powi(1.0 + mid, e)
-        negative = values < 0.0
+        negative = g(mid) < 0.0
         lo = np.where(active & negative, mid, lo)
         hi = np.where(active & ~negative, mid, hi)
     roots = 0.5 * (lo + hi)

@@ -8,7 +8,7 @@ import math
 import numpy as np
 
 from ..core import LocationProfile, point_mass, validate_pnorm
-from ..optimizer import _bisect_rows, _rank_scan_step, adversarial_roots
+from ..optimizer import _bisect_rows, _rank_scan_step, _validate_rank_query, adversarial_roots
 from .ratio import _report_for_distribution
 from .reports import (
     AdversarialVerdict,
@@ -26,8 +26,9 @@ __all__ = [
     "adversarial_deterministic_test",
 ]
 
-# Over p ~ 16 the rank root function's powers outgrow double precision on
-# the scales the sweep visits; refuse rather than return mush.
+# The rank-root bisection refuses (NoRootFound) once the unscaled powers of
+# g_j overflow near a root: from p = 60 at k = 10^4, p = 80 at k = 100. The
+# certificate keeps to exponents well inside that range.
 MAX_CERTIFICATE_P = 16
 DEFAULT_OPT_TOL = 1e-6
 
@@ -70,17 +71,9 @@ def mixture_bound_certificate(
     a_j < 2^(p-1) * (j-1) that keeps the inverse sum bounded away from zero
     as k grows.
     """
-    for name, value in (("p", p), ("k", k)):
-        if isinstance(value, bool) or not (
-            isinstance(value, (int, np.integer))
-            or (isinstance(value, float) and value.is_integer())
-        ):
-            raise TypeError(f"{name} must be an integer, got {value!r}")
-    p, k = int(p), int(k)
+    _, k, p = _validate_rank_query(1, k, p)
     if not 3 <= p <= MAX_CERTIFICATE_P:
         raise ValueError(f"certificate exponent must lie in [3, {MAX_CERTIFICATE_P}], got {p}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
     roots = adversarial_roots(k, p, tol=root_tol)
     residuals = _opt_residuals(roots, k, p)
     _verify_opt_residuals(residuals, roots, opt_tol)

@@ -166,6 +166,8 @@ class MixtureBoundCertificate:
     into a ratio floor 2^(1-1/p) - (2^(1-1/p) - 1) * p_opt_bound.
     bound_checks records, for each rank j >= k^(1/(p-1)) + 1, whether
     a_j < 2^(p-1) * (j-1), the growth estimate keeping the sum finite.
+    scan_step is the spacing of the grid on which each root's first
+    bracketing cell is found, before that cell is bisected down to root_tol.
     """
 
     p: int

@@ -260,6 +260,9 @@ class TestBadInput:
             ["frontier", "--q-grid", "0:0.5:1"],
             ["frontier", "--q-grid", "0.6"],
             ["frontier", "--q-grid", "nope"],
+            ["eval", "--spec", "lrm", "--profile", "0,1,2", "--p", "2"],
+            ["spcheck", "--spec", "order:5", "--n", "3", "--trials", "2"],
+            ["spcheck", "--spec", "median", "--n", "4", "--p", "150", "--trials", "2"],
         ],
     )
     def test_exit_code_two(self, capsys, argv):

@@ -1,6 +1,7 @@
 """Optimal locations and root finding."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -241,12 +242,11 @@ class TestAdversarialRoots:
             assert adversarial_root(4 + j, 4, 3) == adversarial_root(5 - j, 4, 3)
 
     def test_batch_matches_scalar(self):
-        for p in (3, 4, 5, 8):
+        # one kernel serves both, so they agree bit for bit
+        for p in range(3, 17):
             roots = adversarial_roots(12, p)
             for j in (1, 2, 7, 12):
-                assert roots[j - 1] == pytest.approx(
-                    adversarial_root(j, 12, p), abs=1e-9 * (1 + roots[j - 1])
-                )
+                assert roots[j - 1] == adversarial_root(j, 12, p)
 
     def test_batch_p3_closed_form_large_k(self):
         k = 1000
@@ -271,6 +271,30 @@ class TestAdversarialRoots:
                 start = math.ceil(k ** (1.0 / (p - 1)) + 1.0)
                 js = np.arange(start, k + 1)
                 assert np.all(roots[start - 1 :] < 2.0 ** (p - 1) * (js - 1))
+
+    @pytest.mark.parametrize(
+        "query",
+        [lambda: adversarial_roots(2, 200), lambda: adversarial_roots(5, 120),
+         lambda: adversarial_root(2, 2, 200), lambda: adversarial_roots(2, 2000)],
+        ids=["roots-k2-p200", "roots-k5-p120", "root-j2-k2-p200", "roots-k2-p2000"],
+    )
+    def test_overflowing_root_is_refused(self, query):
+        # the powers overflow near the true root (a_4 ~ 490 at k=5, p=120);
+        # at p = 2000 the grid bound 2^(p-1) * k itself is past the largest double
+        with pytest.raises(NoRootFound):
+            query()
+
+    @pytest.mark.parametrize("k, p", [(2, 130), (5, 110)])
+    def test_large_p_roots_are_sign_changes(self, k, p):
+        # checked against g_j in 60-digit decimal arithmetic
+        roots = adversarial_roots(k, p)
+        e = p - 1
+        with localcontext() as ctx:
+            ctx.prec = 60
+            for j, a in enumerate(roots.tolist(), start=1):
+                g = lambda t: j * t**e - (k - j + 1) - (j - 1) * (1 + t) ** e
+                a = Decimal(a)
+                assert g(a * (1 - Decimal("1e-11"))) < 0 < g(a * (1 + Decimal("1e-11")))
 
     def test_validation(self):
         with pytest.raises(ValueError):
