@@ -418,9 +418,13 @@ def _rank_roots(js: np.ndarray, k: int, p: int, tol: float) -> np.ndarray:
     e = p - 1
     blocks = k - js + 1.0
     shifted = js - 1.0
+    first = np.flatnonzero(shifted == 0.0)
 
     def g(a):
-        return js * _powi(a, e) - blocks - shifted * _powi(1.0 + a, e)
+        # rank 1's term is 0 * 1^e, not 0 * (1 + a)^e (NaN past overflow); x - 0.0 == x
+        base = 1.0 + a
+        base[first] = 1.0
+        return js * _powi(a, e) - blocks - shifted * _powi(base, e)
 
     step = _rank_scan_step(k, p)
     with np.errstate(over="ignore", invalid="ignore"):

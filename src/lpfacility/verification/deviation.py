@@ -4,7 +4,8 @@ symmetric two-agent strategyproofness margin.
 The candidate misreports for one agent are the other agents' reports, the
 profile extremes shifted by +-span, a uniform grid over the doubled-span
 window, dyadic multiples of the agent's own report, and the truthful report
-itself; the best grid candidate is then polished by one golden-section pass.
+itself (the grid's arange and the scalings are cached per config); the best
+one is polished by one golden-section pass unless that provably cannot win.
 Both read the rule's outcome plan (`mechanisms._outcome_plan`): the
 candidate curve evaluates it in numpy, one column per atom, and the polish
 in pure Python, since numpy overhead dominates one-point evaluations.
@@ -13,10 +14,11 @@ in pure Python, since numpy overhead dominates one-point evaluations.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
-from ..core import LocationProfile, NonFiniteResult, validate_pnorm
+from ..core import LocationProfile, NonFiniteResult, _check_agent, validate_pnorm
 from ..mechanisms import _outcome_plan, _plan_at, _plan_costs
 from .ratio import four_block_profiles
 from .reports import DeviationReport, SearchConfig
@@ -48,22 +50,34 @@ def violation_threshold(profile: LocationProfile, tol: float = DEFAULT_VIOLATION
     return tol * (1.0 + profile.span)
 
 
+@lru_cache(maxsize=8)
+def _unit_arrays(grid_points: int, scale_bound: float, steps_per_unit: float):
+    # an integer count of 1/steps_per_unit steps keeps every scaling an exact dyadic
+    count = 2 * int(round(scale_bound * steps_per_unit)) + 1
+    unit, scales = np.arange(grid_points, dtype=float), np.linspace(-scale_bound, scale_bound, count)
+    unit.flags.writeable = scales.flags.writeable = False
+    return unit, scales
+
+
 def misreport_candidates(
     profile: LocationProfile, agent: int, cfg: SearchConfig = SearchConfig()
 ) -> np.ndarray:
-    """Candidate misreports for one agent, in a fixed deterministic order."""
-    xs = profile.values
-    x = float(xs[agent - 1])
+    """Candidate misreports for one agent, in a fixed deterministic order; the grid is
+    linspace's arithmetic on a cached arange (linspace itself at a zero or non-finite step)."""
+    xs, n = profile.values, profile.n
+    x = float(xs[_check_agent(agent, n) - 1])
     lo, hi, span = profile.low, profile.high, profile.span
-    others = np.delete(xs, agent - 1)
-    # linspace over an integer count of 1/scale_steps_per_unit steps keeps
-    # every scaling factor an exact dyadic
-    count = 2 * int(round(cfg.scale_bound * cfg.scale_steps_per_unit)) + 1
-    scales = np.linspace(-cfg.scale_bound, cfg.scale_bound, count)
+    unit, scales = _unit_arrays(cfg.grid_points, cfg.scale_bound, cfg.scale_steps_per_unit)
+    start, stop = lo - cfg.grid_pad * span, hi + cfg.grid_pad * span
+    step, end = (stop - start) / (unit.size - 1), n + 3 + unit.size
+    candidates = np.empty(end + scales.size + 1)
+    candidates[: agent - 1], candidates[agent - 1 : n - 1] = xs[: agent - 1], xs[agent:]
+    candidates[n - 1 : n + 3] = lo - span, lo + span, hi - span, hi + span
     with np.errstate(over="ignore", invalid="ignore"):
-        extremes = np.array([lo - span, lo + span, hi - span, hi + span])
-        grid = np.linspace(lo - cfg.grid_pad * span, hi + cfg.grid_pad * span, cfg.grid_points)
-        candidates = np.concatenate([others, extremes, grid, scales * x, [x]])
+        linear = step != 0.0 and math.isfinite(step)
+        candidates[n + 3 : end] = unit * step + start if linear else np.linspace(start, stop, unit.size)
+        np.multiply(scales, x, out=candidates[end:-1])
+    candidates[end - 1], candidates[-1] = stop, x
     if not np.isfinite(candidates).all():
         raise NonFiniteResult(f"the misreport window of {profile!r} overflows")
     return candidates
@@ -99,15 +113,32 @@ def _golden_min(fn, a: float, b: float, iters: int) -> tuple[float, float]:
     return best_x, best_f
 
 
+def _never_below_ends(others, atoms, x: float, a: float, b: float, best_c: float) -> bool:
+    if not math.isfinite(b - a) or any(q is not None or m or s < 0.0 for _, s, _, _, _, q, m in atoms):
+        return False
+    below = _plan_at(others, atoms, a, x) >= best_c and all(x <= y for y in _plan_at(others, atoms, a))
+    return below or (_plan_at(others, atoms, b, x) >= best_c and all(x >= y for y in _plan_at(others, atoms, b)))
+
+
 def best_deviation(
     spec, profile: LocationProfile, p: float, agent: int, cfg: SearchConfig = SearchConfig()
 ) -> DeviationReport:
     """Highest-gain misreport for one agent.
 
     Scans the deterministic candidate set, then polishes the best candidate
-    with one golden-section pass over the surrounding grid cell; the
-    polished point is kept only if strictly cheaper. On exact ties the
-    first (assembly-order) candidate wins, so reruns are identical.
+    (r, c) with one golden-section pass over [a, b], one grid cell either
+    side of r; the polished point is kept only if strictly cheaper. On exact
+    ties the first (assembly-order) candidate wins, so reruns are identical.
+
+    The polish is skipped where it provably cannot win, so the result keeps
+    its bits: when c <= 0 (every cost is a sum of w * |x - y|, w >= 0), or
+    when every atom has q None, slope >= 0 and is not mirrored, and either
+    cost(a) >= c and x <= y_k(a) for every atom k, or cost(b) >= c and
+    x >= y_k(b) for every k. Then fl(slope * r), + shift, the clip, x - y,
+    |.|, w * (.) and the atom sum all round monotonically, so the float cost
+    is monotone on [a, b] and never below the end value; with b - a finite
+    every golden point lies in [a, b], so c2 < c cannot hold. Mirrored
+    atoms, (r + o) - y, are not monotone and optimum atoms are not covered.
     """
     p = validate_pnorm(p)
     if not 1 <= agent <= profile.n:
@@ -122,9 +153,10 @@ def best_deviation(
     i = int(np.argmin(costs))
     best_r, best_c = float(candidates[i]), float(costs[i])
     window = profile.span * (1.0 + 2.0 * cfg.grid_pad) / (cfg.grid_points - 1)
-    if window > 0.0 and cfg.refine_iters > 0:
-        cost_fn = lambda r: _plan_at(others, atoms, r, x)
-        r2, c2 = _golden_min(cost_fn, best_r - window, best_r + window, cfg.refine_iters)
+    a, b = best_r - window, best_r + window
+    polish = window > 0.0 and cfg.refine_iters > 0 and best_c > 0.0
+    if polish and not _never_below_ends(others, atoms, x, a, b, best_c):
+        r2, c2 = _golden_min(lambda r: _plan_at(others, atoms, r, x), a, b, cfg.refine_iters)
         if c2 < best_c:
             best_r, best_c = float(r2), float(c2)
     return DeviationReport(
@@ -156,7 +188,7 @@ def sp_scan(
     p >= 3, the adversarial four-block profiles built from the rank roots.
     Random profiles are uniform on [0, 1]^n from one seeded generator. The
     reduction is deterministic: reports compare by gain, then by the profile
-    values lexicographically, so a rerun with the same seed is identical.
+    values lexicographically (the first of equals wins), so reruns are identical.
     """
     p = validate_pnorm(p)
     if n < 2:
@@ -171,13 +203,8 @@ def sp_scan(
     profiles += [LocationProfile(rng.uniform(0.0, 1.0, size=n)) for _ in range(trials)]
     if not profiles:
         raise ValueError("nothing to scan: zero trials and no structured profiles")
-    worst = None
-    for prof in profiles:
-        for agent in range(1, n + 1):
-            report = best_deviation(spec, prof, p, agent, cfg)
-            if worst is None or _report_key(report) > _report_key(worst):
-                worst = report
-    return worst
+    reports = (best_deviation(spec, prof, p, agent, cfg) for prof in profiles for agent in range(1, n + 1))
+    return max(reports, key=_report_key)
 
 
 def symmetric_sp_margin(dist, x2: float) -> float:

@@ -1,7 +1,11 @@
 """Misreport search: candidate generation, best responses, scan reduction."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lpfacility import (
     LRM,
@@ -25,10 +29,110 @@ from lpfacility import (
     run,
     sp_scan,
     symmetric_sp_margin,
+    validate_pnorm,
     violation_threshold,
 )
 from lpfacility.core import NonFiniteResult
-from lpfacility.mechanisms import _outcome_plan, _plan_at
+from lpfacility.mechanisms import _outcome_plan, _plan_at, _plan_costs
+from lpfacility.verification import DeviationReport, SearchConfig, deviation
+from lpfacility.verification.deviation import _golden_min
+
+P_GRID = (1.0, 1.5, 2.0, 3.0, 5.0, 8.0, math.inf)
+
+
+def reference_candidates(profile, agent, cfg=SearchConfig()):
+    """The candidate set built the direct way: np.delete and two linspaces."""
+    xs = profile.values
+    x = float(xs[agent - 1])
+    lo, hi, span = profile.low, profile.high, profile.span
+    count = 2 * int(round(cfg.scale_bound * cfg.scale_steps_per_unit)) + 1
+    scales = np.linspace(-cfg.scale_bound, cfg.scale_bound, count)
+    with np.errstate(over="ignore", invalid="ignore"):
+        extremes = np.array([lo - span, lo + span, hi - span, hi + span])
+        grid = np.linspace(lo - cfg.grid_pad * span, hi + cfg.grid_pad * span, cfg.grid_points)
+        candidates = np.concatenate([np.delete(xs, agent - 1), extremes, grid, scales * x, [x]])
+    if not np.isfinite(candidates).all():
+        raise NonFiniteResult(f"the misreport window of {profile!r} overflows")
+    return candidates
+
+
+def reference_best_deviation(spec, profile, p, agent, cfg=SearchConfig()):
+    """best_deviation without the polish skip: the golden pass always runs."""
+    p = validate_pnorm(p)
+    if not 1 <= agent <= profile.n:
+        raise IndexError(f"agent {agent} out of range for {profile.n} agents")
+    x = float(profile.values[agent - 1])
+    others, atoms = _outcome_plan(spec, profile, p, agent)
+    truthful = _plan_at(others, atoms, x, x)
+    candidates = reference_candidates(profile, agent, cfg)
+    costs = _plan_costs(others, atoms, x, candidates)
+    if not (math.isfinite(truthful) and np.isfinite(costs).all()):
+        raise NonFiniteResult(f"misreport costs overflow on {profile!r}")
+    i = int(np.argmin(costs))
+    best_r, best_c = float(candidates[i]), float(costs[i])
+    window = profile.span * (1.0 + 2.0 * cfg.grid_pad) / (cfg.grid_points - 1)
+    if window > 0.0 and cfg.refine_iters > 0:
+        cost_fn = lambda r: _plan_at(others, atoms, r, x)
+        r2, c2 = _golden_min(cost_fn, best_r - window, best_r + window, cfg.refine_iters)
+        if c2 < best_c:
+            best_r, best_c = float(r2), float(c2)
+    return DeviationReport(agent, profile, best_r, truthful, best_c, truthful - best_c)
+
+
+def outcome(fn, *args):
+    """fn's value, with a DeviationReport's floats as float.hex, or the
+    type and message of the error it raises."""
+    try:
+        value = fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    if not isinstance(value, DeviationReport):
+        return value
+    floats = (value.best_misreport, value.truthful_cost, value.deviated_cost, value.gain)
+    return (value.agent, value.true_profile, *(float(v).hex() for v in floats))
+
+
+def catalog(n):
+    """Every rule of the catalog, with and without optimum atoms; the rules
+    that refuse n agents are kept, so refusals are compared too."""
+    specs = [
+        Median(),
+        OrderStatistic(1),
+        OrderStatistic(n),
+        Dictator(1),
+        Dictator(n),
+        Optimal(),
+        Optimal(3.0),
+        Mixture(dictator_weights=(0.5,) + (0.0,) * (n - 1), order_weights=(0.0,) * (n - 1) + (0.5,)),
+        Mixture(dictator_weights=(0.0,) * (n - 1) + (0.25,), order_weights=(0.5,) + (0.0,) * (n - 1), opt_weight=0.25),
+        OrderStatistic(n + 1),
+    ]
+    if n > 2:
+        specs.append(LRM())
+    else:
+        specs += [
+            LRM(),
+            ThreePoint(0.2),
+            ThreePoint(0.5),
+            Mirror(LRM()),
+            Mirror(Dictator(1)),
+            Mirror(Optimal()),
+            Symmetrized(ThreePoint(0.1)),
+            Symmetrized(Median()),
+        ]
+    return specs
+
+
+# ties, signed zeros, zero spans, and spans from 1e-300 to past the largest double
+UNIT_VALUES = st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, -1.0, 3.0]) | st.floats(-1.0, 1.0)
+SCALES = st.sampled_from([1e-300, 1e-150, 1e-12, 1.0, 7.5, 1e12, 1e150, 1e300, 1e307, 5e307])
+
+
+@st.composite
+def edge_profiles(draw, max_n=5):
+    n = draw(st.integers(2, max_n))
+    scale = draw(SCALES)
+    return LocationProfile([v * scale for v in draw(st.lists(UNIT_VALUES, min_size=n, max_size=n))])
 
 
 class TestCandidates:
@@ -47,6 +151,66 @@ class TestCandidates:
         scalings = set(cands[2006:-1].tolist())
         for expect in (-4.0, -1.0, -0.5, 0.5, 1.0, 2.0, 2.5, 4.0):
             assert expect in scalings
+
+
+    @given(
+        profile=st.lists(
+            st.integers(-4, 4).map(lambda k: k * 5e-324) | st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0]),
+            min_size=2,
+            max_size=5,
+        ).map(LocationProfile),
+        agent=st.integers(1, 5),
+        grid_points=st.sampled_from([2, 3, 17, 2001]),
+        grid_pad=st.sampled_from([0.0, 0.5, 2.0]),
+        scale_bound=st.sampled_from([0.0, 1.0, 4.0]),
+    )
+    def test_bytes_equal_the_linspace_build(self, profile, agent, grid_points, grid_pad, scale_bound):
+        agent = min(agent, profile.n)
+        cfg = SearchConfig(grid_points=grid_points, grid_pad=grid_pad, scale_bound=scale_bound)
+        expect = reference_candidates(profile, agent, cfg)
+        assert misreport_candidates(profile, agent, cfg).tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("agent, error", [(0, IndexError), (3, IndexError), (-1, IndexError), (1.0, TypeError)])
+    def test_agent_out_of_range(self, agent, error):
+        with pytest.raises(error):
+            misreport_candidates(LocationProfile([0.0, 1.0]), agent)
+
+    def test_subnormal_and_overflowing_windows(self):
+        for values in ([0.0, 5e-324], [-5e-324, 5e-324], [1e-310, 3e-310], [2.0, 2.0], [0.0, 1e308]):
+            for grid_points in (2, 5, 2001):
+                cfg = SearchConfig(grid_points=grid_points)
+                prof = LocationProfile(values)
+                for agent in (1, 2):
+                    built = outcome(lambda: misreport_candidates(prof, agent, cfg).tobytes())
+                    assert built == outcome(lambda: reference_candidates(prof, agent, cfg).tobytes())
+
+
+class TestSearchConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("grid_points", 1),
+            ("grid_points", 0),
+            ("grid_points", 2.0),
+            ("grid_points", True),
+            ("grid_pad", -2.0),
+            ("grid_pad", math.nan),
+            ("scale_bound", math.inf),
+            ("scale_bound", -1.0),
+            ("scale_steps_per_unit", 0.5),
+            ("scale_steps_per_unit", math.inf),
+            ("refine_iters", -3),
+            ("refine_iters", 1.5),
+        ],
+    )
+    def test_invalid_fields_are_refused(self, field, value):
+        with pytest.raises(ValueError, match=f"SearchConfig.{field} must be"):
+            SearchConfig(**{field: value})
+
+    def test_boundary_values_are_accepted(self):
+        cfg = SearchConfig(grid_points=np.int64(2), grid_pad=0, scale_bound=0.0, scale_steps_per_unit=1, refine_iters=0)
+        report = best_deviation(Median(), LocationProfile([0.0, 1.0]), 2.0, 1, cfg)
+        assert report.gain <= 0.0
 
 
 class TestViolationThreshold:
@@ -150,6 +314,71 @@ class TestBestDeviation:
         assert report.gain == report.truthful_cost - report.deviated_cost
         assert report.agent == 1
         assert report.true_profile == LocationProfile([0.0, 1.0])
+
+
+class TestPolishSkip:
+    """The skipped polish changes no bit: every field matches a reference that
+    always polishes, and every refusal matches by type and message."""
+
+    @given(profile=edge_profiles(), pick=st.integers(0, 10**6), p=st.sampled_from(P_GRID), agent=st.integers(1, 5))
+    def test_matches_the_always_polishing_reference(self, profile, pick, p, agent):
+        specs = catalog(profile.n)
+        spec = specs[pick % len(specs)]
+        agent = min(agent, profile.n)
+        expect = outcome(reference_best_deviation, spec, profile, p, agent)
+        assert outcome(best_deviation, spec, profile, p, agent) == expect
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [0.0, 1.0],
+            [-0.0, 0.0],
+            [3.0, 3.0],
+            [0.0, 1e-300],
+            [-1e307, 1e307],
+            [0.0, 1e308],
+            [0.2, 0.9, 0.4],
+            [1.0, 1.0, 0.0],
+        ],
+    )
+    def test_every_spec_p_and_agent(self, values):
+        profile = LocationProfile(values)
+        for spec in catalog(profile.n):
+            for p in P_GRID:
+                for agent in range(1, profile.n + 1):
+                    expect = outcome(reference_best_deviation, spec, profile, p, agent)
+                    assert outcome(best_deviation, spec, profile, p, agent) == expect, (spec, p, agent)
+
+    def _count_polishes(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(deviation, "_golden_min", lambda *args: calls.append(args) or _golden_min(*args))
+        return calls
+
+    def test_median_scan_never_polishes(self, monkeypatch):
+        calls = self._count_polishes(monkeypatch)
+        sp_scan(Median(), 3.0, n=8, trials=20, seed=42)
+        assert calls == []
+
+    def test_rules_the_proof_does_not_cover_still_polish(self, monkeypatch):
+        calls = self._count_polishes(monkeypatch)
+        best_deviation(Optimal(), LocationProfile([0.0, 0.3, 1.0]), 2.0, agent=1)
+        best_deviation(Mirror(LRM()), LocationProfile([0.0, 1.0]), 2.0, agent=1)
+        # an optimum atom, although here its location never reaches x
+        best_deviation(Optimal(), LocationProfile([0.0, 10.0, 11.0]), 1.0, agent=1)
+        assert len(calls) == 3
+
+    def test_an_end_cheaper_than_the_best_candidate_keeps_the_polish(self):
+        # the facility at the report itself: cost |x - r| is monotone on either
+        # side of x, yet a golden point near a cheaper end would beat best_c
+        atoms = [(1.0, 1.0, 0.0, -math.inf, math.inf, None, False)]
+        assert deviation._never_below_ends([], atoms, 0.0, 1.0, 2.0, 1.0)
+        assert not deviation._never_below_ends([], atoms, 0.0, 1.0, 2.0, 1.5)
+        assert deviation._never_below_ends([], atoms, 3.0, 1.0, 2.0, 1.0)
+        assert not deviation._never_below_ends([], atoms, 3.0, 1.0, 2.0, 1.5)
+        # past the largest double the golden points leave [a, b]: no claim
+        constant = [(1.0, 0.0, 5.0, -math.inf, math.inf, None, False)]
+        assert deviation._never_below_ends([], constant, 0.0, -1e307, 1e307, 5.0)
+        assert not deviation._never_below_ends([], constant, 0.0, -1e308, 1.7e308, 5.0)
 
 
 class TestSpScan:

@@ -18,7 +18,7 @@ from lpfacility import (
     smallest_positive_root,
     social_cost,
 )
-from lpfacility.optimizer import BRACKET_TOL, _bisect_rows, _solve_row
+from lpfacility.optimizer import BRACKET_TOL, ROOT_TOL, _bisect_rows, _solve_row
 
 
 def brute_force_cost_curve(values, grid, p):
@@ -283,6 +283,13 @@ class TestAdversarialRoots:
         # at p = 2000 the grid bound 2^(p-1) * k itself is past the largest double
         with pytest.raises(NoRootFound):
             query()
+
+    @pytest.mark.parametrize("k, p", [(2, 2000), (2, 1500), (10, 1200)])
+    def test_first_rank_root_past_the_power_overflow(self, k, p):
+        # g_1 = a^e - k; its term 0 * (1 + a)^e used to be NaN once the power
+        # overflowed, so these representable roots were refused
+        a = adversarial_root(1, k, p)
+        assert abs(a - k ** (1.0 / (p - 1))) <= ROOT_TOL * (1.0 + a)
 
     @pytest.mark.parametrize("k, p", [(2, 130), (5, 110)])
     def test_large_p_roots_are_sign_changes(self, k, p):
