@@ -8,10 +8,11 @@ Subcommands:
   thm3      sweep the mixture lower-bound certificate over k
   frontier  trace the two-agent three-point family: SP margin vs ratio
 
-Exit codes: 0 success, 1 internal error, 2 malformed input (also a spec
-that does not fit the profile size, or a rank root past double precision),
-3 a strategyproofness violation was found (spcheck only). Identical command
-lines produce byte-identical output.
+Exit codes: 0 success, 1 internal error, 2 malformed input (also a NaN,
+infinite or negative --tol, a negative seed or count, a spec that does not
+fit the profile size, a cost that overflows a double, or a rank root past
+double precision), 3 a strategyproofness violation was found (spcheck
+only). Identical command lines produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -56,24 +57,20 @@ def _parse_profile(text: str) -> LocationProfile:
         values = [float(tok) for tok in tokens]
     except ValueError as exc:
         raise InputError(f"unparseable profile {text!r}") from exc
+    return _checked(LocationProfile, values)
+
+
+def _checked(fn, *args, **kwargs):
+    """fn(*args, **kwargs), with a ValueError raised again as InputError."""
     try:
-        return LocationProfile(values)
+        return fn(*args, **kwargs)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
 
 
-def _parse_spec(text: str):
-    try:
-        return parse_mechanism(text)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-
-
-def _parse_p(text: str) -> float:
-    try:
-        return parse_pnorm(text)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+def _at_least(flag: str, value: int, least: int) -> None:
+    if value < least:
+        raise InputError(f"--{flag} must be >= {least}, got {value}")
 
 
 def _parse_k_list(text: str) -> list[int]:
@@ -105,95 +102,72 @@ def _parse_q_grid(text: str) -> list[float]:
         raise InputError(f"unparseable q grid {text!r}") from exc
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
+def _emit(args, value, header: list[str], rows) -> None:
+    """The one output path: value as JSON, or header and rows as CSV, to --out or stdout."""
+    text = render_json(value) + "\n" if args.format == "json" else render_csv(header, rows)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _key_value_csv(pairs: list[tuple[str, object]]) -> str:
-    return render_csv(["field", "value"], [[k, v] for k, v in pairs])
+def _emit_record(args, record: dict) -> None:
+    """One record as JSON, or as field,value CSV with each list field joined
+    by ';' (repr of each float, loc:prob for each distribution atom)."""
 
+    def cell(value):
+        if not isinstance(value, list):
+            return value
+        return ";".join(":".join(map(repr, v.values())) if isinstance(v, dict) else repr(v) for v in value)
 
-def _distribution_dict(dist) -> list[dict]:
-    return [
-        {"location": loc, "probability": prob}
-        for loc, prob in zip(dist.locations.tolist(), dist.probabilities.tolist())
-    ]
+    _emit(args, record, ["field", "value"], [[field, cell(v)] for field, v in record.items()])
 
 
 def _cmd_eval(args) -> int:
     profile = _parse_profile(args.profile)
-    spec = _parse_spec(args.spec)
-    p = _parse_p(args.p)
-    try:
-        report = ratio(spec, profile, p)
-    except NonFiniteResult as exc:
-        raise InputError(str(exc)) from exc
-    payload = {
-        "spec": args.spec.strip(),
-        "profile": profile.values.tolist(),
-        "p": p,
-        "distribution": _distribution_dict(run(spec, profile, p)),
-        "mechanism_cost": report.mechanism_cost,
-        "opt_location": optimal_location(profile, p).location,
-        "opt_cost": report.opt_cost,
-        "ratio": report.ratio,
-    }
-    if args.format == "csv":
-        flat = [(k, v) for k, v in payload.items() if k not in ("distribution", "profile")]
-        flat.insert(1, ("profile", ";".join(repr(v) for v in payload["profile"])))
-        flat.insert(
-            3,
-            (
-                "distribution",
-                ";".join(f"{a['location']!r}:{a['probability']!r}" for a in payload["distribution"]),
-            ),
-        )
-        _emit(_key_value_csv(flat), args.out)
-    else:
-        _emit(render_json(payload) + "\n", args.out)
+    spec = _checked(parse_mechanism, args.spec)
+    p = _checked(parse_pnorm, args.p)
+    report = ratio(spec, profile, p)
+    atoms = run(spec, profile, p).atoms()
+    _emit_record(
+        args,
+        {
+            "spec": args.spec.strip(),
+            "profile": profile.values.tolist(),
+            "p": p,
+            "distribution": [{"location": loc, "probability": prob} for loc, prob in atoms],
+            "mechanism_cost": report.mechanism_cost,
+            "opt_location": optimal_location(profile, p).location,
+            "opt_cost": report.opt_cost,
+            "ratio": report.ratio,
+        },
+    )
     return EXIT_OK
 
 
 def _cmd_spcheck(args) -> int:
-    spec = _parse_spec(args.spec)
-    p = _parse_p(args.p)
-    if args.n < 2:
-        raise InputError(f"--n must be >= 2, got {args.n}")
-    if args.trials < 1:
-        raise InputError(f"--trials must be >= 1, got {args.trials}")
+    spec = _checked(parse_mechanism, args.spec)
+    p = _checked(parse_pnorm, args.p)
+    _at_least("n", args.n, 2)
+    _at_least("trials", args.trials, 1)
+    _at_least("seed", args.seed, 0)
+    _checked(violation_threshold, LocationProfile([0.0, 1.0]), args.tol)  # refuse a bad --tol before scanning
     report = sp_scan(spec, p, args.n, args.trials, args.seed)
-    threshold = violation_threshold(report.true_profile, args.tol)
-    violated = report.gain > threshold
-    payload = report.as_dict()
-    payload["threshold"] = threshold
-    payload["violation"] = violated
-    if args.format == "csv":
-        pairs = list(payload.items())
-        pairs[1] = ("true_profile", ";".join(repr(v) for v in payload["true_profile"]))
-        _emit(_key_value_csv(pairs), args.out)
-    else:
-        _emit(render_json(payload) + "\n", args.out)
-    return EXIT_VIOLATION if violated else EXIT_OK
+    record = report.as_dict()
+    record["threshold"] = violation_threshold(report.true_profile, args.tol)
+    record["violation"] = report.gain > record["threshold"]
+    _emit_record(args, record)
+    return EXIT_VIOLATION if record["violation"] else EXIT_OK
 
 
 def _cmd_ratio(args) -> int:
-    spec = _parse_spec(args.spec)
-    p = _parse_p(args.p)
-    if args.n < 2:
-        raise InputError(f"--n must be >= 2, got {args.n}")
-    cfg = RatioSearchConfig(trials=args.trials, hill_iters=args.hill_iters, seed=args.seed)
-    report = worst_ratio_search(spec, p, args.n, cfg)
-    payload = report.as_dict()
-    if args.format == "csv":
-        pairs = list(payload.items())
-        pairs[1] = ("profile", ";".join(repr(v) for v in payload["profile"]))
-        _emit(_key_value_csv(pairs), args.out)
-    else:
-        _emit(render_json(payload) + "\n", args.out)
+    spec = _checked(parse_mechanism, args.spec)
+    p = _checked(parse_pnorm, args.p)
+    _at_least("n", args.n, 2)
+    _at_least("seed", args.seed, 0)
+    cfg = _checked(RatioSearchConfig, trials=args.trials, hill_iters=args.hill_iters, seed=args.seed)
+    _emit_record(args, worst_ratio_search(spec, p, args.n, cfg).as_dict())
     return EXIT_OK
 
 
@@ -203,30 +177,22 @@ def _cmd_thm3(args) -> int:
     except ValueError as exc:
         raise InputError(f"--p must be an integer for certificates, got {args.p!r}") from exc
     ks = _parse_k_list(args.k)
-    try:
-        certs = [mixture_bound_certificate(p, k) for k in ks]
-    except (TypeError, ValueError) as exc:
-        raise InputError(str(exc)) from exc
+    certs = [_checked(mixture_bound_certificate, p, k) for k in ks]
     if args.roots:
         rows = [row for cert in certs for row in cert.root_rows()]
         root_csv = render_csv(["k", "j", "a_j", "inv_a_j", "bound_check"], rows)
         with open(args.roots, "w", encoding="utf-8") as fh:
             fh.write(root_csv)
-    if args.format == "json":
-        _emit(render_json([cert.as_dict() for cert in certs]) + "\n", args.out)
-    else:
-        body = render_csv(
-            ["k", "inverse_sum", "p_opt_bound", "ratio_lower_bound"],
-            [cert.summary_row() for cert in certs],
-        )
-        _emit(body, args.out)
+    header = ["k", "inverse_sum", "p_opt_bound", "ratio_lower_bound"]
+    _emit(args, [cert.as_dict() for cert in certs], header, [cert.summary_row() for cert in certs])
     return EXIT_OK
 
 
 def _cmd_frontier(args) -> int:
-    p = _parse_p(args.p)
+    p = _checked(parse_pnorm, args.p)
     qs = _parse_q_grid(args.q_grid)
     profile = LocationProfile([0.0, 1.0])
+    threshold = _checked(violation_threshold, profile, args.tol)
     rows = []
     for q in qs:
         if not 0.0 <= q <= 0.5:
@@ -236,17 +202,11 @@ def _cmd_frontier(args) -> int:
         worst_gain = max(
             best_deviation(spec, profile, p, agent).gain for agent in (1, 2)
         )
-        sp_ok = worst_gain <= violation_threshold(profile, args.tol)
+        sp_ok = worst_gain <= threshold
         value = ratio(spec, profile, p).ratio
         rows.append([q, margin, sp_ok, value])
-    if args.format == "json":
-        payload = [
-            {"q_end": q, "sp_margin": m, "sp_verdict": ok, "ratio": r}
-            for q, m, ok, r in rows
-        ]
-        _emit(render_json(payload) + "\n", args.out)
-    else:
-        _emit(render_csv(["q_end", "sp_margin", "sp_verdict", "ratio"], rows), args.out)
+    header = ["q_end", "sp_margin", "sp_verdict", "ratio"]
+    _emit(args, [dict(zip(header, row)) for row in rows], header, rows)
     return EXIT_OK
 
 
@@ -310,7 +270,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (InputError, ArityMismatch, NoRootFound) as exc:
+    except (InputError, ArityMismatch, NoRootFound, NonFiniteResult) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except Exception as exc:  # pragma: no cover - defensive

@@ -41,8 +41,10 @@ min(i * step, bound), step = max(1e-3, k^(1/e) / 1e3), bound = 2^e * k
 g_j(hi); then inside that cell, below tol * (1 + root). g_j is unscaled, its
 powers taken by repeated squaring; a cell whose ends are not both finite
 (the powers overflowed) is refused with NoRootFound. `adversarial_root` and
-`adversarial_roots` are its one-rank and all-rank cases;
-`smallest_positive_root` scans and bisects a caller's scalar function.
+`adversarial_roots` are its one-rank and all-rank cases.
+`smallest_positive_root` scans a caller's scalar function for its first
+bracket and shrinks it with the same bracket bisection,
+`_refine_rank_brackets`, on one-element arrays.
 """
 
 from __future__ import annotations
@@ -70,7 +72,6 @@ __all__ = [
 BRACKET_TOL = 1e-12
 # Default width target for refined root brackets, relative to 1 + root.
 ROOT_TOL = 1e-12
-_MAX_BISECT = 200
 _MAX_NEWTON = 200
 _ROOT_RETRIES = 8
 
@@ -334,25 +335,14 @@ def smallest_positive_root(f, scan_step: float, max_bound: float, tol: float = R
     while left < max_bound:
         t = min(i * scan_step, max_bound)
         if float(f(t)) >= 0.0:
-            return _refine_bracket(f, left, t, tol)
+            g = lambda mid: np.array([float(f(float(mid[0])))])
+            with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN, silently, as in Python floats
+                return float(_refine_rank_brackets(g, np.array([left]), np.array([t]), tol)[0])
         left = t
         i += 1
     raise NoRootFound(
         f"no sign change in (0, {max_bound!r}] at scan step {scan_step!r}"
     )
-
-
-def _refine_bracket(f, lo: float, hi: float, tol: float) -> float:
-    # invariant: f(lo) < 0 <= f(hi)
-    while hi - lo > tol * (1.0 + hi):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if float(f(mid)) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def _validate_rank_query(j: int, k: int, p: int) -> tuple[int, int, int]:
@@ -465,7 +455,8 @@ def _rank_roots(js: np.ndarray, k: int, p: int, tol: float) -> np.ndarray:
 
 
 def _refine_rank_brackets(g, lo, hi, tol: float) -> np.ndarray:
-    for _ in range(_MAX_BISECT):
+    # ends once no bracket has a double strictly inside it: at most about 2,100 halvings
+    while True:
         mid = 0.5 * (lo + hi)
         active = ((hi - lo) > tol * (1.0 + hi)) & (mid > lo) & (mid < hi)
         if not active.any():

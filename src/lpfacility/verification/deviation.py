@@ -46,7 +46,12 @@ class UnsupportedSupport(ValueError):
 
 
 def violation_threshold(profile: LocationProfile, tol: float = DEFAULT_VIOLATION_TOL) -> float:
-    """Gain threshold above which a deviation counts as a violation."""
+    """Gain threshold above which a deviation counts as a violation.
+
+    Raises ValueError unless tol is finite and >= 0: a NaN, infinite or
+    negative tol would turn the verdicts silently wrong."""
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"violation tol must be finite and >= 0, got {tol!r}")
     return tol * (1.0 + profile.span)
 
 

@@ -16,7 +16,7 @@ from ..core import (
 )
 from ..mechanisms import run
 from ..optimizer import _cached_adversarial_roots, optimal_cost
-from .reports import RatioReport
+from .reports import RatioReport, _check_fields
 
 __all__ = ["RatioSearchConfig", "ratio", "worst_ratio_search"]
 
@@ -28,6 +28,9 @@ class RatioSearchConfig:
     trials: int = 200
     hill_iters: int = 200
     seed: int = 42
+
+    def __post_init__(self):
+        _check_fields(self, (("trials", 0, True), ("hill_iters", 0, True)))
 
 
 def _report_for_distribution(
@@ -82,24 +85,13 @@ def worst_ratio_search(
     if n < 2:
         raise ValueError(f"need at least two agents, got n={n}")
     rng = np.random.default_rng(cfg.seed)
-    best: RatioReport | None = None
     # every two-point 0/1 split: covers half-half and all-but-one clusters
-    splits = [LocationProfile([0.0] * (n - m) + [1.0] * m) for m in range(1, n)]
-    for prof in splits + four_block_profiles(n, p):
-        report = ratio(spec, prof, p)
-        if report.opt_cost == 0.0:
-            continue
-        if best is None or report.ratio > best.ratio:
-            best = report
-    for _ in range(cfg.trials):
-        prof = LocationProfile(rng.uniform(0.0, 1.0, size=n))
-        report = ratio(spec, prof, p)
-        if report.opt_cost == 0.0:
-            continue
-        if best is None or report.ratio > best.ratio:
-            best = report
-    if best is None:
-        raise ValueError("no nondegenerate profile was scanned")
+    profiles = [LocationProfile([0.0] * (n - m) + [1.0] * m) for m in range(1, n)]
+    profiles += four_block_profiles(n, p)
+    profiles += [LocationProfile(rng.uniform(0.0, 1.0, size=n)) for _ in range(cfg.trials)]
+    reports = (ratio(spec, prof, p) for prof in profiles)
+    # the splits are never degenerate; max keeps the first of equal ratios, as sp_scan's does
+    best = max((report for report in reports if report.opt_cost != 0.0), key=lambda report: report.ratio)
     current = best.profile.values.copy()
     span = max(best.profile.span, 1.0)
     for it in range(cfg.hill_iters):

@@ -101,13 +101,19 @@ class SearchConfig:
     refine_iters: int = 48
 
     def __post_init__(self):
-        for name, least, whole in (("grid_points", 2, True), ("grid_pad", 0, False), ("scale_bound", 0, False),
-                                   ("scale_steps_per_unit", 1, False), ("refine_iters", 0, True)):
-            v = getattr(self, name)
-            kinds = (int, np.integer) if whole else (int, float, np.integer, np.floating)
-            if isinstance(v, bool) or not isinstance(v, kinds) or not ((whole or math.isfinite(v)) and v >= least):
-                rule = "an integer" if whole else "finite and"
-                raise ValueError(f"SearchConfig.{name} must be {rule} >= {least}, got {v!r}")
+        _check_fields(self, (("grid_points", 2, True), ("grid_pad", 0, False), ("scale_bound", 0, False),
+                             ("scale_steps_per_unit", 1, False), ("refine_iters", 0, True)))
+
+
+def _check_fields(config, rules) -> None:
+    """Raise ValueError naming the first field that breaks its (name, least,
+    whole) rule: an integer if whole, else a finite number, and >= least."""
+    for name, least, whole in rules:
+        v = getattr(config, name)
+        kinds = (int, np.integer) if whole else (int, float, np.integer, np.floating)
+        if isinstance(v, bool) or not isinstance(v, kinds) or not ((whole or math.isfinite(v)) and v >= least):
+            rule = "an integer" if whole else "finite and"
+            raise ValueError(f"{type(config).__name__}.{name} must be {rule} >= {least}, got {v!r}")
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """End-to-end command line coverage: payloads, formats, exit codes."""
 
+import hashlib
 import json
 import math
 import subprocess
@@ -263,6 +264,14 @@ class TestBadInput:
             ["eval", "--spec", "lrm", "--profile", "0,1,2", "--p", "2"],
             ["spcheck", "--spec", "order:5", "--n", "3", "--trials", "2"],
             ["spcheck", "--spec", "median", "--n", "4", "--p", "150", "--trials", "2"],
+            ["spcheck", "--spec", "opt", "--n", "2", "--p", "2", "--trials", "5", "--tol", "nan"],
+            ["spcheck", "--spec", "median", "--n", "3", "--trials", "2", "--tol", "-1"],
+            ["spcheck", "--spec", "opt", "--n", "2", "--p", "2", "--trials", "5", "--tol", "inf"],
+            ["frontier", "--q-grid", "0.3,0.5", "--tol", "nan"],
+            ["spcheck", "--spec", "median", "--n", "3", "--trials", "2", "--seed", "-1"],
+            ["ratio", "--spec", "median", "--p", "2", "--n", "3", "--seed", "-1"],
+            ["ratio", "--spec", "median", "--p", "2", "--n", "3", "--trials", "-3"],
+            ["ratio", "--spec", "median", "--p", "2", "--n", "3", "--hill-iters", "-2"],
         ],
     )
     def test_exit_code_two(self, capsys, argv):
@@ -274,6 +283,53 @@ class TestBadInput:
         with pytest.raises(SystemExit) as exc:
             main(["bogus"])
         assert exc.value.code == 2
+
+
+class TestOutputBytes:
+    """Exit code and stdout sha256 of the formats the golden set leaves out:
+    CSV for the one-record commands (list fields joined by ';', the
+    distribution as loc:prob atoms) and JSON for thm3 and frontier."""
+
+    @pytest.mark.parametrize(
+        "argv, code, digest",
+        [
+            (
+                ["eval", "--spec", "lrm", "--profile", "0.1,0.7", "--p", "3", "--format", "csv"],
+                0,
+                "afcdfeaaf3d2c38e81bb6aafe13a252790b518a66e8f4bc12730fd353d0d2557",
+            ),
+            (
+                ["spcheck", "--spec", "threepoint:0.2", "--n", "2", "--trials", "50", "--format", "csv"],
+                3,
+                "d1afc92a87ad8791622a7ebec5587a642d0e503faf763675e0a5dc42780dca71",
+            ),
+            (
+                ["spcheck", "--spec", "median", "--n", "5", "--p", "1.5", "--trials", "10", "--format", "csv"],
+                0,
+                "6a40479aa7c5eef43c5da25b75a82d78b46f796ebdf2b9308d5c81c6d23d23a4",
+            ),
+            (
+                ["ratio", "--spec", "median", "--p", "3", "--n", "6", "--trials", "20", "--hill-iters", "20",
+                 "--format", "csv"],
+                0,
+                "08d952290c6df8f94ff7a9c65aeda33a5931db504f0b3085d79d8df32606ce0e",
+            ),
+            (
+                ["thm3", "--p", "4", "--k", "3,10", "--format", "json"],
+                0,
+                "cc81ca62a3b37559c43776121bd2802b5c349695530fd9c9a207370af8e9ff6c",
+            ),
+            (
+                ["frontier", "--q-grid", "0,0.1,0.25,0.5", "--p", "3", "--format", "json"],
+                0,
+                "7670a8b3746c490e5ade8832969759df1efcc20ef75f1e01df1b8b7c1745509b",
+            ),
+        ],
+    )
+    def test_stdout_is_pinned(self, capsys, argv, code, digest):
+        got, out, err = run_cli(capsys, argv)
+        assert (got, err) == (code, "")
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 class TestConsoleEntry:

@@ -219,6 +219,14 @@ class TestViolationThreshold:
         assert violation_threshold(LocationProfile([5.0, 5.0])) == 1e-7
         assert violation_threshold(LocationProfile([0.0, 1.0]), tol=0.5) == 1.0
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0, -5e-324])
+    def test_non_finite_or_negative_tol_is_refused(self, tol):
+        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+            violation_threshold(LocationProfile([0.0, 1.0]), tol)
+
+    def test_zero_tol_is_accepted(self):
+        assert violation_threshold(LocationProfile([0.0, 3.0]), 0.0) == 0.0
+
 
 class TestDeviationCostCurve:
     SPECS = [

@@ -5,7 +5,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from lpfacility import (
@@ -200,7 +200,65 @@ class TestSolverCertificate:
             assert y == pytest.approx(_solve_row(expanded, 3.0), abs=1e-12)
 
 
+def reference_smallest_positive_root(f, scan_step, max_bound, tol=ROOT_TOL):
+    # the scan and a scalar bracket bisection in Python floats, no numpy
+    left, i = 0.0, 1
+    while left < max_bound:
+        t = min(i * scan_step, max_bound)
+        if float(f(t)) >= 0.0:
+            lo, hi = left, t
+            while hi - lo > tol * (1.0 + hi):
+                mid = 0.5 * (lo + hi)
+                if mid <= lo or mid >= hi:
+                    break
+                if float(f(mid)) < 0.0:
+                    lo = mid
+                else:
+                    hi = mid
+            return 0.5 * (lo + hi)
+        left = t
+        i += 1
+    raise NoRootFound
+
+
+SCALAR_ROOT_CASES = [
+    (lambda a: a * a - 2.0, 0.1, 10.0),
+    (lambda a: a - 1.0, 0.3, 10.0),
+    (lambda a: -(a - 1.0) * (a - 3.0) * (a + 1.0), 0.05, 10.0),
+    (lambda a: a - 1e-5, 1e300, 1e300),
+    (lambda a: a - 5e-324, 1.0, 4.0),
+    (lambda a: a - 1e-310, 0.25, 1.0),
+    (lambda a: a - 1e307, 1e307, 1e308),
+    (lambda a: a**3 - 7.0, 1e-3, 3.0),
+    (lambda a: a - 0.1 if a > 0.05 else -1.0, 1.0, 1.0),
+    (lambda a: a - 1.5e308, 1e308, 1.7e308),
+    (lambda a: a - 1.5e308, 1e308, math.inf),
+]
+
+
 class TestSmallestPositiveRoot:
+    @pytest.mark.parametrize("tol", [ROOT_TOL, 0.0, 1e-3, 0.5, -1.0, math.nan])
+    @pytest.mark.parametrize("f, step, bound", SCALAR_ROOT_CASES)
+    def test_matches_the_scalar_bisection_bit_for_bit(self, f, step, bound, tol):
+        got = smallest_positive_root(f, step, bound, tol)
+        assert got.hex() == reference_smallest_positive_root(f, step, bound, tol).hex()
+
+    @given(
+        root=st.floats(min_value=5e-324, max_value=1e300),
+        scale=st.floats(min_value=1e-3, max_value=1e6),
+        tol=st.sampled_from([ROOT_TOL, 0.0, 1e-6, 1e-15]),
+    )
+    def test_fuzzed_roots_match_the_scalar_bisection(self, root, scale, tol):
+        f, step = (lambda a: a - root), root * scale
+        assume(step > 0.0)
+        got = smallest_positive_root(f, step, 2.0 * max(step, root), tol)
+        assert got.hex() == reference_smallest_positive_root(f, step, 2.0 * max(step, root), tol).hex()
+
+    def test_a_huge_bracket_is_bisected_to_the_end(self):
+        # about 1,000 halvings from (0, 1e300] down to 1e-12 * (1 + 1e-5)
+        root = smallest_positive_root(lambda a: a - 1e-5, 1e300, 1e300)
+        assert abs(root - 1e-5) <= ROOT_TOL * (1.0 + 1e-5)
+
     def test_quadratic(self):
         root = smallest_positive_root(lambda a: a * a - 2.0, 0.1, 10.0)
         assert root == pytest.approx(math.sqrt(2), abs=1e-11)

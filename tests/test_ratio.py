@@ -21,7 +21,8 @@ from lpfacility import (
     worst_ratio_search,
 )
 from lpfacility.core import NonFiniteResult
-from lpfacility.verification.ratio import _report_for_distribution
+from lpfacility.mechanisms import parse_mechanism
+from lpfacility.verification.ratio import _report_for_distribution, four_block_profiles
 
 
 def half_half(k: int) -> LocationProfile:
@@ -100,7 +101,51 @@ class TestRatio:
         assert abs(tiny - unit) <= 1e-12
 
 
+def reference_worst_ratio_search(spec, p, n, cfg):
+    # a strict ">" loop over the same profiles in the same order, rng draws included
+    rng = np.random.default_rng(cfg.seed)
+    best = None
+    splits = [LocationProfile([0.0] * (n - m) + [1.0] * m) for m in range(1, n)]
+    for prof in splits + four_block_profiles(n, p):
+        report = ratio(spec, prof, p)
+        if report.opt_cost != 0.0 and (best is None or report.ratio > best.ratio):
+            best = report
+    for _ in range(cfg.trials):
+        report = ratio(spec, LocationProfile(rng.uniform(0.0, 1.0, size=n)), p)
+        if report.opt_cost != 0.0 and report.ratio > best.ratio:
+            best = report
+    current, span = best.profile.values.copy(), max(best.profile.span, 1.0)
+    for it in range(cfg.hill_iters):
+        proposal = current.copy()
+        step = span * 0.5 ** (1.0 + 4.0 * it / max(cfg.hill_iters, 1))
+        proposal[it % n] += step * float(rng.uniform(-1.0, 1.0))
+        report = ratio(spec, LocationProfile(proposal), p)
+        if report.opt_cost > 0.0 and report.ratio > best.ratio:
+            best, current = report, proposal
+    return best
+
+
 class TestWorstRatioSearch:
+    @pytest.mark.parametrize(
+        "spec, p, n",
+        [
+            (spec, p, n)
+            for spec in ("median", "dictator:1", "opt", "order:2")
+            for p, n in [(1.0, 2), (2.0, 3), (3.0, 4), (4.0, 6), (math.inf, 5)]
+        ]
+        + [(spec, p, 2) for spec in ("lrm", "threepoint:0.2", "mirror(median)") for p in (1.0, 3.0, math.inf)],
+    )
+    def test_matches_the_loop_reference(self, spec, p, n):
+        spec = parse_mechanism(spec)
+        cfg = RatioSearchConfig(trials=15, hill_iters=15, seed=3)
+        assert worst_ratio_search(spec, p, n, cfg) == reference_worst_ratio_search(spec, p, n, cfg)
+
+    def test_ties_keep_the_first_split(self):
+        # at p = 1 the median is optimal, so every ratio ties at 1
+        report = worst_ratio_search(Median(), 1.0, 9)
+        assert report.ratio == 1.0
+        assert report.profile.values.tolist() == [0.0] * 8 + [1.0]
+
     def test_median_search_approaches_the_supremum(self):
         report = worst_ratio_search(Median(), 2.0, n=10)
         assert report.ratio == pytest.approx(math.sqrt(2.0), abs=1e-6)
@@ -123,6 +168,21 @@ class TestWorstRatioSearch:
         report = worst_ratio_search(LRM(), 2.0, n=2, cfg=RatioSearchConfig(trials=30))
         again = ratio(LRM(), report.profile, 2.0)
         assert again.ratio == report.ratio
+
+
+class TestRatioSearchConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [("trials", -3), ("trials", 2.0), ("trials", True), ("hill_iters", -2), ("hill_iters", 1.5)],
+    )
+    def test_invalid_counts_are_refused(self, field, value):
+        with pytest.raises(ValueError, match=f"RatioSearchConfig.{field} must be an integer >= 0"):
+            RatioSearchConfig(**{field: value})
+
+    def test_zero_counts_scan_the_splits_only(self):
+        cfg = RatioSearchConfig(trials=0, hill_iters=np.int64(0))
+        report = worst_ratio_search(Median(), 2.0, 3, cfg)
+        assert report.profile.values.tolist() in ([0.0, 0.0, 1.0], [0.0, 1.0, 1.0])
 
 
 class TestSocialCostSanity:
