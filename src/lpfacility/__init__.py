@@ -8,135 +8,13 @@ locations, misreport hunting, approximation-ratio measurement, and numerical
 lower-bound certificates, plus a command line front end (`lpfacility`).
 """
 
-from .core import (
-    FacilityDistribution,
-    LocationProfile,
-    agent_cost,
-    expected_agent_cost,
-    expected_social_cost,
-    format_pnorm,
-    order_statistic,
-    parse_pnorm,
-    point_mass,
-    reflect,
-    social_cost,
-    validate_pnorm,
-)
-from .mechanisms import (
-    LRM,
-    ArityMismatch,
-    Dictator,
-    InvalidWeight,
-    MechanismSpec,
-    Median,
-    Mirror,
-    Mixture,
-    Optimal,
-    OrderStatistic,
-    Symmetrized,
-    ThreePoint,
-    format_mechanism,
-    lrm_distribution,
-    median_location,
-    parse_mechanism,
-    run,
-    three_point_distribution,
-)
-from .optimizer import (
-    NoRootFound,
-    OptResult,
-    adversarial_root,
-    adversarial_roots,
-    optimal_cost,
-    optimal_location,
-    smallest_positive_root,
-)
-from .verification import (
-    AdversarialVerdict,
-    DeviationReport,
-    MixtureBoundCertificate,
-    OptMismatch,
-    RatioReport,
-    RatioSearchConfig,
-    RatioWitness,
-    SearchConfig,
-    SPViolation,
-    UnsupportedSupport,
-    adversarial_deterministic_test,
-    best_deviation,
-    deviation_cost_curve,
-    misreport_candidates,
-    mixture_bound_certificate,
-    ratio,
-    sp_scan,
-    symmetric_sp_margin,
-    violation_threshold,
-    worst_ratio_search,
-)
+from . import core, mechanisms, optimizer, verification
+from .core import *  # noqa: F403
+from .mechanisms import *  # noqa: F403
+from .optimizer import *  # noqa: F403
+from .verification import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # core
-    "LocationProfile",
-    "FacilityDistribution",
-    "point_mass",
-    "validate_pnorm",
-    "parse_pnorm",
-    "format_pnorm",
-    "agent_cost",
-    "expected_agent_cost",
-    "social_cost",
-    "expected_social_cost",
-    "order_statistic",
-    "reflect",
-    # mechanisms
-    "ArityMismatch",
-    "InvalidWeight",
-    "Median",
-    "OrderStatistic",
-    "Dictator",
-    "Optimal",
-    "LRM",
-    "ThreePoint",
-    "Mixture",
-    "Mirror",
-    "Symmetrized",
-    "MechanismSpec",
-    "run",
-    "median_location",
-    "lrm_distribution",
-    "three_point_distribution",
-    "parse_mechanism",
-    "format_mechanism",
-    # optimizer
-    "OptResult",
-    "NoRootFound",
-    "optimal_location",
-    "optimal_cost",
-    "smallest_positive_root",
-    "adversarial_root",
-    "adversarial_roots",
-    # verification
-    "SearchConfig",
-    "DeviationReport",
-    "RatioReport",
-    "RatioSearchConfig",
-    "MixtureBoundCertificate",
-    "RatioWitness",
-    "SPViolation",
-    "AdversarialVerdict",
-    "UnsupportedSupport",
-    "OptMismatch",
-    "violation_threshold",
-    "misreport_candidates",
-    "deviation_cost_curve",
-    "best_deviation",
-    "sp_scan",
-    "symmetric_sp_margin",
-    "ratio",
-    "worst_ratio_search",
-    "mixture_bound_certificate",
-    "adversarial_deterministic_test",
-]
+# Each public name is declared once, in its module's __all__.
+__all__ = ["__version__", *core.__all__, *mechanisms.__all__, *optimizer.__all__, *verification.__all__]

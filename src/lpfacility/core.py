@@ -24,6 +24,7 @@ import numpy as np
 
 __all__ = [
     "ATOM_MASS_TOL",
+    "NonFiniteResult",
     "LocationProfile",
     "FacilityDistribution",
     "point_mass",
@@ -136,6 +137,13 @@ class LocationProfile:
 
     def __repr__(self) -> str:
         return f"LocationProfile({self.values.tolist()!r})"
+
+
+def _check_tol(name: str, tol: float) -> float:
+    # a NaN, infinite or negative tolerance turns a verdict silently wrong
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"{name} must be finite and >= 0, got {tol!r}")
+    return tol
 
 
 def _check_agent(agent: int, n: int) -> int:

@@ -36,12 +36,13 @@ stops paying. Each g_j has exactly one positive root: g_1 = a^e - k is
 increasing; for j >= 2, g_j(0) = -k < 0 and g_j' changes sign once, where
 (a / (1 + a))^(e-1) = (j - 1) / j, so g_j falls, then rises to +inf. So one
 numpy kernel, `_rank_roots`, bisects twice: over the index i of the grid
-min(i * step, bound), step = max(1e-3, k^(1/e) / 1e3), bound = 2^e * k
-(doubled while g_j(bound) < 0), to the first cell with g_j(lo) < 0 <=
-g_j(hi); then inside that cell, below tol * (1 + root). g_j is unscaled, its
-powers taken by repeated squaring; a cell whose ends are not both finite
-(the powers overflowed) is refused with NoRootFound. `adversarial_root` and
-`adversarial_roots` are its one-rank and all-rank cases.
+min(i * step, bound), step = max(1e-3, k^(1/e) / 1e3), to the first cell
+with g_j(lo) < 0 <= g_j(hi); then inside that cell, below tol * (1 + root).
+bound = A = 2^e * k lies past every root, so it is never widened: g_1(A) > 0,
+and for 2 <= j <= k, (1 + 1/A)^e <= 1 + 1/k gives g_j(A) >= A^e / k - k > 0.
+g_j is unscaled, its powers taken by repeated squaring; a cell whose ends are
+not both finite (the powers overflowed) is refused with NoRootFound.
+`adversarial_root` and `adversarial_roots` are its one-rank and all-rank cases.
 `smallest_positive_root` scans a caller's scalar function for its first
 bracket and shrinks it with the same bracket bisection,
 `_refine_rank_brackets`, on one-element arrays.
@@ -55,7 +56,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import LocationProfile, _rank_window, social_cost, validate_pnorm
+from .core import LocationProfile, _check_tol, _rank_window, social_cost, validate_pnorm
 
 __all__ = [
     "OptResult",
@@ -73,7 +74,6 @@ BRACKET_TOL = 1e-12
 # Default width target for refined root brackets, relative to 1 + root.
 ROOT_TOL = 1e-12
 _MAX_NEWTON = 200
-_ROOT_RETRIES = 8
 
 
 class NoRootFound(RuntimeError):
@@ -319,9 +319,10 @@ def smallest_positive_root(f, scan_step: float, max_bound: float, tol: float = R
     Requires f(0) < 0 and f continuous. The scan visits t = step, 2*step,
     ... (the last point capped at max_bound exactly) and brackets the first
     t with f(t) >= 0; bisection then shrinks the bracket below
-    tol * (1 + root). Sign changes finer than the scan resolution are
-    invisible by design. Raises NoRootFound if f stays negative over the
-    whole range so callers can enlarge max_bound and rescan.
+    tol * (1 + root). The result is positive: a bracket [0, 5e-324] returns
+    5e-324. Sign changes finer than the scan resolution are invisible by
+    design. Raises NoRootFound if f stays negative over the whole range so
+    callers can enlarge max_bound and rescan.
     """
     if not scan_step > 0.0:
         raise ValueError(f"scan_step must be positive, got {scan_step!r}")
@@ -370,7 +371,8 @@ def adversarial_root(j: int, k: int, p: int, tol: float = ROOT_TOL) -> float:
 
     Ranks above k fold symmetrically: a_j = a_(2k-j+1). The one-rank case of
     `adversarial_roots`, bit for bit: the same grid cell, the same bisection.
-    Raises NoRootFound when the root cannot be bracketed in double precision.
+    Raises NoRootFound when the root cannot be bracketed in double precision,
+    and ValueError unless tol is finite and >= 0.
     """
     j, k, p = _validate_rank_query(j, k, p)
     if j > k:
@@ -397,7 +399,8 @@ def adversarial_roots(k: int, p: int, tol: float = ROOT_TOL) -> np.ndarray:
     Each rank's first grid cell with a sign change is found by bisection
     over the grid index, then shrunk below tol * (1 + root) by bisection;
     see the module docstring. The result is read-only. Raises NoRootFound
-    when a rank's root cannot be bracketed in double precision.
+    when a rank's root cannot be bracketed in double precision, and
+    ValueError unless tol is finite and >= 0.
     """
     _, k, p = _validate_rank_query(1, k, p)
     return _rank_roots(np.arange(1, k + 1, dtype=float), k, p, tol)
@@ -405,6 +408,7 @@ def adversarial_roots(k: int, p: int, tol: float = ROOT_TOL) -> np.ndarray:
 
 def _rank_roots(js: np.ndarray, k: int, p: int, tol: float) -> np.ndarray:
     """The rank-root kernel: the root a_j of g_j for each rank j in js."""
+    _check_tol("tol", tol)
     e = p - 1
     blocks = k - js + 1.0
     shifted = js - 1.0
@@ -419,13 +423,6 @@ def _rank_roots(js: np.ndarray, k: int, p: int, tol: float) -> np.ndarray:
     step = _rank_scan_step(k, p)
     with np.errstate(over="ignore", invalid="ignore"):
         bound = np.full(js.shape, np.ldexp(float(k), e))
-        for _ in range(_ROOT_RETRIES):
-            short = g(bound) < 0.0
-            if not short.any():
-                break
-            bound[short] *= 2.0
-        else:
-            raise NoRootFound(f"no rank root for k={k}, p={p} scanned up to {bound.max()!r}")
         # Bisect the grid index i, grid point min(i * step, bound), keeping
         # g(lo) < 0 and "g(hi) not negative". NaN (inf - inf past overflow)
         # counts as not negative, which keeps the predicate monotone; a cell
@@ -457,14 +454,16 @@ def _rank_roots(js: np.ndarray, k: int, p: int, tol: float) -> np.ndarray:
 def _refine_rank_brackets(g, lo, hi, tol: float) -> np.ndarray:
     # ends once no bracket has a double strictly inside it: at most about 2,100 halvings
     while True:
-        mid = 0.5 * (lo + hi)
+        mid = 0.5 * lo + 0.5 * hi  # lo + hi may overflow
         active = ((hi - lo) > tol * (1.0 + hi)) & (mid > lo) & (mid < hi)
         if not active.any():
             break
         negative = g(mid) < 0.0
         lo = np.where(active & negative, mid, lo)
         hi = np.where(active & ~negative, mid, hi)
-    roots = 0.5 * (lo + hi)
+    mid = 0.5 * lo + 0.5 * hi
+    # the midpoint of [0, 5e-324] rounds to 0, which is not a positive root
+    roots = np.where(mid > 0.0, mid, hi)
     roots.flags.writeable = False
     return roots
 

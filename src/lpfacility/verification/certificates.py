@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from ..core import LocationProfile, point_mass, validate_pnorm
+from ..core import LocationProfile, _check_tol, point_mass, validate_pnorm
 from ..optimizer import _bisect_rows, _rank_scan_step, _validate_rank_query, adversarial_roots
 from .ratio import _report_for_distribution
 from .reports import (
@@ -69,11 +69,14 @@ def mixture_bound_certificate(
     it into ratio_lower_bound = 2^(1-1/p) - (2^(1-1/p) - 1) * p_opt_bound.
     Also records, for each rank j >= k^(1/(p-1)) + 1, the growth check
     a_j < 2^(p-1) * (j-1) that keeps the inverse sum bounded away from zero
-    as k grows.
+    as k grows. Raises ValueError unless root_tol and opt_tol are finite
+    and >= 0.
     """
     _, k, p = _validate_rank_query(1, k, p)
     if not 3 <= p <= MAX_CERTIFICATE_P:
         raise ValueError(f"certificate exponent must lie in [3, {MAX_CERTIFICATE_P}], got {p}")
+    _check_tol("root_tol", root_tol)
+    _check_tol("opt_tol", opt_tol)
     roots = adversarial_roots(k, p, tol=root_tol)
     residuals = _opt_residuals(roots, k, p)
     _verify_opt_residuals(residuals, roots, opt_tol)

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..core import LocationProfile, NonFiniteResult, _check_agent, validate_pnorm
+from ..core import LocationProfile, NonFiniteResult, _check_agent, _check_tol, validate_pnorm
 from ..mechanisms import _outcome_plan, _plan_at, _plan_costs
 from .ratio import four_block_profiles
 from .reports import DeviationReport, SearchConfig
@@ -50,9 +50,7 @@ def violation_threshold(profile: LocationProfile, tol: float = DEFAULT_VIOLATION
 
     Raises ValueError unless tol is finite and >= 0: a NaN, infinite or
     negative tol would turn the verdicts silently wrong."""
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"violation tol must be finite and >= 0, got {tol!r}")
-    return tol * (1.0 + profile.span)
+    return _check_tol("violation tol", tol) * (1.0 + profile.span)
 
 
 @lru_cache(maxsize=8)

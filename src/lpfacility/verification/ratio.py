@@ -18,7 +18,7 @@ from ..mechanisms import run
 from ..optimizer import _cached_adversarial_roots, optimal_cost
 from .reports import RatioReport, _check_fields
 
-__all__ = ["RatioSearchConfig", "ratio", "worst_ratio_search"]
+__all__ = ["RatioSearchConfig", "ratio", "worst_ratio_search", "four_block_profiles"]
 
 
 @dataclass(frozen=True)

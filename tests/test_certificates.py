@@ -101,6 +101,20 @@ class TestMixtureBoundCertificate:
         with pytest.raises(TypeError):
             mixture_bound_certificate(3, 2.5)
 
+    @pytest.mark.parametrize("name", ["root_tol", "opt_tol"])
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0])
+    def test_non_finite_or_negative_tolerances_are_refused(self, name, tol):
+        # a NaN or infinite opt_tol let any residual through
+        with pytest.raises(ValueError, match=f"^{name} must be finite and >= 0"):
+            mixture_bound_certificate(3, 100, **{name: tol})
+
+    def test_zero_tolerances_are_accepted(self):
+        cert = mixture_bound_certificate(3, 100, root_tol=0.0)
+        assert cert.root_tol == 0.0
+        # opt_tol = 0 passes validation and asks for exact zero residuals
+        with pytest.raises(OptMismatch):
+            mixture_bound_certificate(3, 100, opt_tol=0.0)
+
     def test_serialization_views(self):
         cert = mixture_bound_certificate(3, 2)
         d = cert.as_dict()

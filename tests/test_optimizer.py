@@ -18,7 +18,7 @@ from lpfacility import (
     smallest_positive_root,
     social_cost,
 )
-from lpfacility.optimizer import BRACKET_TOL, ROOT_TOL, _bisect_rows, _solve_row
+from lpfacility.optimizer import BRACKET_TOL, ROOT_TOL, _bisect_rows, _powi, _solve_row
 
 
 def brute_force_cost_curve(values, grid, p):
@@ -208,14 +208,15 @@ def reference_smallest_positive_root(f, scan_step, max_bound, tol=ROOT_TOL):
         if float(f(t)) >= 0.0:
             lo, hi = left, t
             while hi - lo > tol * (1.0 + hi):
-                mid = 0.5 * (lo + hi)
+                mid = 0.5 * lo + 0.5 * hi
                 if mid <= lo or mid >= hi:
                     break
                 if float(f(mid)) < 0.0:
                     lo = mid
                 else:
                     hi = mid
-            return 0.5 * (lo + hi)
+            mid = 0.5 * lo + 0.5 * hi
+            return mid if mid > 0.0 else hi
         left = t
         i += 1
     raise NoRootFound
@@ -282,6 +283,15 @@ class TestSmallestPositiveRoot:
             smallest_positive_root(lambda a: a + 1.0, 0.1, 5.0)
         with pytest.raises(ValueError):
             smallest_positive_root(lambda a: a - 1.0, -0.1, 5.0)
+
+    def test_a_bracket_near_the_largest_double_does_not_overflow(self):
+        # the midpoint of [1e308, 1.7e308] taken as 0.5 * (lo + hi) was inf
+        root = smallest_positive_root(lambda a: a - 1.5e308, 1e308, 1.7e308)
+        assert abs(root - 1.5e308) <= ROOT_TOL * (1.0 + 1.5e308)
+
+    def test_the_smallest_subnormal_root_is_positive(self):
+        # the midpoint of [0, 5e-324] rounds to 0, which is not a positive root
+        assert smallest_positive_root(lambda a: a - 5e-324, 1.0, 1.0, tol=0.0) == 5e-324
 
 
 class TestAdversarialRoots:
@@ -360,6 +370,33 @@ class TestAdversarialRoots:
                 g = lambda t: j * t**e - (k - j + 1) - (j - 1) * (1 + t) ** e
                 a = Decimal(a)
                 assert g(a * (1 - Decimal("1e-11"))) < 0 < g(a * (1 + Decimal("1e-11")))
+
+    @pytest.mark.parametrize("p", range(3, 41))
+    def test_the_grid_bound_lies_past_every_root(self, p):
+        # g_j(2^(p-1) k) is never negative (NaN past overflow), so the grid
+        # bound never needs widening
+        e = p - 1
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in (1, 2, 3, 10, 100, 1000, 10**4):
+                js = np.arange(1, k + 1, dtype=float)
+                bound = np.full(k, np.ldexp(float(k), e))
+                base = 1.0 + bound
+                base[0] = 1.0  # rank 1's term is 0 * 1^e
+                g = js * _powi(bound, e) - (k - js + 1.0) - (js - 1.0) * _powi(base, e)
+                assert not (g < 0.0).any(), (k, np.flatnonzero(g < 0.0)[:5] + 1)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0])
+    def test_non_finite_or_negative_tol_is_refused(self, tol):
+        # a NaN or infinite tol stopped the bisection at the grid cell
+        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+            adversarial_root(2, 100, 3, tol=tol)
+        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+            adversarial_roots(100, 3, tol=tol)
+
+    def test_zero_tol_is_accepted(self):
+        root = adversarial_root(2, 100, 3, tol=0.0)
+        assert root == pytest.approx(1.0 + math.sqrt(101.0), rel=1e-15)
+        assert adversarial_roots(100, 3, tol=0.0)[1] == root
 
     def test_validation(self):
         with pytest.raises(ValueError):
