@@ -25,7 +25,14 @@ and the deviation polish, where numpy's per-call overhead would dominate)
 and solves with `_solve_row`. `_optimum_rows` is numpy for a batch of rows
 that differ in one report (deviation curves); it reads the closed forms off
 the other reports in O(C) and solves with `_bisect_rows`, which also takes
-the weighted rows of certificate residuals.
+the weighted rows of certificate residuals. `_bisect_rows` writes every
+(n, B) array and every per-step B-length array into a per-thread
+workspace, `_Workspace`, reused across calls and grown to the largest
+batch seen; a thread keeps at most 4 MiB of it between calls. Its views
+keep the memory order fresh arrays would have, C before the first
+compaction and F after it (as z[:, keep] is), since a column sum adds
+sequentially across rows but pairwise down a contiguous column from
+n = 8 on: the outputs keep every bit.
 
 Rank roots: for rank j among 2k agents and e = p - 1, the root a_j of
 
@@ -51,6 +58,7 @@ bracket and shrinks it with the same bracket bisection,
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -203,6 +211,59 @@ def _solve_row(points: list, p: float) -> float:
     return min(max(center + half * est, lo), hi)
 
 
+# A thread keeps at most this many bytes of workspace between calls.
+_WORKSPACE_BYTES = 1 << 22
+
+
+class _Workspace(threading.local):
+    """Named flat scratch buffers of `_bisect_rows`, one set per thread.
+
+    Each buffer grows to the largest request seen; `trim` frees the set
+    once it holds more than _WORKSPACE_BYTES. Reuse matters because an
+    (n, B) temporary of a Newton step can exceed the allocator's mmap
+    threshold, and allocated afresh it faults its pages in again.
+    """
+
+    def __init__(self):
+        self.buffers = {}
+
+    def flat(self, name: str, count: int, dtype=float) -> np.ndarray:
+        buf = self.buffers.get(name)
+        if buf is None or buf.size < count:
+            buf = self.buffers[name] = np.empty(count, dtype)
+        return buf[:count]
+
+    def trim(self) -> None:
+        if sum(buf.nbytes for buf in self.buffers.values()) > _WORKSPACE_BYTES:
+            self.buffers.clear()
+
+
+_WORKSPACE = _Workspace()
+
+
+def _like(z: np.ndarray, name: str, dtype=float) -> np.ndarray:
+    # workspace buffer `name` shaped and laid out (C or F order) like z
+    n, size = z.shape
+    flat = _WORKSPACE.flat(name, n * size, dtype)
+    return flat.reshape(n, size) if z.flags.c_contiguous else flat.reshape(size, n).T
+
+
+def _pack(x: np.ndarray, keep: np.ndarray, own: str, temp: str) -> np.ndarray:
+    # x[:, keep], gathered through workspace buffer `temp` into `own` (x's
+    # buffer) and F-ordered, as fancy indexing lays it out; np.take fills a
+    # C-contiguous out without buffering under mode="clip"
+    n, size = x.shape[0], keep.size
+    gathered = _WORKSPACE.flat(temp, n * size)
+    packed = _WORKSPACE.flat(own, n * size).reshape(size, n)
+    if x.flags.c_contiguous:
+        np.take(x, keep, axis=1, out=gathered.reshape(n, size), mode="clip")
+        np.copyto(packed.T, gathered.reshape(n, size))
+    else:
+        np.take(x.T, keep, axis=0, out=gathered.reshape(size, n), mode="clip")
+        np.copyto(packed, gathered.reshape(size, n))
+    return packed.T
+
+
 def _bisect_rows(points: np.ndarray, weights, p: float) -> np.ndarray:
     """Row-wise minimizer of sum_j w_j |y - x_j|^p for 1 < p < inf.
 
@@ -211,104 +272,152 @@ def _bisect_rows(points: np.ndarray, weights, p: float) -> np.ndarray:
     points. Each returned point is certified: the derivative changes sign
     within BRACKET_TOL half-spans of it, and it lies in [row min, row max].
     Rows still uncertified after _MAX_NEWTON steps keep their last estimate.
+
+    Every (n, B) array and every per-step B-length array is a view of the
+    calling thread's `_Workspace`, so a call allocates only a few B-length
+    arrays and index lists. The views keep the layouts fresh numpy arrays
+    would have, which the column sums depend on: the points are C-ordered
+    (n, B) until the first compaction and F-ordered after it, like
+    z[:, keep], and d and g follow z. Between calls a thread keeps at most
+    _WORKSPACE_BYTES (4 MiB) of workspace.
     """
-    # points run down the columns, so per-row reductions add contiguous vectors
-    cols = np.array(np.asarray(points, dtype=float).T, order="C")
-    lo = cols.min(axis=0)
-    hi = cols.max(axis=0)
-    center = 0.5 * lo + 0.5 * hi
-    half = 0.5 * hi - 0.5 * lo
-    live = half > 0.0
-    out = center.copy()
-    w = None
-    if weights is not None:
-        w = np.ascontiguousarray(np.broadcast_to(np.asarray(weights, dtype=float), cols.T.shape).T)
-    if not live.all():
-        if live.any():
-            cols, w = cols[:, live], (None if w is None else w[:, live])
-            out[live] = _bisect_rows(cols.T, None if w is None else w.T, p)
-        return np.clip(out, lo, hi)
-    cols -= center
-    cols /= half
-    t = _newton_rows(cols, w, p - 1.0)
-    return np.clip(center + half * t, lo, hi)
+    try:
+        # points run down the columns, so per-row reductions add contiguous vectors
+        points = np.asarray(points, dtype=float)
+        cols = _WORKSPACE.flat("z", points.size).reshape(points.shape[::-1])
+        np.copyto(cols, points.T)
+        lo = cols.min(axis=0)
+        hi = cols.max(axis=0)
+        center = 0.5 * lo + 0.5 * hi
+        half = 0.5 * hi - 0.5 * lo
+        live = half > 0.0
+        out = center.copy()
+        w = None
+        if weights is not None:
+            w = _WORKSPACE.flat("w", cols.size).reshape(cols.shape)
+            np.copyto(w, np.broadcast_to(np.asarray(weights, dtype=float), points.shape).T)
+        if not live.all():
+            if live.any():
+                cols, w = cols[:, live], (None if w is None else w[:, live])
+                out[live] = _bisect_rows(cols.T, None if w is None else w.T, p)
+            return np.clip(out, lo, hi)
+        cols -= center
+        cols /= half
+        t = _newton_rows(cols, w, p - 1.0)
+        return np.clip(center + half * t, lo, hi)
+    finally:
+        _WORKSPACE.trim()
 
 
-def _rows_slopes(z, w, t, e, zlo, zhi):
-    # D(t) / m^e and D'(t) / m^e per scaled row (a column of z), m the peak distance
-    m = np.maximum(t - zlo, zhi - t)
-    d = t - z
+def _rows_slopes(z, w, t, e, zlo, zhi, f, df):
+    # D(t) / m^e into f and D'(t) / m^e into df per scaled row (a column of
+    # z), m the peak distance
+    m = np.subtract(t, zlo, out=_WORKSPACE.flat("peak", t.size))
+    np.maximum(m, np.subtract(zhi, t, out=_WORKSPACE.flat("peak2", t.size)), out=m)
+    d = np.subtract(t, z, out=_like(z, "d"))
     d /= m
-    g = np.abs(d)
+    g = np.abs(d, out=_like(z, "g"))
     with np.errstate(divide="ignore", invalid="ignore"):
         g **= e - 1.0
         d *= g
     if e < 1.0:
         # p < 2 on a data point: D' is infinite and the term of D is zero
-        d[g == np.inf] = 0.0
+        np.copyto(d, 0.0, where=np.equal(g, np.inf, out=_like(z, "mask", bool)))
     if w is not None:
         g *= w
         d *= w
-    return d.sum(axis=0), e * g.sum(axis=0) / m
+    d.sum(axis=0, out=f)
+    g.sum(axis=0, out=df)
+    df *= e
+    df /= m
 
 
 def _newton_rows(z: np.ndarray, w, e: float) -> np.ndarray:
+    # one block of B-length rows: the eight carried through compaction, then
+    # five per-step scratch rows, which also hold the compaction's gather
+    size = z.shape[1]
+    block = _WORKSPACE.flat("rows", 13 * size)
+    flags = _WORKSPACE.flat("flags", 4 * size, bool)
+    zlo, zhi, a, b, t, f, df, dx_old, est, step, trial, gap, probe = block.reshape(13, size)
+    pending, done, newton, test = flags.reshape(4, size)
     if w is None:
-        zlo, zhi = z.min(axis=0), z.max(axis=0)
-        t = z.mean(axis=0)
+        z.min(axis=0, out=zlo)
+        z.max(axis=0, out=zhi)
+        z.mean(axis=0, out=t)
     else:
         # the peak and the bracket come from the points that carry weight
-        carried = w > 0.0
-        zlo = np.where(carried, z, np.inf).min(axis=0)
-        zhi = np.where(carried, z, -np.inf).max(axis=0)
-        t = (z * w).sum(axis=0) / w.sum(axis=0)
+        carried = np.greater(w, 0.0, out=_like(z, "mask", bool))
+        spread = _like(z, "d")
+        spread.fill(np.inf)
+        np.copyto(spread, z, where=carried)
+        spread.min(axis=0, out=zlo)
+        spread.fill(-np.inf)
+        np.copyto(spread, z, where=carried)
+        spread.max(axis=0, out=zhi)
+        np.multiply(z, w, out=spread).sum(axis=0, out=t)
+        t /= w.sum(axis=0, out=a)
     tol = BRACKET_TOL
-    out = np.empty(z.shape[1])
-    rows = np.arange(z.shape[1])
-    pending = np.ones(z.shape[1], dtype=bool)
-    a, b, est = zlo, zhi, t
-    dx_old = b - a
-    f, df = _rows_slopes(z, w, t, e, zlo, zhi)
+    out = np.empty(size)
+    rows = np.arange(size)
+    pending.fill(True)
+    np.copyto(a, zlo)
+    np.copyto(b, zhi)
+    np.copyto(est, t)
+    np.subtract(b, a, out=dx_old)
+    _rows_slopes(z, w, t, e, zlo, zhi, f, df)
     for _ in range(_MAX_NEWTON):
-        a = np.where(f <= 0.0, t, a)
-        b = np.where(f >= 0.0, t, b)
-        done = pending & (est - a <= tol) & (b - est <= tol)
+        np.copyto(a, t, where=np.less_equal(f, 0.0, out=test))
+        np.copyto(b, t, where=np.greater_equal(f, 0.0, out=test))
+        np.less_equal(np.subtract(est, a, out=gap), tol, out=done)
+        done &= pending
+        done &= np.less_equal(np.subtract(b, est, out=gap), tol, out=test)
         if done.any():
             out[rows[done]] = est[done]
-            pending &= ~done
+            pending ^= done  # done lies inside pending
             left = np.count_nonzero(pending)
             if not left:
                 return out
-            if 2 * left <= pending.size:
+            if 2 * left <= size:
                 # Shrink to the batch size halved until pending rows fill
                 # half of it, pending rows first; certified filler rows
-                # iterate harmlessly and are never written again. Shrinking
-                # to the exact pending count fragmented the heap, so peak
-                # RSS grew with every call.
-                size = pending.size // 2
-                while 2 * left <= size:
-                    size //= 2
-                keep = np.concatenate([np.flatnonzero(pending), np.flatnonzero(~pending)[: size - left]])
-                rows, z, zlo, zhi = rows[keep], z[:, keep], zlo[keep], zhi[keep]
-                w = None if w is None else w[:, keep]
-                a, b, t, f, df, dx_old = a[keep], b[keep], t[keep], f[keep], df[keep], dx_old[keep]
-                pending = pending[keep]
+                # iterate harmlessly and are never written again. Halving
+                # keeps the gathers to about log2(B) per call.
+                new = size // 2
+                while 2 * left <= new:
+                    new //= 2
+                keep = np.concatenate([np.flatnonzero(pending), np.flatnonzero(~pending)[: new - left]])
+                rows = rows[keep]
+                z = _pack(z, keep, "z", "d")
+                w = None if w is None else _pack(w, keep, "w", "g")
+                # 8 * new <= 4 * size: the gather fits in the scratch rows
+                gathered = block[8 * size : 8 * (size + new)].reshape(8, new)
+                np.take(block[: 8 * size].reshape(8, size), keep, axis=1, out=gathered, mode="clip")
+                np.copyto(block[: 8 * new], gathered.reshape(-1))
+                size = new
+                zlo, zhi, a, b, t, f, df, dx_old, est, step, trial, gap, probe = block[: 13 * size].reshape(13, size)
+                pending, done, newton, test = flags[: 4 * size].reshape(4, size)
+                pending[:left] = True
+                pending[left:] = False
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            step = f / df
-            newton_t = t - step
-            newton = (
-                np.isfinite(df)
-                & (newton_t >= a)
-                & (newton_t <= b)
-                & (np.abs(2.0 * f) <= np.abs(dx_old * df))
-            )
-        dx = np.where(newton, step, 0.5 * (b - a))
-        est = np.where(newton, newton_t, a + 0.5 * (b - a))
-        dx_old = dx
+            np.divide(f, df, out=step)
+            np.subtract(t, step, out=trial)
+            np.isfinite(df, out=newton)
+            newton &= np.greater_equal(trial, a, out=test)
+            newton &= np.less_equal(trial, b, out=test)
+            np.abs(np.multiply(2.0, f, out=gap), out=gap)
+            np.abs(np.multiply(dx_old, df, out=probe), out=probe)
+            newton &= np.less_equal(gap, probe, out=test)
+        # dx, the step taken, becomes dx_old: the Newton step or half the bracket
+        np.multiply(np.subtract(b, a, out=dx_old), 0.5, out=dx_old)
+        np.add(a, dx_old, out=est)
+        np.copyto(est, trial, where=newton)
+        np.copyto(dx_old, step, where=newton)
         # converged rows probe the still-open side of their bracket
-        probe = np.where(b - est > tol, est + 0.5 * tol, est - 0.5 * tol)
-        t = np.where(np.abs(dx) < tol, probe, est)
-        f, df = _rows_slopes(z, w, t, e, zlo, zhi)
+        np.subtract(est, 0.5 * tol, out=probe)
+        np.add(est, 0.5 * tol, out=probe, where=np.greater(np.subtract(b, est, out=gap), tol, out=test))
+        np.copyto(t, est)
+        np.copyto(t, probe, where=np.less(np.abs(dx_old, out=gap), tol, out=test))
+        _rows_slopes(z, w, t, e, zlo, zhi, f, df)
     out[rows[pending]] = est[pending]
     return out
 
@@ -322,12 +431,14 @@ def smallest_positive_root(f, scan_step: float, max_bound: float, tol: float = R
     tol * (1 + root). The result is positive: a bracket [0, 5e-324] returns
     5e-324. Sign changes finer than the scan resolution are invisible by
     design. Raises NoRootFound if f stays negative over the whole range so
-    callers can enlarge max_bound and rescan.
+    callers can enlarge max_bound and rescan, and ValueError unless
+    max_bound is positive and finite and tol is finite and >= 0.
     """
     if not scan_step > 0.0:
         raise ValueError(f"scan_step must be positive, got {scan_step!r}")
-    if not max_bound > 0.0:
-        raise ValueError(f"max_bound must be positive, got {max_bound!r}")
+    if not (max_bound > 0.0 and math.isfinite(max_bound)):
+        raise ValueError(f"max_bound must be positive and finite, got {max_bound!r}")
+    _check_tol("tol", tol)
     value0 = float(f(0.0))
     if not value0 < 0.0:
         raise ValueError(f"f(0) must be negative, got {value0!r}")

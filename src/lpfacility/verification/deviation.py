@@ -88,11 +88,18 @@ def misreport_candidates(
 
 def deviation_cost_curve(spec, profile, p, agent, reports) -> np.ndarray:
     """Expected distance from the agent's true location to the facility,
-    one entry per candidate misreport (other agents truthful)."""
+    one entry per candidate misreport (other agents truthful).
+
+    Raises IndexError (TypeError) unless agent is an integer in 1..n, and
+    NonFiniteResult for a NaN or infinite report."""
     p = validate_pnorm(p)
+    x = float(profile.values[_check_agent(agent, profile.n) - 1])
+    reports = np.asarray(reports, dtype=float)
+    finite = np.isfinite(reports)
+    if not finite.all():
+        raise NonFiniteResult(f"misreports must be finite, got {float(reports[~finite][0])!r}")
     others, atoms = _outcome_plan(spec, profile, p, agent)
-    x = float(profile.values[agent - 1])
-    return _plan_costs(others, atoms, x, np.asarray(reports, dtype=float))
+    return _plan_costs(others, atoms, x, reports)
 
 
 def _golden_min(fn, a: float, b: float, iters: int) -> tuple[float, float]:

@@ -308,6 +308,18 @@ class TestOutputBytes:
                 0,
                 "6a40479aa7c5eef43c5da25b75a82d78b46f796ebdf2b9308d5c81c6d23d23a4",
             ),
+            # the optimum rows of the deviation curve at a non-closed p; n = 9
+            # reaches the pairwise column sums of the compacted batch
+            (
+                ["spcheck", "--spec", "opt", "--n", "5", "--p", "1.5", "--trials", "3", "--format", "csv"],
+                3,
+                "3da7fcf71541ca207701e850ffef7193837a32cd86682a85a2a808c33029e40b",
+            ),
+            (
+                ["spcheck", "--spec", "opt", "--n", "9", "--p", "5", "--trials", "2", "--format", "csv"],
+                3,
+                "f435a6fb4f5302f24a5102a2848123ac338322a43a896f6c192e2c3728e55b6a",
+            ),
             (
                 ["ratio", "--spec", "median", "--p", "3", "--n", "6", "--trials", "20", "--hill-iters", "20",
                  "--format", "csv"],

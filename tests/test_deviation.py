@@ -269,6 +269,19 @@ class TestDeviationCostCurve:
                 scalar = _plan_at(others, atoms, float(r), x)
                 assert scalar == pytest.approx(cost, abs=1e-10)
 
+    @pytest.mark.parametrize("spec", [Optimal(), Median()])
+    @pytest.mark.parametrize("agent", [0, -1, 4])
+    def test_an_agent_outside_the_profile_is_refused(self, spec, agent):
+        # agent 0 read the last report as its own and planned over 2n - 1 others
+        with pytest.raises(IndexError, match="out of range for 3 agents"):
+            deviation_cost_curve(spec, LocationProfile([0.0, 1.0, 2.0]), 3.0, agent, [0.5])
+
+    @pytest.mark.parametrize("spec", [Optimal(), Median()])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_report_is_refused(self, spec, bad):
+        with pytest.raises(NonFiniteResult, match="misreports must be finite"):
+            deviation_cost_curve(spec, LocationProfile([0.0, 1.0, 2.0]), 3.0, 1, [0.5, bad])
+
 
 class TestBestDeviation:
     def test_median_never_gains(self):

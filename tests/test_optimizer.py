@@ -202,6 +202,10 @@ class TestSolverCertificate:
 
 def reference_smallest_positive_root(f, scan_step, max_bound, tol=ROOT_TOL):
     # the scan and a scalar bracket bisection in Python floats, no numpy
+    if not (max_bound > 0.0 and math.isfinite(max_bound)):
+        raise ValueError("max_bound must be positive and finite")
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError("tol must be finite and >= 0")
     left, i = 0.0, 1
     while left < max_bound:
         t = min(i * scan_step, max_bound)
@@ -233,16 +237,35 @@ SCALAR_ROOT_CASES = [
     (lambda a: a**3 - 7.0, 1e-3, 3.0),
     (lambda a: a - 0.1 if a > 0.05 else -1.0, 1.0, 1.0),
     (lambda a: a - 1.5e308, 1e308, 1.7e308),
-    (lambda a: a - 1.5e308, 1e308, math.inf),
 ]
+ROOT_TOLS = [ROOT_TOL, 0.0, 1e-3, 0.5]
+# a NaN tol returned the scan cell's midpoint; an inf bound returned inf for a root at 1.5e308
+REFUSED_TOLS = [-1.0, math.nan]
+REFUSED_ROOT_CASES = [(lambda a: a - 1.5e308, 1e308, math.inf)]
 
 
 class TestSmallestPositiveRoot:
-    @pytest.mark.parametrize("tol", [ROOT_TOL, 0.0, 1e-3, 0.5, -1.0, math.nan])
+    @pytest.mark.parametrize("tol", ROOT_TOLS)
     @pytest.mark.parametrize("f, step, bound", SCALAR_ROOT_CASES)
     def test_matches_the_scalar_bisection_bit_for_bit(self, f, step, bound, tol):
         got = smallest_positive_root(f, step, bound, tol)
         assert got.hex() == reference_smallest_positive_root(f, step, bound, tol).hex()
+
+    @pytest.mark.parametrize("tol", REFUSED_TOLS)
+    @pytest.mark.parametrize("f, step, bound", SCALAR_ROOT_CASES)
+    def test_a_non_finite_or_negative_tol_is_refused(self, f, step, bound, tol):
+        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+            smallest_positive_root(f, step, bound, tol)
+        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+            reference_smallest_positive_root(f, step, bound, tol)
+
+    @pytest.mark.parametrize("tol", ROOT_TOLS + REFUSED_TOLS)
+    @pytest.mark.parametrize("f, step, bound", REFUSED_ROOT_CASES)
+    def test_a_non_finite_bound_is_refused(self, f, step, bound, tol):
+        with pytest.raises(ValueError, match="max_bound must be positive and finite"):
+            smallest_positive_root(f, step, bound, tol)
+        with pytest.raises(ValueError, match="max_bound must be positive and finite"):
+            reference_smallest_positive_root(f, step, bound, tol)
 
     @given(
         root=st.floats(min_value=5e-324, max_value=1e300),
