@@ -321,6 +321,75 @@ def _plan_costs(others: list, atoms: list, x: float, reports: np.ndarray) -> np.
     return total
 
 
+# The pruned scan solves every _PRUNE_STRIDE-th sorted report first.
+_PRUNE_STRIDE = 64
+# Atom exponents that need no solve: clipped lines and closed-form optima.
+_UNSOLVED = (None, 1.0, 2.0, math.inf)
+
+
+def _plan_min(others: list, atoms: list, x: float, reports: np.ndarray) -> tuple[int, float]:
+    """(i, costs[i]) for costs = _plan_costs(others, atoms, x, reports) and
+    i = argmin(costs), bit for bit; the cost is inf when an entry is not
+    finite. A plan with an optimum atom that is not a closed form, n < 8,
+    no mirrored atom and no clipped line of negative slope solves only the
+    reports that can win; `verification.deviation.best_deviation` gives the
+    argument.
+    """
+    for atom in atoms:
+        if atom[5] not in _UNSOLVED:
+            found = _pruned_min(others, atoms, x, reports)
+            if found is not None:
+                return found
+            break
+    costs = _plan_costs(others, atoms, x, reports)
+    i = int(np.argmin(costs))
+    return i, (float(costs[i]) if np.isfinite(costs).all() else math.inf)
+
+
+def _pruned_min(others, atoms, x, reports):
+    # _plan_min from the coarse rows, then the rows whose lower bound does not
+    # exceed the coarse minimum; None for n >= 8, a mirrored atom, a line of
+    # negative slope or a cost cap that overflows
+    if len(others) >= 7 or any(m or s < 0.0 for _, s, _, _, _, _, m in atoms):
+        return None
+    solved = [atom[5] not in _UNSOLVED for atom in atoms]
+    order = np.argsort(reports, kind="stable")
+    r = reports[order]
+    coarse = np.append(np.arange(0, r.size - 1, _PRUNE_STRIDE), r.size - 1)
+    inner = np.flatnonzero(np.arange(r.size - 1) % _PRUNE_STRIDE)
+    # solved optima at the coarse rows; the other atoms' cost terms at every row
+    cols = [
+        _optimum_rows(others, r[coarse], atom[5]) if s else _plan_costs(others, [atom], x, r)
+        for atom, s in zip(atoms, solved)
+    ]
+    # a solved optimum lies in `window`, which holds every row's points; any
+    # other atom is monotone in the report, so its term peaks at an end
+    window = (min(float(r[0]), others[0]), max(float(r[-1]), others[-1]))
+    cap = 0.0
+    for atom, col, s in zip(atoms, cols, solved):
+        cap += atom[0] * max(abs(x - window[0]), abs(x - window[1])) if s else float(max(col[0], col[-1]))
+    if not math.isfinite(cap):
+        return None
+    delta = 1e-9 * (1.0 + abs(window[0]) + abs(window[1]))
+    gap = inner // _PRUNE_STRIDE
+    costs = np.zeros(coarse.size)
+    bound = np.zeros(inner.size)
+    for atom, col, s in zip(atoms, cols, solved):
+        if s:
+            costs += atom[0] * np.abs(x - col)
+            # a solved optimum lies within delta of the bracket its gap's ends give
+            bound += atom[0] * np.maximum(np.maximum(col[:-1] - delta - x, x - (col[1:] + delta)), 0.0)[gap]
+        else:
+            costs += col[coarse]
+            bound += col[inner]
+    keep = inner[bound * (1.0 - 1e-12) - delta <= costs.min()]
+    rows = coarse
+    if keep.size:
+        rows, costs = np.concatenate([coarse, keep]), np.concatenate([costs, _plan_costs(others, atoms, x, r[keep])])
+    least = costs.min()
+    return int(order[rows[costs == least]].min()), float(least)
+
+
 def format_mechanism(spec: MechanismSpec) -> str:
     """Canonical text form; parse_mechanism(format_mechanism(s)) == s."""
     if isinstance(spec, Median):

@@ -24,8 +24,10 @@ forms once. `_optimum` is pure Python for one row (optimal_location, `run`
 and the deviation polish, where numpy's per-call overhead would dominate)
 and solves with `_solve_row`. `_optimum_rows` is numpy for a batch of rows
 that differ in one report (deviation curves); it reads the closed forms off
-the other reports in O(C) and solves with `_bisect_rows`, which also takes
-the weighted rows of certificate residuals. `_bisect_rows` writes every
+the other reports in O(C), writes the batch as the columns of an (n, C)
+workspace buffer and solves it with `_bisect_columns`. `_bisect_rows`
+copies a (B, n) batch, such as the weighted rows of certificate residuals,
+into that buffer and solves it the same way. The solve writes every
 (n, B) array and every per-step B-length array into a per-thread
 workspace, `_Workspace`, reused across calls and grown to the largest
 batch seen; a thread keeps at most 4 MiB of it between calls. Its views
@@ -136,7 +138,8 @@ def _optimum(row: list, p: float) -> float:
 def _optimum_rows(others: list, reports: np.ndarray, p: float) -> np.ndarray:
     """The batched kernel: minimizer of each row others + [r], r in reports,
     for the others sorted ascending. The closed forms read the others'
-    summary in O(C); other p solve the (C, n) batch with `_bisect_rows`."""
+    summary in O(C); other p write the batch straight into the workspace's
+    (n, C) column buffer and solve it with `_bisect_columns`."""
     n = len(others) + 1
     if p == 1.0:
         return np.clip(reports, *_rank_window(others, (n + 1) // 2))
@@ -144,10 +147,10 @@ def _optimum_rows(others: list, reports: np.ndarray, p: float) -> np.ndarray:
         return (math.fsum(others) + reports) / n
     if math.isinf(p):
         return 0.5 * (np.minimum(reports, others[0]) + np.maximum(reports, others[-1]))
-    rows = np.empty((reports.size, n))
-    rows[:, :-1] = others
-    rows[:, -1] = reports
-    return _bisect_rows(rows, None, p)
+    cols = _WORKSPACE.flat("z", n * reports.size).reshape(n, reports.size)
+    cols[:-1] = np.reshape(others, (-1, 1))
+    cols[-1] = reports
+    return _bisect_columns(cols, None, p)
 
 
 def optimal_cost(profile: LocationProfile, p: float) -> float:
@@ -272,6 +275,19 @@ def _bisect_rows(points: np.ndarray, weights, p: float) -> np.ndarray:
     points. Each returned point is certified: the derivative changes sign
     within BRACKET_TOL half-spans of it, and it lies in [row min, row max].
     Rows still uncertified after _MAX_NEWTON steps keep their last estimate.
+    The points are copied, transposed, into the workspace's column buffer
+    and solved by `_bisect_columns`.
+    """
+    # points run down the columns, so per-row reductions add contiguous vectors
+    points = np.asarray(points, dtype=float)
+    cols = _WORKSPACE.flat("z", points.size).reshape(points.shape[::-1])
+    np.copyto(cols, points.T)
+    return _bisect_columns(cols, weights, p)
+
+
+def _bisect_columns(cols: np.ndarray, weights, p: float) -> np.ndarray:
+    """`_bisect_rows` for the batch given as the columns of a C-ordered
+    (n, B) array, which it overwrites; weights broadcasts against (B, n).
 
     Every (n, B) array and every per-step B-length array is a view of the
     calling thread's `_Workspace`, so a call allocates only a few B-length
@@ -282,10 +298,6 @@ def _bisect_rows(points: np.ndarray, weights, p: float) -> np.ndarray:
     _WORKSPACE_BYTES (4 MiB) of workspace.
     """
     try:
-        # points run down the columns, so per-row reductions add contiguous vectors
-        points = np.asarray(points, dtype=float)
-        cols = _WORKSPACE.flat("z", points.size).reshape(points.shape[::-1])
-        np.copyto(cols, points.T)
         lo = cols.min(axis=0)
         hi = cols.max(axis=0)
         center = 0.5 * lo + 0.5 * hi
@@ -295,7 +307,7 @@ def _bisect_rows(points: np.ndarray, weights, p: float) -> np.ndarray:
         w = None
         if weights is not None:
             w = _WORKSPACE.flat("w", cols.size).reshape(cols.shape)
-            np.copyto(w, np.broadcast_to(np.asarray(weights, dtype=float), points.shape).T)
+            np.copyto(w, np.broadcast_to(np.asarray(weights, dtype=float), cols.shape[::-1]).T)
         if not live.all():
             if live.any():
                 cols, w = cols[:, live], (None if w is None else w[:, live])

@@ -7,8 +7,9 @@ window, dyadic multiples of the agent's own report, and the truthful report
 itself (the grid's arange and the scalings are cached per config); the best
 one is polished by one golden-section pass unless that provably cannot win.
 Both read the rule's outcome plan (`mechanisms._outcome_plan`): the
-candidate curve evaluates it in numpy, one column per atom, and the polish
-in pure Python, since numpy overhead dominates one-point evaluations.
+candidate scan evaluates it in numpy, one column per atom, solving only the
+optimum rows that can win, and the polish in pure Python, since numpy
+overhead dominates one-point evaluations.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from ..core import LocationProfile, NonFiniteResult, _check_agent, _check_tol, validate_pnorm
-from ..mechanisms import _outcome_plan, _plan_at, _plan_costs
+from ..mechanisms import _outcome_plan, _plan_at, _plan_costs, _plan_min
 from .ratio import four_block_profiles
 from .reports import DeviationReport, SearchConfig
 
@@ -149,19 +150,41 @@ def best_deviation(
     is monotone on [a, b] and never below the end value; with b - a finite
     every golden point lies in [a, b], so c2 < c cannot hold. Mirrored
     atoms, (r + o) - y, are not monotone and optimum atoms are not covered.
+
+    The candidate scan (`mechanisms._plan_min`) solves only the optimum rows
+    that can win, and returns the same index and cost, bit for bit, as the
+    full curve. The L_q optimum of others + [r] is nondecreasing in r by
+    strict convexity (the monotonicity behind the median's
+    strategyproofness), as are, in floating point too, every clipped line of
+    slope >= 0 and every closed-form optimum. The scan sorts the candidates,
+    solves every 64th and the last, and takes the least of their costs, UB.
+    A solved optimum at a row between two of these lies in the bracket of
+    its values at the two ends, widened by delta = 1e-9 * (1 + |w0| + |w1|),
+    [w0, w1] the window that holds every row's points: each solve is
+    certified within BRACKET_TOL (1e-12) half-spans, at most (w1 - w0) / 2,
+    so delta is 1000 times that, with room for the back-transform's
+    rounding, which scales with |w0| and |w1|. Closed atoms are evaluated
+    at every row. So the row costs at least LB, their cost plus
+    sum w * dist(x, bracket) over the solved atoms; a row with
+    LB * (1 - 1e-12) - delta > UB cannot be the least and is not solved,
+    and the rest are solved in one more batch. The scan needs n < 8: a
+    row's solve is independent of the rest of its batch only while the
+    kernel's column sums add sequentially, and from n = 8 on the sums down
+    a compacted column run pairwise. Mirrored atoms and clipped lines of
+    negative slope are not monotone, so their plans take the full curve, as
+    do plans whose cap, sum w * max |x - y| over each atom's range on the
+    window, overflows: each cost rounds to at most the cap, so below it no
+    cost overflows and the overflow check holds for the unsolved rows too.
     """
     p = validate_pnorm(p)
-    if not 1 <= agent <= profile.n:
-        raise IndexError(f"agent {agent} out of range for {profile.n} agents")
-    x = float(profile.values[agent - 1])
+    x = float(profile.values[_check_agent(agent, profile.n) - 1])
     others, atoms = _outcome_plan(spec, profile, p, agent)
     truthful = _plan_at(others, atoms, x, x)
     candidates = misreport_candidates(profile, agent, cfg)
-    costs = _plan_costs(others, atoms, x, candidates)
-    if not (math.isfinite(truthful) and np.isfinite(costs).all()):
+    i, best_c = _plan_min(others, atoms, x, candidates)
+    if not (math.isfinite(truthful) and math.isfinite(best_c)):
         raise NonFiniteResult(f"misreport costs overflow on {profile!r}")
-    i = int(np.argmin(costs))
-    best_r, best_c = float(candidates[i]), float(costs[i])
+    best_r = float(candidates[i])
     window = profile.span * (1.0 + 2.0 * cfg.grid_pad) / (cfg.grid_points - 1)
     a, b = best_r - window, best_r + window
     polish = window > 0.0 and cfg.refine_iters > 0 and best_c > 0.0

@@ -32,8 +32,10 @@ from lpfacility import (
     validate_pnorm,
     violation_threshold,
 )
+from lpfacility import mechanisms, optimizer
 from lpfacility.core import NonFiniteResult
 from lpfacility.mechanisms import _outcome_plan, _plan_at, _plan_costs
+from lpfacility.optimizer import _optimum_rows
 from lpfacility.verification import DeviationReport, SearchConfig, deviation
 from lpfacility.verification.deviation import _golden_min
 
@@ -330,6 +332,19 @@ class TestBestDeviation:
         with pytest.raises(IndexError):
             best_deviation(Median(), LocationProfile([0.0, 1.0]), 2.0, agent=3)
 
+    @pytest.mark.parametrize(
+        "agent, error, message",
+        [
+            (1.0, TypeError, "agent index must be an integer"),
+            (True, TypeError, "agent index must be an integer"),
+            (0, IndexError, "out of range for 3 agents"),
+            (4, IndexError, "out of range for 3 agents"),
+        ],
+    )
+    def test_an_agent_that_is_not_an_index_is_refused_by_name(self, agent, error, message):
+        with pytest.raises(error, match=message):
+            best_deviation(Median(), LocationProfile([0.0, 1.0, 2.0]), 3.0, agent)
+
     def test_report_fields_are_consistent(self):
         report = best_deviation(Dictator(2), LocationProfile([0.0, 1.0]), 2.0, agent=1)
         assert report.gain == report.truthful_cost - report.deviated_cost
@@ -400,6 +415,131 @@ class TestPolishSkip:
         constant = [(1.0, 0.0, 5.0, -math.inf, math.inf, None, False)]
         assert deviation._never_below_ends([], constant, 0.0, -1e307, 1e307, 5.0)
         assert not deviation._never_below_ends([], constant, 0.0, -1e308, 1.7e308, 5.0)
+
+
+PRUNE_P = (1.1, 1.5, 1.9, 2.5, 3.0, 5.0, 8.0, 30.0)
+
+
+def optimum_specs(n, p):
+    """Plans with a solved optimum atom: alone, at its own exponent, and
+    mixed with the lower median or a dictator."""
+    median = [0.0] * n
+    median[(n - 1) // 2] = 0.5
+    dictator = [0.0] * n
+    dictator[n - 1] = 0.3
+    return [
+        Optimal(),
+        Optimal(3.0 if p != 3.0 else 1.5),
+        Mixture(order_weights=tuple(median), opt_weight=0.5),
+        Mixture(dictator_weights=tuple(dictator), opt_weight=0.7),
+    ]
+
+
+class TestPrunedScan:
+    """The candidate scan solves only the optimum rows that can win, and its
+    report matches the full curve's (`reference_best_deviation`) by
+    float.hex; plans outside its conditions take the full curve."""
+
+    @pytest.fixture
+    def pruned_calls(self, monkeypatch):
+        calls = []
+        pruned = mechanisms._pruned_min
+
+        def spy(*args):
+            calls.append(pruned(*args))
+            return calls[-1]
+
+        monkeypatch.setattr(mechanisms, "_pruned_min", spy)
+        return calls
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    @pytest.mark.parametrize("p", PRUNE_P)
+    def test_reports_match_the_full_curve(self, n, p, pruned_calls):
+        rng = np.random.default_rng(int(10 * p) + n)
+        values = rng.uniform(0.0, 1.0, size=n)
+        # thirds tie and duplicate reports; the second profile is far from 0
+        profiles = [np.round(values * 3.0) / 3.0, 1e6 * values - 3e5]
+        for k, (values, spec) in enumerate((v, s) for v in profiles for s in optimum_specs(n, p)):
+            profile, agent = LocationProfile(values), 1 + k % n
+            expect = outcome(reference_best_deviation, spec, profile, p, agent)
+            assert outcome(best_deviation, spec, profile, p, agent) == expect, (spec, agent)
+        assert len(pruned_calls) == 8 and None not in pruned_calls
+
+    @pytest.mark.parametrize("n", range(8, 13))
+    def test_eight_or_more_agents_take_the_full_curve(self, n, pruned_calls):
+        # from n = 8 on the kernel's column sums depend on the batch's layout
+        profile = LocationProfile(np.random.default_rng(n).uniform(0.0, 1.0, size=n))
+        for spec in optimum_specs(n, 3.0):
+            expect = outcome(reference_best_deviation, spec, profile, 3.0, 1)
+            assert outcome(best_deviation, spec, profile, 3.0, 1) == expect, spec
+        assert pruned_calls == [None] * 4
+
+    @pytest.mark.parametrize("span", [1e300, 1e306, 1.5e307])
+    def test_huge_spans_match_the_full_curve(self, span, pruned_calls):
+        profile = LocationProfile([-span, 0.25 * span, span])
+        for spec in optimum_specs(3, 3.0):
+            for agent in (1, 3):
+                expect = outcome(reference_best_deviation, spec, profile, 3.0, agent)
+                assert outcome(best_deviation, spec, profile, 3.0, agent) == expect, (spec, agent)
+        assert len(pruned_calls) == 8 and None not in pruned_calls
+
+    def test_an_overflowing_cost_cap_takes_the_full_curve_and_its_refusal(self, pruned_calls):
+        # every candidate is finite, but agent 3's own dictator atom puts the
+        # cost at the report -4x past the largest double
+        profile = LocationProfile([3.6e307, 3.8e307, 4e307])
+        spec = optimum_specs(3, 3.0)[3]
+        # the full curve warns as it overflows, then its check refuses the costs
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            expect = outcome(reference_best_deviation, spec, profile, 3.0, 3)
+            got = outcome(best_deviation, spec, profile, 3.0, 3)
+        assert got == expect == (NonFiniteResult, f"misreport costs overflow on {profile!r}")
+        assert pruned_calls == [None]
+
+    def test_mirrored_plans_take_the_full_curve(self, pruned_calls):
+        profile = LocationProfile([0.2, 0.9])
+        mirrored_mixture = Mirror(Mixture(dictator_weights=(0.5, 0.0), opt_weight=0.5))
+        for spec in (Mirror(Optimal()), Symmetrized(Optimal(3.0)), mirrored_mixture):
+            for agent in (1, 2):
+                expect = outcome(reference_best_deviation, spec, profile, 3.0, agent)
+                assert outcome(best_deviation, spec, profile, 3.0, agent) == expect, (spec, agent)
+        assert pruned_calls == [None] * 6
+
+    @pytest.mark.parametrize("p", PRUNE_P)
+    def test_computed_optima_are_monotone_in_the_report_within_delta(self, p):
+        # the assumption behind the bracket: a solved optimum never drops by
+        # more than delta as the report grows, over whole candidate batches
+        rng = np.random.default_rng(int(100 * p))
+        for trial in range(24):
+            n = 2 + trial % 6
+            scale, shift = 10.0 ** rng.integers(-6, 7), float(rng.choice([0.0, 1.0, -1e3, 1e6]))
+            values = rng.uniform(0.0, 1.0, size=n)
+            values = np.round(values * 3.0) / 3.0 if trial % 3 == 0 else values
+            profile = LocationProfile((values + shift) * scale)
+            agent = 1 + trial % n
+            cfg = SearchConfig(scale_bound=0.0 if trial % 2 else 4.0)
+            reports = np.sort(misreport_candidates(profile, agent, cfg))
+            others, _ = _outcome_plan(Optimal(), profile, p, agent)
+            y = _optimum_rows(others, reports, p)
+            delta = 1e-9 * (1.0 + abs(min(reports[0], others[0])) + abs(max(reports[-1], others[-1])))
+            assert float((np.maximum.accumulate(y) - y).max()) <= delta, (n, scale, shift)
+
+    @pytest.mark.parametrize("spec", [Optimal(), Mixture(order_weights=(0.0, 0.0, 0.5, 0.0, 0.0), opt_weight=0.5)])
+    def test_the_sp_opt_shape_solves_few_rows(self, spec, monkeypatch):
+        # counts rows, not seconds: a silent fall-back to the full curve fails
+        rows = []
+        solve = optimizer._bisect_columns
+
+        def counting(cols, weights, p):
+            rows.append(cols.shape[1])
+            return solve(cols, weights, p)
+
+        monkeypatch.setattr(optimizer, "_bisect_columns", counting)
+        profile = LocationProfile(np.random.default_rng(3).uniform(0.0, 1.0, size=5))
+        candidates = 0
+        for agent in range(1, 6):
+            best_deviation(spec, profile, 3.0, agent, SearchConfig(refine_iters=0))
+            candidates += misreport_candidates(profile, agent).size
+        assert 0 < sum(rows) <= 0.15 * candidates
 
 
 class TestSpScan:
