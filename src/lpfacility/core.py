@@ -146,6 +146,14 @@ def _check_tol(name: str, tol: float) -> float:
     return tol
 
 
+def _check_int(value, label: str, least: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{label} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{label} must be >= {least}, got {value}")
+    return int(value)
+
+
 def _check_agent(agent: int, n: int) -> int:
     if not isinstance(agent, (int, np.integer)) or isinstance(agent, bool):
         raise TypeError(f"agent index must be an integer, got {agent!r}")

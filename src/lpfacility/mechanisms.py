@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Union
 
 import numpy as np
@@ -28,6 +29,7 @@ import numpy as np
 from .core import (
     FacilityDistribution,
     LocationProfile,
+    _check_int,
     _rank_window,
     format_pnorm,
     order_statistic,
@@ -73,14 +75,6 @@ def _require_two(n: int, label: str) -> None:
         raise ArityMismatch(f"{label} is a two-agent rule, profile has {n}")
 
 
-def _check_positive_index(value, label: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise TypeError(f"{label} must be an integer, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{label} must be >= 1, got {value}")
-    return int(value)
-
-
 @dataclass(frozen=True)
 class Median:
     """Lower median: the ceil(n/2)-th smallest report."""
@@ -93,7 +87,7 @@ class OrderStatistic:
     rank: int
 
     def __post_init__(self):
-        object.__setattr__(self, "rank", _check_positive_index(self.rank, "rank"))
+        object.__setattr__(self, "rank", _check_int(self.rank, "rank", 1))
 
 
 @dataclass(frozen=True)
@@ -103,7 +97,7 @@ class Dictator:
     agent: int
 
     def __post_init__(self):
-        object.__setattr__(self, "agent", _check_positive_index(self.agent, "agent"))
+        object.__setattr__(self, "agent", _check_int(self.agent, "agent", 1))
 
 
 @dataclass(frozen=True)
@@ -312,9 +306,9 @@ def _plan_costs(others: list, atoms: list, x: float, reports: np.ndarray) -> np.
     total = np.zeros(reports.size)
     for w, slope, shift, lo, hi, q, mirrored in atoms:
         if q is None:
-            y = np.clip(reports if slope == 1.0 and shift == 0.0 else slope * reports + shift, lo, hi)
+            y = (reports if slope == 1.0 and shift == 0.0 else slope * reports + shift).clip(lo, hi)
         else:
-            y = _optimum_rows(others, reports, q)
+            y = _optimum_rows([(others, reports)], q)[0]
         if mirrored:
             y = reports + others[0] - y
         total += w * np.abs(x - y)
@@ -327,67 +321,116 @@ _PRUNE_STRIDE = 64
 _UNSOLVED = (None, 1.0, 2.0, math.inf)
 
 
-def _plan_min(others: list, atoms: list, x: float, reports: np.ndarray) -> tuple[int, float]:
-    """(i, costs[i]) for costs = _plan_costs(others, atoms, x, reports) and
-    i = argmin(costs), bit for bit; the cost is inf when an entry is not
-    finite. A plan with an optimum atom that is not a closed form, n < 8,
-    no mirrored atom and no clipped line of negative slope solves only the
-    reports that can win; `verification.deviation.best_deviation` gives the
-    argument.
+def _plan_min(plans: list) -> list:
+    """(i, costs[i]) per plan (others, atoms, x, reports), for costs =
+    _plan_costs(others, atoms, x, reports) and i = argmin(costs), bit for
+    bit; the cost is inf when an entry is not finite, and overflow is not
+    warned of, since callers check the costs. Plans with an optimum atom
+    that is not a closed form, n < 8, no mirrored atom and no clipped line
+    of negative slope solve only the reports that can win, in two kernel
+    calls per exponent for all of them; `verification.deviation.best_deviation`
+    gives the argument. The other plans take the full curve, one by one.
     """
-    for atom in atoms:
-        if atom[5] not in _UNSOLVED:
-            found = _pruned_min(others, atoms, x, reports)
-            if found is not None:
-                return found
-            break
-    costs = _plan_costs(others, atoms, x, reports)
-    i = int(np.argmin(costs))
-    return i, (float(costs[i]) if np.isfinite(costs).all() else math.inf)
+    found = [None] * len(plans)
+    solved = [k for k, plan in enumerate(plans) if any(atom[5] not in _UNSOLVED for atom in plan[1])]
+    if solved:
+        for k, pruned in zip(solved, _pruned_min([plans[k] for k in solved])):
+            found[k] = pruned
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, plan in enumerate(plans):
+            if found[k] is None:
+                costs = _plan_costs(*plan)
+                i = int(costs.argmin())
+                found[k] = i, (float(costs[i]) if np.isfinite(costs).all() else math.inf)
+    return found
 
 
-def _pruned_min(others, atoms, x, reports):
-    # _plan_min from the coarse rows, then the rows whose lower bound does not
-    # exceed the coarse minimum; None for n >= 8, a mirrored atom, a line of
-    # negative slope or a cost cap that overflows
-    if len(others) >= 7 or any(m or s < 0.0 for _, s, _, _, _, _, m in atoms):
-        return None
-    solved = [atom[5] not in _UNSOLVED for atom in atoms]
-    order = np.argsort(reports, kind="stable")
-    r = reports[order]
-    coarse = np.append(np.arange(0, r.size - 1, _PRUNE_STRIDE), r.size - 1)
-    inner = np.flatnonzero(np.arange(r.size - 1) % _PRUNE_STRIDE)
-    # solved optima at the coarse rows; the other atoms' cost terms at every row
-    cols = [
-        _optimum_rows(others, r[coarse], atom[5]) if s else _plan_costs(others, [atom], x, r)
-        for atom, s in zip(atoms, solved)
-    ]
-    # a solved optimum lies in `window`, which holds every row's points; any
-    # other atom is monotone in the report, so its term peaks at an end
-    window = (min(float(r[0]), others[0]), max(float(r[-1]), others[-1]))
-    cap = 0.0
-    for atom, col, s in zip(atoms, cols, solved):
-        cap += atom[0] * max(abs(x - window[0]), abs(x - window[1])) if s else float(max(col[0], col[-1]))
-    if not math.isfinite(cap):
-        return None
-    delta = 1e-9 * (1.0 + abs(window[0]) + abs(window[1]))
+def _pruned_min(plans: list) -> list:
+    # per plan, _plan_min from its coarse rows, then from the rows whose lower
+    # bound does not exceed the coarse minimum; None for n >= 8, a mirrored
+    # atom, a line of negative slope or a cost cap that overflows
+    found = [None] * len(plans)
+    scans = []
+    # a term may overflow; the cap then sends its plan to the full curve
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, (others, atoms, x, reports) in enumerate(plans):
+            if len(others) >= 7 or any(m or s < 0.0 for _, s, _, _, _, _, m in atoms):
+                continue
+            order = np.argsort(reports, kind="stable")
+            r = reports[order]
+            # the cost terms of the atoms left unsolved at every row, None for a solved one
+            terms = [None if atom[5] not in _UNSOLVED else _plan_costs(others, [atom], x, r) for atom in atoms]
+            # a solved optimum lies in `window`, which holds every row's points; any
+            # other atom is monotone in the report, so its term peaks at an end;
+            # below a finite cap no cost overflows
+            window = (min(float(r[0]), others[0]), max(float(r[-1]), others[-1]))
+            reach = max(abs(x - window[0]), abs(x - window[1]))
+            cap = 0.0
+            for atom, term in zip(atoms, terms):
+                cap += atom[0] * reach if term is None else float(max(term[0], term[-1]))
+            if math.isfinite(cap):
+                scans.append((k, order, r, terms, window))
+    coarse = [_stride_rows(r.size)[0] for _, _, r, _, _ in scans]
+    kept, least = [], []
+    for (k, order, r, terms, window), rows, ys in zip(scans, coarse, _optima_at(plans, scans, coarse)):
+        atoms, x = plans[k][1:3]
+        _, inner, gap = _stride_rows(r.size)
+        delta = 1e-9 * (1.0 + abs(window[0]) + abs(window[1]))
+        bound = np.zeros(inner.size)
+        for atom, term, y in zip(atoms, terms, ys):
+            if term is None:
+                # a solved optimum lies within delta of the bracket its gap's ends give
+                bound += atom[0] * np.maximum(np.maximum(y[:-1] - delta - x, x - (y[1:] + delta)), 0.0)[gap]
+            else:
+                bound += term[inner]
+        costs = _row_costs(atoms, x, terms, rows, ys)
+        kept.append(inner[bound * (1.0 - 1e-12) - delta <= costs.min()])
+        least.append((rows, costs))
+    for (k, order, _, terms, _), keep, (rows, costs), ys in zip(scans, kept, least, _optima_at(plans, scans, kept)):
+        if keep.size:
+            atoms, x = plans[k][1:3]
+            rows = np.concatenate([rows, keep])
+            costs = np.concatenate([costs, _row_costs(atoms, x, terms, keep, ys)])
+        c = costs.min()
+        found[k] = int(order[rows[costs == c]].min()), float(c)
+    return found
+
+
+@lru_cache(maxsize=8)
+def _stride_rows(size: int):
+    # of `size` sorted reports: the coarse rows (every _PRUNE_STRIDE-th and
+    # the last), the inner rows between them and the gap each inner row is in
+    coarse = np.append(np.arange(0, size - 1, _PRUNE_STRIDE), size - 1)
+    inner = np.flatnonzero(np.arange(size - 1) % _PRUNE_STRIDE)
     gap = inner // _PRUNE_STRIDE
-    costs = np.zeros(coarse.size)
-    bound = np.zeros(inner.size)
-    for atom, col, s in zip(atoms, cols, solved):
-        if s:
-            costs += atom[0] * np.abs(x - col)
-            # a solved optimum lies within delta of the bracket its gap's ends give
-            bound += atom[0] * np.maximum(np.maximum(col[:-1] - delta - x, x - (col[1:] + delta)), 0.0)[gap]
-        else:
-            costs += col[coarse]
-            bound += col[inner]
-    keep = inner[bound * (1.0 - 1e-12) - delta <= costs.min()]
-    rows = coarse
-    if keep.size:
-        rows, costs = np.concatenate([coarse, keep]), np.concatenate([costs, _plan_costs(others, atoms, x, r[keep])])
-    least = costs.min()
-    return int(order[rows[costs == least]].min()), float(least)
+    coarse.flags.writeable = inner.flags.writeable = gap.flags.writeable = False
+    return coarse, inner, gap
+
+
+def _optima_at(plans: list, scans: list, rows: list) -> list:
+    # per scan, each atom's optima at its sorted reports' `rows`, None for an
+    # atom left unsolved; the blocks of each (n, q) share one kernel call
+    blocks, groups = [], {}
+    for (k, _, r, terms, _), idx in zip(scans, rows):
+        others, atoms = plans[k][:2]
+        for atom, term in zip(atoms, terms):
+            if term is None and idx.size:
+                groups.setdefault((len(others), atom[5]), []).append(len(blocks))
+                blocks.append((others, r[idx]))
+    for (_, q), members in groups.items():
+        for i, y in zip(members, _optimum_rows([blocks[i] for i in members], q)):
+            blocks[i] = y
+    ys = iter(blocks)
+    return [[next(ys) if term is None and idx.size else None for term in scan[3]] for scan, idx in zip(scans, rows)]
+
+
+def _row_costs(atoms: list, x: float, terms: list, rows: np.ndarray, ys: list) -> np.ndarray:
+    # _plan_costs at the sorted reports' `rows`, from the unsolved atoms'
+    # terms and the solved atoms' optima ys there: the same sum, term by term
+    total = np.zeros(rows.size)
+    for atom, term, y in zip(atoms, terms, ys):
+        total += atom[0] * np.abs(x - y) if term is None else term[rows]
+    return total
 
 
 def format_mechanism(spec: MechanismSpec) -> str:

@@ -22,10 +22,13 @@ certified: D changes sign within BRACKET_TOL half-spans on either side.
 The optimum has two kernels chosen by call shape, each holding the closed
 forms once. `_optimum` is pure Python for one row (optimal_location, `run`
 and the deviation polish, where numpy's per-call overhead would dominate)
-and solves with `_solve_row`. `_optimum_rows` is numpy for a batch of rows
-that differ in one report (deviation curves); it reads the closed forms off
-the other reports in O(C), writes the batch as the columns of an (n, C)
-workspace buffer and solves it with `_bisect_columns`. `_bisect_rows`
+and solves with `_solve_row`. `_optimum_rows` is numpy for blocks of rows
+that differ in one report (deviation curves; the misreport scan passes one
+block per agent of a profile); it reads the closed forms off each block's
+other reports in O(C), writes every block as columns of one (n, C)
+workspace buffer and solves them with one `_bisect_columns` call. Below
+n = 8 a column's solve does not depend on the rest of its batch, so each
+block keeps the bits it would have alone. `_bisect_rows`
 copies a (B, n) batch, such as the weighted rows of certificate residuals,
 into that buffer and solves it the same way. The solve writes every
 (n, B) array and every per-step B-length array into a per-thread
@@ -135,22 +138,31 @@ def _optimum(row: list, p: float) -> float:
     return _solve_row(row, p)
 
 
-def _optimum_rows(others: list, reports: np.ndarray, p: float) -> np.ndarray:
-    """The batched kernel: minimizer of each row others + [r], r in reports,
-    for the others sorted ascending. The closed forms read the others'
-    summary in O(C); other p write the batch straight into the workspace's
-    (n, C) column buffer and solve it with `_bisect_columns`."""
-    n = len(others) + 1
+def _optimum_rows(blocks: list, p: float) -> list:
+    """The batched kernel: for each (others, reports) block, the minimizer
+    of each row others + [r], r in reports, one array per block; every
+    block's others are sorted ascending and equally long. The closed forms
+    read each block's others' summary in O(C); other p write every block
+    straight into the workspace's (n, C) column buffer, C the total count of
+    reports, and solve them in one `_bisect_columns` call. For n < 8 a
+    column's solve does not depend on the rest of its batch (see
+    `_bisect_columns`), so each block gets the bits it would get alone."""
+    n = len(blocks[0][0]) + 1
     if p == 1.0:
-        return np.clip(reports, *_rank_window(others, (n + 1) // 2))
+        return [np.clip(reports, *_rank_window(others, (n + 1) // 2)) for others, reports in blocks]
     if p == 2.0:
-        return (math.fsum(others) + reports) / n
+        return [(math.fsum(others) + reports) / n for others, reports in blocks]
     if math.isinf(p):
-        return 0.5 * (np.minimum(reports, others[0]) + np.maximum(reports, others[-1]))
-    cols = _WORKSPACE.flat("z", n * reports.size).reshape(n, reports.size)
-    cols[:-1] = np.reshape(others, (-1, 1))
-    cols[-1] = reports
-    return _bisect_columns(cols, None, p)
+        return [0.5 * (np.minimum(r, others[0]) + np.maximum(r, others[-1])) for others, r in blocks]
+    ends = [0]
+    for _, reports in blocks:
+        ends.append(ends[-1] + reports.size)
+    cols = _WORKSPACE.flat("z", n * ends[-1]).reshape(n, ends[-1])
+    for (others, reports), start, stop in zip(blocks, ends, ends[1:]):
+        cols[:-1, start:stop] = np.reshape(others, (-1, 1))
+        cols[-1, start:stop] = reports
+    y = _bisect_columns(cols, None, p)
+    return [y[start:stop] for start, stop in zip(ends, ends[1:])]
 
 
 def optimal_cost(profile: LocationProfile, p: float) -> float:
@@ -294,8 +306,11 @@ def _bisect_columns(cols: np.ndarray, weights, p: float) -> np.ndarray:
     arrays and index lists. The views keep the layouts fresh numpy arrays
     would have, which the column sums depend on: the points are C-ordered
     (n, B) until the first compaction and F-ordered after it, like
-    z[:, keep], and d and g follow z. Between calls a thread keeps at most
-    _WORKSPACE_BYTES (4 MiB) of workspace.
+    z[:, keep], and d and g follow z. Below n = 8 both layouts add a
+    column's n terms one after another, and every other step is elementwise,
+    so a column's result does not depend on the rest of the batch; from
+    n = 8 on, a compacted column sums pairwise. Between calls a thread keeps
+    at most _WORKSPACE_BYTES (4 MiB) of workspace.
     """
     try:
         lo = cols.min(axis=0)

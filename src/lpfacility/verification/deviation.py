@@ -8,8 +8,8 @@ itself (the grid's arange and the scalings are cached per config); the best
 one is polished by one golden-section pass unless that provably cannot win.
 Both read the rule's outcome plan (`mechanisms._outcome_plan`): the
 candidate scan evaluates it in numpy, one column per atom, solving only the
-optimum rows that can win, and the polish in pure Python, since numpy
-overhead dominates one-point evaluations.
+optimum rows that can win, every agent of a profile in one batch, and the
+polish in pure Python, since numpy overhead dominates one-point evaluations.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..core import LocationProfile, NonFiniteResult, _check_agent, _check_tol, validate_pnorm
+from ..core import LocationProfile, NonFiniteResult, _check_agent, _check_int, _check_tol, validate_pnorm
 from ..mechanisms import _outcome_plan, _plan_at, _plan_costs, _plan_min
 from .ratio import four_block_profiles
 from .reports import DeviationReport, SearchConfig
@@ -175,31 +175,53 @@ def best_deviation(
     do plans whose cap, sum w * max |x - y| over each atom's range on the
     window, overflows: each cost rounds to at most the cap, so below it no
     cost overflows and the overflow check holds for the unsolved rows too.
+    `sp_scan` scans every agent of a profile at once (`_deviations`), and
+    best_deviation is its one-agent case.
     """
+    return _deviations(spec, profile, p, [agent], cfg)[0]
+
+
+def _deviations(spec, profile: LocationProfile, p: float, agents, cfg: SearchConfig) -> list:
+    """[best_deviation(spec, profile, p, a, cfg) for a in agents], bit for
+    bit, with every agent's candidate scan in one `_plan_min` call, so the
+    optimum rows of all agents share its two kernel calls. An error raised
+    before the scans' costs are checked is raised again by the per-agent
+    loop, which raises whatever the first failing agent raises."""
     p = validate_pnorm(p)
-    x = float(profile.values[_check_agent(agent, profile.n) - 1])
-    others, atoms = _outcome_plan(spec, profile, p, agent)
-    truthful = _plan_at(others, atoms, x, x)
-    candidates = misreport_candidates(profile, agent, cfg)
-    i, best_c = _plan_min(others, atoms, x, candidates)
-    if not (math.isfinite(truthful) and math.isfinite(best_c)):
-        raise NonFiniteResult(f"misreport costs overflow on {profile!r}")
-    best_r = float(candidates[i])
+    try:
+        plans = []
+        for agent in agents:
+            x = float(profile.values[_check_agent(agent, profile.n) - 1])
+            others, atoms = _outcome_plan(spec, profile, p, agent)
+            plans.append((others, atoms, x, misreport_candidates(profile, agent, cfg)))
+        found = _plan_min(plans)
+    except Exception:
+        # a later agent's error may have come before an earlier agent's check
+        if len(agents) == 1:
+            raise
+        return [best_deviation(spec, profile, p, agent, cfg) for agent in agents]
     window = profile.span * (1.0 + 2.0 * cfg.grid_pad) / (cfg.grid_points - 1)
-    a, b = best_r - window, best_r + window
-    polish = window > 0.0 and cfg.refine_iters > 0 and best_c > 0.0
-    if polish and not _never_below_ends(others, atoms, x, a, b, best_c):
-        r2, c2 = _golden_min(lambda r: _plan_at(others, atoms, r, x), a, b, cfg.refine_iters)
-        if c2 < best_c:
-            best_r, best_c = float(r2), float(c2)
-    return DeviationReport(
-        agent=agent,
-        true_profile=profile,
-        best_misreport=best_r,
-        truthful_cost=truthful,
-        deviated_cost=best_c,
-        gain=truthful - best_c,
-    )
+    reports = []
+    for agent, (others, atoms, x, candidates), (i, best_c) in zip(agents, plans, found):
+        truthful = _plan_at(others, atoms, x, x)
+        if not (math.isfinite(truthful) and math.isfinite(best_c)):
+            raise NonFiniteResult(f"misreport costs overflow on {profile!r}")
+        best_r = float(candidates[i])
+        a, b = best_r - window, best_r + window
+        polish = window > 0.0 and cfg.refine_iters > 0 and best_c > 0.0
+        if polish and not _never_below_ends(others, atoms, x, a, b, best_c):
+            r2, c2 = _golden_min(lambda r: _plan_at(others, atoms, r, x), a, b, cfg.refine_iters)
+            if c2 < best_c:
+                best_r, best_c = float(r2), float(c2)
+        reports.append(DeviationReport(
+            agent=agent,
+            true_profile=profile,
+            best_misreport=best_r,
+            truthful_cost=truthful,
+            deviated_cost=best_c,
+            gain=truthful - best_c,
+        ))
+    return reports
 
 
 def _report_key(report: DeviationReport):
@@ -222,12 +244,15 @@ def sp_scan(
     Random profiles are uniform on [0, 1]^n from one seeded generator. The
     reduction is deterministic: reports compare by gain, then by the profile
     values lexicographically (the first of equals wins), so reruns are identical.
+
+    Each profile's agents are scanned together, their optimum rows in two
+    batched kernel calls per profile rather than two per agent; below
+    8 agents a row's solve does not depend on its batch, so every report is
+    best_deviation's to the bit. Raises TypeError unless n, trials and seed
+    are integers, and ValueError for n < 2, trials < 0 or seed < 0.
     """
     p = validate_pnorm(p)
-    if n < 2:
-        raise ValueError(f"need at least two agents, got n={n}")
-    if trials < 0:
-        raise ValueError(f"trials must be nonnegative, got {trials}")
+    n, trials, seed = _check_int(n, "n", 2), _check_int(trials, "trials", 0), _check_int(seed, "seed", 0)
     profiles = []
     if include_structured:
         profiles = [LocationProfile([0.0] * (n - n // 2) + [1.0] * (n // 2))]
@@ -236,7 +261,8 @@ def sp_scan(
     profiles += [LocationProfile(rng.uniform(0.0, 1.0, size=n)) for _ in range(trials)]
     if not profiles:
         raise ValueError("nothing to scan: zero trials and no structured profiles")
-    reports = (best_deviation(spec, prof, p, agent, cfg) for prof in profiles for agent in range(1, n + 1))
+    agents = range(1, n + 1)
+    reports = (report for prof in profiles for report in _deviations(spec, prof, p, agents, cfg))
     return max(reports, key=_report_key)
 
 

@@ -11,6 +11,7 @@ from ..core import (
     FacilityDistribution,
     LocationProfile,
     NonFiniteResult,
+    _check_int,
     expected_social_cost,
     validate_pnorm,
 )
@@ -82,8 +83,7 @@ def worst_ratio_search(
     Deterministic for a fixed config.
     """
     p = validate_pnorm(p)
-    if n < 2:
-        raise ValueError(f"need at least two agents, got n={n}")
+    n = _check_int(n, "n", 2)
     rng = np.random.default_rng(cfg.seed)
     # every two-point 0/1 split: covers half-half and all-but-one clusters
     profiles = [LocationProfile([0.0] * (n - m) + [1.0] * m) for m in range(1, n)]

@@ -1,6 +1,7 @@
 """Misreport search: candidate generation, best responses, scan reduction."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -435,6 +436,27 @@ def optimum_specs(n, p):
     ]
 
 
+def per_agent_loop(spec, profile, p):
+    """[best_deviation(spec, profile, p, a) for a in 1..n] as outcomes, or
+    the outcome of the first error the loop raises."""
+    reports = []
+    for agent in range(1, profile.n + 1):
+        got = outcome(best_deviation, spec, profile, p, agent)
+        if not isinstance(got[0], int):
+            return got
+        reports.append(got)
+    return reports
+
+
+def profile_batch(spec, profile, p):
+    """`deviation._deviations` over every agent, as per_agent_loop gives it."""
+    try:
+        reports = deviation._deviations(spec, profile, p, range(1, profile.n + 1), SearchConfig())
+    except Exception as exc:
+        return type(exc), str(exc)
+    return [outcome(lambda report: report, report) for report in reports]
+
+
 class TestPrunedScan:
     """The candidate scan solves only the optimum rows that can win, and its
     report matches the full curve's (`reference_best_deviation`) by
@@ -445,9 +467,10 @@ class TestPrunedScan:
         calls = []
         pruned = mechanisms._pruned_min
 
-        def spy(*args):
-            calls.append(pruned(*args))
-            return calls[-1]
+        def spy(plans):
+            found = pruned(plans)
+            calls.extend(found)
+            return found
 
         monkeypatch.setattr(mechanisms, "_pruned_min", spy)
         return calls
@@ -488,12 +511,23 @@ class TestPrunedScan:
         # cost at the report -4x past the largest double
         profile = LocationProfile([3.6e307, 3.8e307, 4e307])
         spec = optimum_specs(3, 3.0)[3]
-        # the full curve warns as it overflows, then its check refuses the costs
+        # the reference's full curve warns as it overflows, then its check
+        # refuses the costs; the library refuses them without a warning
         with pytest.warns(RuntimeWarning, match="overflow"):
             expect = outcome(reference_best_deviation, spec, profile, 3.0, 3)
-            got = outcome(best_deviation, spec, profile, 3.0, 3)
+        got = outcome(best_deviation, spec, profile, 3.0, 3)
         assert got == expect == (NonFiniteResult, f"misreport costs overflow on {profile!r}")
         assert pruned_calls == [None]
+
+    def test_a_batch_where_only_some_agents_prune(self, pruned_calls):
+        # agent 3's misreports reach -1.6e308, so its cost cap overflows and it
+        # takes the full curve, while agents 1 and 2 prune in the same batch
+        profile = LocationProfile([1e307, 1.1e307, 4e307])
+        for spec in (Optimal(), Mixture(order_weights=(0.0, 0.5, 0.0), opt_weight=0.5)):
+            expect = per_agent_loop(spec, profile, 3.0)
+            pruned_calls.clear()
+            assert profile_batch(spec, profile, 3.0) == expect, spec
+            assert [found is None for found in pruned_calls] == [False, False, True]
 
     def test_mirrored_plans_take_the_full_curve(self, pruned_calls):
         profile = LocationProfile([0.2, 0.9])
@@ -519,7 +553,7 @@ class TestPrunedScan:
             cfg = SearchConfig(scale_bound=0.0 if trial % 2 else 4.0)
             reports = np.sort(misreport_candidates(profile, agent, cfg))
             others, _ = _outcome_plan(Optimal(), profile, p, agent)
-            y = _optimum_rows(others, reports, p)
+            (y,) = _optimum_rows([(others, reports)], p)
             delta = 1e-9 * (1.0 + abs(min(reports[0], others[0])) + abs(max(reports[-1], others[-1])))
             assert float((np.maximum.accumulate(y) - y).max()) <= delta, (n, scale, shift)
 
@@ -540,6 +574,53 @@ class TestPrunedScan:
             best_deviation(spec, profile, 3.0, agent, SearchConfig(refine_iters=0))
             candidates += misreport_candidates(profile, agent).size
         assert 0 < sum(rows) <= 0.15 * candidates
+
+
+class TestProfileBatch:
+    """Every agent of a profile is scanned in one batch, whose reports equal
+    the per-agent loop's by float.hex; an error is the one the loop raises first."""
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    @pytest.mark.parametrize("p", PRUNE_P)
+    def test_reports_match_the_per_agent_loop(self, n, p):
+        values = np.random.default_rng(int(10 * p) + n).uniform(0.0, 1.0, size=n)
+        for values in (np.round(values * 3.0) / 3.0, 1e6 * values - 3e5):
+            profile = LocationProfile(values)
+            for spec in optimum_specs(n, p):
+                expect = per_agent_loop(spec, profile, p)
+                assert isinstance(expect, list)
+                assert profile_batch(spec, profile, p) == expect, spec
+
+    @pytest.mark.parametrize("span", [1e300, 1.5e307])
+    def test_huge_spans_match_the_per_agent_loop(self, span):
+        profile = LocationProfile([-span, 0.25 * span, span])
+        for spec in optimum_specs(3, 3.0):
+            assert profile_batch(spec, profile, 3.0) == per_agent_loop(spec, profile, 3.0), spec
+
+    def test_the_first_agent_error_of_the_loop_is_raised(self):
+        # agent 1's costs overflow at its misreport -4x; agent 3's window
+        # overflows, which the batch meets first as it builds the scans
+        profile = LocationProfile([3.6e307, 3.8e307, 4.6e307])
+        spec = Mixture(dictator_weights=(0.3, 0.0, 0.0), opt_weight=0.7)
+        assert outcome(best_deviation, spec, profile, 3.0, 3)[1].startswith("the misreport window")
+        expect = (NonFiniteResult, f"misreport costs overflow on {profile!r}")
+        assert per_agent_loop(spec, profile, 3.0) == profile_batch(spec, profile, 3.0) == expect
+
+    @pytest.mark.parametrize("spec", [Optimal(), Mixture(order_weights=(0.0, 0.0, 0.5, 0.0, 0.0), opt_weight=0.5)])
+    def test_a_profile_makes_at_most_two_kernel_calls(self, spec, monkeypatch):
+        # counts kernel calls, not seconds: one per agent and row kind makes 10
+        calls = []
+        solve = optimizer._bisect_columns
+
+        def counting(cols, weights, p):
+            calls.append(cols.shape[1])
+            return solve(cols, weights, p)
+
+        monkeypatch.setattr(optimizer, "_bisect_columns", counting)
+        for seed in (1, 2, 3):
+            calls.clear()
+            sp_scan(spec, 3.0, n=5, trials=1, seed=seed, include_structured=False)
+            assert 1 <= len(calls) <= 2, seed
 
 
 class TestSpScan:
@@ -570,6 +651,18 @@ class TestSpScan:
             sp_scan(Median(), 2.0, n=3, trials=-1, seed=0)
         with pytest.raises(ValueError):
             sp_scan(Median(), 2.0, n=3, trials=0, seed=0, include_structured=False)
+
+    @pytest.mark.parametrize("field, value", [("n", 3.0), ("n", True), ("trials", 2.0), ("trials", True), ("seed", 1.5)])
+    def test_a_non_integer_count_or_seed_is_refused_by_name(self, field, value):
+        args = {"n": 3, "trials": 2, "seed": 0, field: value}
+        with pytest.raises(TypeError, match=re.escape(f"{field} must be an integer, got {value!r}")):
+            sp_scan(Median(), 2.0, **args)
+
+    @pytest.mark.parametrize("field, value, least", [("n", 1, 2), ("trials", -1, 0), ("seed", -1, 0)])
+    def test_an_out_of_range_count_or_seed_is_refused_by_name(self, field, value, least):
+        args = {"n": 3, "trials": 2, "seed": 0, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be >= {least}, got {value}$"):
+            sp_scan(Median(), 2.0, **args)
 
 
 class TestSymmetricMargin:

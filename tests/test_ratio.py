@@ -1,6 +1,7 @@
 """Approximation ratios against the cost-minimizing location."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -163,6 +164,15 @@ class TestWorstRatioSearch:
         a = worst_ratio_search(Median(), 3.0, n=6, cfg=cfg)
         b = worst_ratio_search(Median(), 3.0, n=6, cfg=cfg)
         assert a == b
+
+    @pytest.mark.parametrize("n", [3.0, True, np.float64(4.0)])
+    def test_a_non_integer_n_is_refused_by_name(self, n):
+        with pytest.raises(TypeError, match=re.escape(f"n must be an integer, got {n!r}")):
+            worst_ratio_search(Median(), 2.0, n)
+
+    def test_fewer_than_two_agents_are_refused_by_name(self):
+        with pytest.raises(ValueError, match="^n must be >= 2, got 1$"):
+            worst_ratio_search(Median(), 2.0, np.int64(1))
 
     def test_found_profile_reproduces_reported_ratio(self):
         report = worst_ratio_search(LRM(), 2.0, n=2, cfg=RatioSearchConfig(trials=30))
