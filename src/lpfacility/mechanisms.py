@@ -326,9 +326,9 @@ def _plan_min(plans: list) -> list:
     _plan_costs(others, atoms, x, reports) and i = argmin(costs), bit for
     bit; the cost is inf when an entry is not finite, and overflow is not
     warned of, since callers check the costs. Plans with an optimum atom
-    that is not a closed form, n < 8, no mirrored atom and no clipped line
-    of negative slope solve only the reports that can win, in two kernel
-    calls per exponent for all of them; `verification.deviation.best_deviation`
+    that is not a closed form, no mirrored atom and no clipped line of
+    negative slope solve only the reports that can win, in two kernel calls
+    per exponent for all of them; `verification.deviation.best_deviation`
     gives the argument. The other plans take the full curve, one by one.
     """
     found = [None] * len(plans)
@@ -347,14 +347,14 @@ def _plan_min(plans: list) -> list:
 
 def _pruned_min(plans: list) -> list:
     # per plan, _plan_min from its coarse rows, then from the rows whose lower
-    # bound does not exceed the coarse minimum; None for n >= 8, a mirrored
-    # atom, a line of negative slope or a cost cap that overflows
+    # bound does not exceed the coarse minimum; None for a mirrored atom, a
+    # line of negative slope or a cost cap that overflows
     found = [None] * len(plans)
     scans = []
     # a term may overflow; the cap then sends its plan to the full curve
     with np.errstate(over="ignore", invalid="ignore"):
         for k, (others, atoms, x, reports) in enumerate(plans):
-            if len(others) >= 7 or any(m or s < 0.0 for _, s, _, _, _, _, m in atoms):
+            if any(m or s < 0.0 for _, s, _, _, _, _, m in atoms):
                 continue
             order = np.argsort(reports, kind="stable")
             r = reports[order]

@@ -26,18 +26,10 @@ and solves with `_solve_row`. `_optimum_rows` is numpy for blocks of rows
 that differ in one report (deviation curves; the misreport scan passes one
 block per agent of a profile); it reads the closed forms off each block's
 other reports in O(C), writes every block as columns of one (n, C)
-workspace buffer and solves them with one `_bisect_columns` call. Below
-n = 8 a column's solve does not depend on the rest of its batch, so each
-block keeps the bits it would have alone. `_bisect_rows`
-copies a (B, n) batch, such as the weighted rows of certificate residuals,
-into that buffer and solves it the same way. The solve writes every
-(n, B) array and every per-step B-length array into a per-thread
-workspace, `_Workspace`, reused across calls and grown to the largest
-batch seen; a thread keeps at most 4 MiB of it between calls. Its views
-keep the memory order fresh arrays would have, C before the first
-compaction and F after it (as z[:, keep] is), since a column sum adds
-sequentially across rows but pairwise down a contiguous column from
-n = 8 on: the outputs keep every bit.
+workspace buffer and solves them with one `_bisect_columns` call, where
+no column's result depends on the rest of its batch. `_bisect_rows` copies
+a (B, n) batch, such as the weighted rows of certificate residuals, into
+that buffer and solves it the same way.
 
 Rank roots: for rank j among 2k agents and e = p - 1, the root a_j of
 
@@ -132,10 +124,29 @@ def _optimum(row: list, p: float) -> float:
     if p == 1.0:
         return row[(n + 1) // 2 - 1]
     if p == 2.0:
-        return math.fsum(row) / n
+        total, k = _fsum(row), n.bit_length()
+        return total / n if total < math.inf else math.ldexp(_fsum(row, k) / n, k)
     if math.isinf(p):
         return 0.5 * (row[0] + row[-1])
     return _solve_row(row, p)
+
+
+def _fsum(values: list, k: int = 0) -> float:
+    # math.fsum of the values times 2^-k (exact); inf on overflow, which 2^k > len(values) prevents
+    try:
+        return math.fsum([math.ldexp(v, -k) for v in values] if k else values)
+    except OverflowError:
+        return math.inf
+
+
+def _means(others: list, reports: np.ndarray, n: int) -> np.ndarray:
+    # (fsum(others) + r) / n per report r, taken at scale 2^-k where it overflows
+    with np.errstate(over="ignore"):
+        y = (_fsum(others) + reports) / n
+    wide, k = np.isinf(y), n.bit_length()
+    if wide.any():
+        y[wide] = np.ldexp((_fsum(others, k) + np.ldexp(reports[wide], -k)) / n, k)
+    return y
 
 
 def _optimum_rows(blocks: list, p: float) -> list:
@@ -144,14 +155,13 @@ def _optimum_rows(blocks: list, p: float) -> list:
     block's others are sorted ascending and equally long. The closed forms
     read each block's others' summary in O(C); other p write every block
     straight into the workspace's (n, C) column buffer, C the total count of
-    reports, and solve them in one `_bisect_columns` call. For n < 8 a
-    column's solve does not depend on the rest of its batch (see
-    `_bisect_columns`), so each block gets the bits it would get alone."""
+    reports, and solve them in one `_bisect_columns` call, where a column's
+    solve does not depend on the rest of its batch."""
     n = len(blocks[0][0]) + 1
     if p == 1.0:
         return [np.clip(reports, *_rank_window(others, (n + 1) // 2)) for others, reports in blocks]
     if p == 2.0:
-        return [(math.fsum(others) + reports) / n for others, reports in blocks]
+        return [_means(others, reports, n) for others, reports in blocks]
     if math.isinf(p):
         return [0.5 * (np.minimum(r, others[0]) + np.maximum(r, others[-1])) for others, r in blocks]
     ends = [0]
@@ -257,26 +267,18 @@ _WORKSPACE = _Workspace()
 
 
 def _like(z: np.ndarray, name: str, dtype=float) -> np.ndarray:
-    # workspace buffer `name` shaped and laid out (C or F order) like z
-    n, size = z.shape
-    flat = _WORKSPACE.flat(name, n * size, dtype)
-    return flat.reshape(n, size) if z.flags.c_contiguous else flat.reshape(size, n).T
+    # workspace buffer `name` shaped like z
+    return _WORKSPACE.flat(name, z.size, dtype).reshape(z.shape)
 
 
 def _pack(x: np.ndarray, keep: np.ndarray, own: str, temp: str) -> np.ndarray:
-    # x[:, keep], gathered through workspace buffer `temp` into `own` (x's
-    # buffer) and F-ordered, as fancy indexing lays it out; np.take fills a
-    # C-contiguous out without buffering under mode="clip"
-    n, size = x.shape[0], keep.size
-    gathered = _WORKSPACE.flat(temp, n * size)
-    packed = _WORKSPACE.flat(own, n * size).reshape(size, n)
-    if x.flags.c_contiguous:
-        np.take(x, keep, axis=1, out=gathered.reshape(n, size), mode="clip")
-        np.copyto(packed.T, gathered.reshape(n, size))
-    else:
-        np.take(x.T, keep, axis=0, out=gathered.reshape(size, n), mode="clip")
-        np.copyto(packed, gathered.reshape(size, n))
-    return packed.T
+    # x[:, keep] in `own` (x's buffer), gathered through workspace buffer
+    # `temp`: np.take fills a C-contiguous out unbuffered under mode="clip"
+    gathered = _WORKSPACE.flat(temp, x.shape[0] * keep.size).reshape(x.shape[0], keep.size)
+    np.take(x, keep, axis=1, out=gathered, mode="clip")
+    packed = _like(gathered, own)
+    np.copyto(packed, gathered)
+    return packed
 
 
 def _bisect_rows(points: np.ndarray, weights, p: float) -> np.ndarray:
@@ -303,15 +305,14 @@ def _bisect_columns(cols: np.ndarray, weights, p: float) -> np.ndarray:
 
     Every (n, B) array and every per-step B-length array is a view of the
     calling thread's `_Workspace`, so a call allocates only a few B-length
-    arrays and index lists. The views keep the layouts fresh numpy arrays
-    would have, which the column sums depend on: the points are C-ordered
-    (n, B) until the first compaction and F-ordered after it, like
-    z[:, keep], and d and g follow z. Below n = 8 both layouts add a
-    column's n terms one after another, and every other step is elementwise,
-    so a column's result does not depend on the rest of the batch; from
-    n = 8 on, a compacted column sums pairwise. Between calls a thread keeps
-    at most _WORKSPACE_BYTES (4 MiB) of workspace.
+    arrays and index lists. Every (n, B) view is C-ordered with B >= 2
+    (numpy sums a lone column pairwise from n = 8 on, so a batch of one is
+    solved as two copies), so a column sum adds its n terms in order, and
+    every other step is elementwise: no column's result depends on the rest
+    of the batch. Between calls a thread keeps at most 4 MiB of workspace.
     """
+    if cols.shape[1] == 1:
+        return _bisect_columns(np.repeat(cols, 2, axis=1), weights, p)[:1]
     try:
         lo = cols.min(axis=0)
         hi = cols.max(axis=0)
@@ -325,8 +326,7 @@ def _bisect_columns(cols: np.ndarray, weights, p: float) -> np.ndarray:
             np.copyto(w, np.broadcast_to(np.asarray(weights, dtype=float), cols.shape[::-1]).T)
         if not live.all():
             if live.any():
-                cols, w = cols[:, live], (None if w is None else w[:, live])
-                out[live] = _bisect_rows(cols.T, None if w is None else w.T, p)
+                out[live] = _bisect_rows(cols[:, live].T, None if w is None else w[:, live].T, p)
             return np.clip(out, lo, hi)
         cols -= center
         cols /= half
@@ -404,13 +404,14 @@ def _newton_rows(z: np.ndarray, w, e: float) -> np.ndarray:
             left = np.count_nonzero(pending)
             if not left:
                 return out
-            if 2 * left <= size:
+            if 2 * left <= size and size >= 4:
                 # Shrink to the batch size halved until pending rows fill
-                # half of it, pending rows first; certified filler rows
-                # iterate harmlessly and are never written again. Halving
-                # keeps the gathers to about log2(B) per call.
+                # half of it, or to two columns (see `_bisect_columns`),
+                # pending rows first; certified filler rows iterate
+                # harmlessly and are never written again. Halving keeps the
+                # gathers to about log2(B) per call.
                 new = size // 2
-                while 2 * left <= new:
+                while 2 * left <= new and new >= 4:
                     new //= 2
                 keep = np.concatenate([np.flatnonzero(pending), np.flatnonzero(~pending)[: new - left]])
                 rows = rows[keep]

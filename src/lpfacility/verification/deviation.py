@@ -167,14 +167,13 @@ def best_deviation(
     at every row. So the row costs at least LB, their cost plus
     sum w * dist(x, bracket) over the solved atoms; a row with
     LB * (1 - 1e-12) - delta > UB cannot be the least and is not solved,
-    and the rest are solved in one more batch. The scan needs n < 8: a
-    row's solve is independent of the rest of its batch only while the
-    kernel's column sums add sequentially, and from n = 8 on the sums down
-    a compacted column run pairwise. Mirrored atoms and clipped lines of
-    negative slope are not monotone, so their plans take the full curve, as
-    do plans whose cap, sum w * max |x - y| over each atom's range on the
-    window, overflows: each cost rounds to at most the cap, so below it no
-    cost overflows and the overflow check holds for the unsolved rows too.
+    and the rest are solved in one more batch, where a row's solve does not
+    depend on the rest of the batch (`optimizer._bisect_columns`). Mirrored
+    atoms and clipped lines of negative slope are not monotone, so their
+    plans take the full curve, as do plans whose cap, sum w * max |x - y|
+    over each atom's range on the window, overflows: each cost rounds to at
+    most the cap, so below it no cost overflows and the overflow check holds
+    for the unsolved rows too.
     `sp_scan` scans every agent of a profile at once (`_deviations`), and
     best_deviation is its one-agent case.
     """
@@ -184,25 +183,23 @@ def best_deviation(
 def _deviations(spec, profile: LocationProfile, p: float, agents, cfg: SearchConfig) -> list:
     """[best_deviation(spec, profile, p, a, cfg) for a in agents], bit for
     bit, with every agent's candidate scan in one `_plan_min` call, so the
-    optimum rows of all agents share its two kernel calls. An error raised
-    before the scans' costs are checked is raised again by the per-agent
-    loop, which raises whatever the first failing agent raises."""
+    optimum rows of all agents share its two kernel calls. Plans are built
+    up to the first agent that raises, whose error is raised once the agents
+    before it are scanned, checked and polished in order: as `_plan_min`
+    raises nothing, it is the error the per-agent loop raises first."""
     p = validate_pnorm(p)
-    try:
-        plans = []
-        for agent in agents:
+    plans, error = [], None
+    for agent in agents:
+        try:
             x = float(profile.values[_check_agent(agent, profile.n) - 1])
             others, atoms = _outcome_plan(spec, profile, p, agent)
             plans.append((others, atoms, x, misreport_candidates(profile, agent, cfg)))
-        found = _plan_min(plans)
-    except Exception:
-        # a later agent's error may have come before an earlier agent's check
-        if len(agents) == 1:
-            raise
-        return [best_deviation(spec, profile, p, agent, cfg) for agent in agents]
+        except Exception as exc:
+            error = exc
+            break
     window = profile.span * (1.0 + 2.0 * cfg.grid_pad) / (cfg.grid_points - 1)
     reports = []
-    for agent, (others, atoms, x, candidates), (i, best_c) in zip(agents, plans, found):
+    for agent, (others, atoms, x, candidates), (i, best_c) in zip(agents, plans, _plan_min(plans)):
         truthful = _plan_at(others, atoms, x, x)
         if not (math.isfinite(truthful) and math.isfinite(best_c)):
             raise NonFiniteResult(f"misreport costs overflow on {profile!r}")
@@ -221,6 +218,8 @@ def _deviations(spec, profile: LocationProfile, p: float, agents, cfg: SearchCon
             deviated_cost=best_c,
             gain=truthful - best_c,
         ))
+    if error is not None:
+        raise error
     return reports
 
 
@@ -246,10 +245,9 @@ def sp_scan(
     values lexicographically (the first of equals wins), so reruns are identical.
 
     Each profile's agents are scanned together, their optimum rows in two
-    batched kernel calls per profile rather than two per agent; below
-    8 agents a row's solve does not depend on its batch, so every report is
-    best_deviation's to the bit. Raises TypeError unless n, trials and seed
-    are integers, and ValueError for n < 2, trials < 0 or seed < 0.
+    batched kernel calls per profile rather than two per agent, and every
+    report is best_deviation's to the bit. Raises TypeError unless n, trials
+    and seed are integers, and ValueError for n < 2, trials < 0 or seed < 0.
     """
     p = validate_pnorm(p)
     n, trials, seed = _check_int(n, "n", 2), _check_int(trials, "trials", 0), _check_int(seed, "seed", 0)

@@ -31,7 +31,7 @@ class RatioSearchConfig:
     seed: int = 42
 
     def __post_init__(self):
-        _check_fields(self, (("trials", 0, True), ("hill_iters", 0, True)))
+        _check_fields(self, (("trials", 0, True), ("hill_iters", 0, True), ("seed", 0, True)))
 
 
 def _report_for_distribution(

@@ -3,7 +3,9 @@
 `_bisect_rows` solves in a reused per-thread workspace. The reference
 below is the same solve written with fresh numpy temporaries, as the kernel
 was before the workspace; every arithmetic step is the same, so the two must
-agree bit for bit, column-sum order included.
+agree bit for bit. The reference adds each column's terms in row order, the
+order the kernel keeps in a batch of any size, so no column's result depends
+on the rest of its batch.
 """
 
 import sys
@@ -37,6 +39,13 @@ def reference_bisect_rows(points, weights, p):
     return np.clip(center + half * t, lo, hi)
 
 
+def column_sums(x):
+    total = x[0].copy()
+    for row in x[1:]:
+        total += row
+    return total
+
+
 def reference_rows_slopes(z, w, t, e, zlo, zhi):
     m = np.maximum(t - zlo, zhi - t)
     d = t - z
@@ -50,18 +59,18 @@ def reference_rows_slopes(z, w, t, e, zlo, zhi):
     if w is not None:
         g *= w
         d *= w
-    return d.sum(axis=0), e * g.sum(axis=0) / m
+    return column_sums(d), e * column_sums(g) / m
 
 
 def reference_newton_rows(z, w, e):
     if w is None:
         zlo, zhi = z.min(axis=0), z.max(axis=0)
-        t = z.mean(axis=0)
+        t = column_sums(z) / z.shape[0]
     else:
         carried = w > 0.0
         zlo = np.where(carried, z, np.inf).min(axis=0)
         zhi = np.where(carried, z, -np.inf).max(axis=0)
-        t = (z * w).sum(axis=0) / w.sum(axis=0)
+        t = column_sums(z * w) / column_sums(w)
     tol = BRACKET_TOL
     out = np.empty(z.shape[1])
     rows = np.arange(z.shape[1])
@@ -84,7 +93,6 @@ def reference_newton_rows(z, w, e):
                 while 2 * left <= size:
                     size //= 2
                 keep = np.concatenate([np.flatnonzero(pending), np.flatnonzero(~pending)[: size - left]])
-                # z[:, keep] is F-ordered: from here on the column sums run pairwise
                 rows, z, zlo, zhi = rows[keep], z[:, keep], zlo[keep], zhi[keep]
                 w = None if w is None else w[:, keep]
                 a, b, t, f, df, dx_old = a[keep], b[keep], t[keep], f[keep], df[keep], dx_old[keep]
@@ -140,6 +148,22 @@ def test_the_workspace_kernel_matches_the_allocating_reference_bit_for_bit(p, we
             got = _bisect_rows(points, weights, p)
             want = reference_bisect_rows(points, weights, p)
             assert np.array_equal(bits(got), bits(want)), (n, size, np.flatnonzero(got != want)[:5])
+
+
+@pytest.mark.parametrize("p", KERNEL_P)
+@pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+def test_a_column_of_a_batch_solves_as_it_does_alone(p, weighted):
+    # every row of a 4,060-row batch keeps its bits in a batch of one or in
+    # a smaller batch of other rows; all 4,060 alone would take minutes
+    rng = np.random.default_rng(int(p * 10) + weighted + 100)
+    for n in range(2, 13):
+        points, weights = batch(rng, 4060, n, weighted)
+        whole = bits(_bisect_rows(points, weights, p))
+        order = rng.permutation(4060)
+        cuts = np.cumsum(np.concatenate([np.ones(8, dtype=int), rng.integers(2, 1200, size=8)]))
+        for rows in np.split(order, cuts[cuts < 4060]):
+            got = bits(_bisect_rows(points[rows], None if weights is None else weights[rows], p))
+            assert np.array_equal(got, whole[rows]), (n, rows[got != whole[rows]][:5])
 
 
 @pytest.mark.parametrize("p", [1.5, 3.0])

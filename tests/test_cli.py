@@ -309,7 +309,7 @@ class TestOutputBytes:
                 "6a40479aa7c5eef43c5da25b75a82d78b46f796ebdf2b9308d5c81c6d23d23a4",
             ),
             # the optimum rows of the deviation curve at a non-closed p; n = 9
-            # reaches the pairwise column sums of the compacted batch
+            # prunes past 8 agents, as the scan does at every n
             (
                 ["spcheck", "--spec", "opt", "--n", "5", "--p", "1.5", "--trials", "3", "--format", "csv"],
                 3,

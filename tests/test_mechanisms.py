@@ -96,6 +96,9 @@ class TestOptimalSpec:
         with pytest.raises(ValueError):
             Optimal(0.5)
 
+    def test_a_mean_whose_sum_overflows(self):
+        assert run(Optimal(), LocationProfile([1e308, 1.5e308]), 2.0) == point_mass(1.25e308)
+
 
 class TestTwoAgentLotteries:
     def test_lrm_distribution(self):

@@ -132,6 +132,14 @@ class TestExtremeRows:
         assert res.location == 0.0
         assert math.isfinite(res.cost)
 
+    @pytest.mark.parametrize("values", [[1e308, 1.5e308], [1.7e308] * 3, [-1.7e308, -1e308, 1e307]])
+    def test_an_overflowing_p2_sum_still_gives_the_mean(self, values):
+        # the sum passes the largest double, the mean does not: the result is
+        # the one a quarter-scale profile gives, scaled back exactly
+        res = optimal_location(LocationProfile(values), 2.0)
+        assert res.location == 4.0 * optimal_location(LocationProfile(np.divide(values, 4.0)), 2.0).location
+        assert res.method == "closed_form_mean" and math.isfinite(res.cost)
+
     def test_tolerance_scales_with_the_span(self):
         tiny = optimal_location(LocationProfile([0.0, 1e-13, 1e-12]), 3.0).location
         unit = optimal_location(LocationProfile([0.0, 0.1, 1.0]), 3.0).location

@@ -183,7 +183,8 @@ class TestWorstRatioSearch:
 class TestRatioSearchConfig:
     @pytest.mark.parametrize(
         "field, value",
-        [("trials", -3), ("trials", 2.0), ("trials", True), ("hill_iters", -2), ("hill_iters", 1.5)],
+        [("trials", -3), ("trials", 2.0), ("trials", True), ("hill_iters", -2), ("hill_iters", 1.5)]
+        + [("seed", -1), ("seed", 1.5), ("seed", True)],
     )
     def test_invalid_counts_are_refused(self, field, value):
         with pytest.raises(ValueError, match=f"RatioSearchConfig.{field} must be an integer >= 0"):
