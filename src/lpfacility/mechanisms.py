@@ -302,16 +302,29 @@ def _plan_at(others: list, atoms: list, r: float, x: float | None = None):
 
 def _plan_costs(others: list, atoms: list, x: float, reports: np.ndarray) -> np.ndarray:
     """The expected distance from x to the plan's outcome at each report,
-    one numpy column per atom; optima come from the batched kernel."""
-    total = np.zeros(reports.size)
+    one numpy column per atom; optima come from the batched kernel. The
+    sum starts from the first term, since every term is w * |x - y| >= +0
+    or NaN, so 0.0 + t = t; lines left unclipped and terms of weight 1 keep
+    their bits, as max(y, -inf), min(y, inf) and 1.0 * t are y and t."""
+    total = None
     for w, slope, shift, lo, hi, q, mirrored in atoms:
         if q is None:
-            y = (reports if slope == 1.0 and shift == 0.0 else slope * reports + shift).clip(lo, hi)
+            y = reports if slope == 1.0 and shift == 0.0 else slope * reports + shift
+            if lo > -math.inf:
+                y = np.maximum(y, lo)
+            if hi < math.inf:
+                y = np.minimum(y, hi)
         else:
             y = _optimum_rows([(others, reports)], q)[0]
         if mirrored:
             y = reports + others[0] - y
-        total += w * np.abs(x - y)
+        term = np.abs(x - y)
+        if w != 1.0:
+            term *= w
+        if total is None:
+            total = term
+        else:
+            total += term
     return total
 
 
@@ -341,7 +354,8 @@ def _plan_min(plans: list) -> list:
             if found[k] is None:
                 costs = _plan_costs(*plan)
                 i = int(costs.argmin())
-                found[k] = i, (float(costs[i]) if np.isfinite(costs).all() else math.inf)
+                # costs are >= 0 or NaN, and max propagates NaN
+                found[k] = i, (float(costs[i]) if math.isfinite(costs.max()) else math.inf)
     return found
 
 

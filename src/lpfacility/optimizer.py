@@ -125,7 +125,9 @@ def _optimum(row: list, p: float) -> float:
         return row[(n + 1) // 2 - 1]
     if p == 2.0:
         total, k = _fsum(row), n.bit_length()
-        return total / n if total < math.inf else math.ldexp(_fsum(row, k) / n, k)
+        mean = total / n if total < math.inf else math.ldexp(_fsum(row, k) / n, k)
+        # the division rounds again, which can leave the hull of equal points
+        return min(max(mean, row[0]), row[-1])
     if math.isinf(p):
         return 0.5 * (row[0] + row[-1])
     return _solve_row(row, p)
@@ -140,13 +142,15 @@ def _fsum(values: list, k: int = 0) -> float:
 
 
 def _means(others: list, reports: np.ndarray, n: int) -> np.ndarray:
-    # (fsum(others) + r) / n per report r, taken at scale 2^-k where it overflows
+    # (fsum(others) + r) / n per report r, taken at scale 2^-k where it
+    # overflows, and clamped to the row's hull, which rounding can leave
     with np.errstate(over="ignore"):
         y = (_fsum(others) + reports) / n
     wide, k = np.isinf(y), n.bit_length()
     if wide.any():
         y[wide] = np.ldexp((_fsum(others, k) + np.ldexp(reports[wide], -k)) / n, k)
-    return y
+    np.maximum(y, np.minimum(reports, others[0]), out=y)
+    return np.minimum(y, np.maximum(reports, others[-1]), out=y)
 
 
 def _optimum_rows(blocks: list, p: float) -> list:

@@ -85,10 +85,8 @@ def mixture_bound_certificate(
     half_half = 2.0 ** (1.0 - 1.0 / p)
     ratio_lower_bound = half_half - (half_half - 1.0) * p_opt_bound
     first_checked = int(math.ceil(k ** (1.0 / (p - 1)) + 1.0))
-    bound_checks = tuple(
-        (j, bool(roots[j - 1] < 2.0 ** (p - 1) * (j - 1)))
-        for j in range(first_checked, k + 1)
-    )
+    js = np.arange(first_checked, k + 1)
+    bound_checks = tuple(zip(js.tolist(), (roots[first_checked - 1 :] < 2.0 ** (p - 1) * (js - 1.0)).tolist()))
     residuals.flags.writeable = False
     return MixtureBoundCertificate(
         p=p,

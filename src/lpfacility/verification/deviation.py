@@ -4,8 +4,10 @@ symmetric two-agent strategyproofness margin.
 The candidate misreports for one agent are the other agents' reports, the
 profile extremes shifted by +-span, a uniform grid over the doubled-span
 window, dyadic multiples of the agent's own report, and the truthful report
-itself (the grid's arange and the scalings are cached per config); the best
-one is polished by one golden-section pass unless that provably cannot win.
+itself (the grid's arange and the scalings are cached per config). The
+extremes and the grid are built once per profile and copied for each agent,
+who adds the others' reports and its own scalings. The best candidate is
+polished by one golden-section pass unless that provably cannot win.
 Both read the rule's outcome plan (`mechanisms._outcome_plan`): the
 candidate scan evaluates it in numpy, one column per atom, solving only the
 optimum rows that can win, every agent of a profile in one batch, and the
@@ -68,22 +70,40 @@ def misreport_candidates(
 ) -> np.ndarray:
     """Candidate misreports for one agent, in a fixed deterministic order; the grid is
     linspace's arithmetic on a cached arange (linspace itself at a zero or non-finite step)."""
-    xs, n = profile.values, profile.n
-    x = float(xs[_check_agent(agent, n) - 1])
+    _check_agent(agent, profile.n)
+    return _agent_candidates(_window_candidates(profile, cfg), profile, agent, cfg)
+
+
+def _window_candidates(profile: LocationProfile, cfg: SearchConfig):
+    # the candidate array with the slots every agent shares filled in: the
+    # four extremes and the grid, its stop included; None if one is not finite
+    n = profile.n
     lo, hi, span = profile.low, profile.high, profile.span
     unit, scales = _unit_arrays(cfg.grid_points, cfg.scale_bound, cfg.scale_steps_per_unit)
     start, stop = lo - cfg.grid_pad * span, hi + cfg.grid_pad * span
     step, end = (stop - start) / (unit.size - 1), n + 3 + unit.size
-    candidates = np.empty(end + scales.size + 1)
-    candidates[: agent - 1], candidates[agent - 1 : n - 1] = xs[: agent - 1], xs[agent:]
-    candidates[n - 1 : n + 3] = lo - span, lo + span, hi - span, hi + span
+    shared = np.empty(end + scales.size + 1)
+    shared[n - 1 : n + 3] = lo - span, lo + span, hi - span, hi + span
     with np.errstate(over="ignore", invalid="ignore"):
         linear = step != 0.0 and math.isfinite(step)
-        candidates[n + 3 : end] = unit * step + start if linear else np.linspace(start, stop, unit.size)
-        np.multiply(scales, x, out=candidates[end:-1])
-    candidates[end - 1], candidates[-1] = stop, x
-    if not np.isfinite(candidates).all():
+        shared[n + 3 : end] = unit * step + start if linear else np.linspace(start, stop, unit.size)
+    shared[end - 1] = stop
+    return shared if np.isfinite(shared[n - 1 : end]).all() else None
+
+
+def _agent_candidates(shared, profile: LocationProfile, agent: int, cfg: SearchConfig) -> np.ndarray:
+    # the shared slots plus the others' reports, the scalings of x and x; the
+    # others and x are finite, and linspace's ends are exactly -+scale_bound,
+    # so the scalings are finite exactly when scale_bound * x is
+    xs, n = profile.values, profile.n
+    x = float(xs[agent - 1])
+    if shared is None or not math.isfinite(cfg.scale_bound * x):
         raise NonFiniteResult(f"the misreport window of {profile!r} overflows")
+    scales = _unit_arrays(cfg.grid_points, cfg.scale_bound, cfg.scale_steps_per_unit)[1]
+    candidates = shared.copy()
+    candidates[: agent - 1], candidates[agent - 1 : n - 1] = xs[: agent - 1], xs[agent:]
+    np.multiply(scales, x, out=candidates[-1 - scales.size : -1])
+    candidates[-1] = x
     return candidates
 
 
@@ -183,17 +203,22 @@ def best_deviation(
 def _deviations(spec, profile: LocationProfile, p: float, agents, cfg: SearchConfig) -> list:
     """[best_deviation(spec, profile, p, a, cfg) for a in agents], bit for
     bit, with every agent's candidate scan in one `_plan_min` call, so the
-    optimum rows of all agents share its two kernel calls. Plans are built
+    optimum rows of all agents share its two kernel calls. The candidates'
+    extremes and grid are built once for the profile, and each agent's
+    candidates copy them (`misreport_candidates` composes the same two
+    parts); a window that is not finite is refused at the first agent whose
+    plan is built, as the per-agent loop refuses it. Plans are built
     up to the first agent that raises, whose error is raised once the agents
     before it are scanned, checked and polished in order: as `_plan_min`
     raises nothing, it is the error the per-agent loop raises first."""
     p = validate_pnorm(p)
     plans, error = [], None
+    shared = _window_candidates(profile, cfg)
     for agent in agents:
         try:
             x = float(profile.values[_check_agent(agent, profile.n) - 1])
             others, atoms = _outcome_plan(spec, profile, p, agent)
-            plans.append((others, atoms, x, misreport_candidates(profile, agent, cfg)))
+            plans.append((others, atoms, x, _agent_candidates(shared, profile, agent, cfg)))
         except Exception as exc:
             error = exc
             break

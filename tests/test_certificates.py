@@ -50,6 +50,15 @@ class TestMixtureBoundCertificate:
         assert [j for j, _ in cert.bound_checks] == list(range(first, 11))
         assert all(ok for _, ok in cert.bound_checks)
 
+    @pytest.mark.parametrize("p", [3, 4, 8, 16])
+    def test_growth_checks_equal_the_rank_loop(self, p):
+        for k in (1, 2, 10, 100, 1000):
+            cert = mixture_bound_certificate(p, k)
+            first = int(math.ceil(k ** (1.0 / (p - 1)) + 1.0))
+            expect = tuple((j, bool(cert.roots[j - 1] < 2.0 ** (p - 1) * (j - 1))) for j in range(first, k + 1))
+            assert cert.bound_checks == expect
+            assert all(type(j) is int and type(ok) is bool for j, ok in cert.bound_checks)
+
     def test_bound_tightens_with_more_agents(self):
         certs = [mixture_bound_certificate(3, k) for k in (2, 5, 10, 50)]
         for a, b in zip(certs, certs[1:]):

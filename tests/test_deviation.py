@@ -158,7 +158,11 @@ class TestCandidates:
 
     @given(
         profile=st.lists(
-            st.integers(-4, 4).map(lambda k: k * 5e-324) | st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0]),
+            st.integers(-4, 4).map(lambda k: k * 5e-324)
+            | st.floats(-1e3, 1e3)
+            | st.sampled_from([0.0, -0.0])
+            # near overflow: some agents' scalings overflow while the grid does not
+            | st.sampled_from([4.4e307, 4.6e307, 4.9e307, -5e307]),
             min_size=2,
             max_size=5,
         ).map(LocationProfile),
@@ -170,8 +174,8 @@ class TestCandidates:
     def test_bytes_equal_the_linspace_build(self, profile, agent, grid_points, grid_pad, scale_bound):
         agent = min(agent, profile.n)
         cfg = SearchConfig(grid_points=grid_points, grid_pad=grid_pad, scale_bound=scale_bound)
-        expect = reference_candidates(profile, agent, cfg)
-        assert misreport_candidates(profile, agent, cfg).tobytes() == expect.tobytes()
+        expect = outcome(lambda: reference_candidates(profile, agent, cfg).tobytes())
+        assert outcome(lambda: misreport_candidates(profile, agent, cfg).tobytes()) == expect
 
     @pytest.mark.parametrize("agent, error", [(0, IndexError), (3, IndexError), (-1, IndexError), (1.0, TypeError)])
     def test_agent_out_of_range(self, agent, error):
@@ -186,6 +190,85 @@ class TestCandidates:
                 for agent in (1, 2):
                     built = outcome(lambda: misreport_candidates(prof, agent, cfg).tobytes())
                     assert built == outcome(lambda: reference_candidates(prof, agent, cfg).tobytes())
+
+    @pytest.mark.parametrize("values, refused", [([5e307, 4.9e307], (1, 2)), ([4.4e307, 4.6e307], (2,))])
+    def test_scalings_that_overflow_past_a_finite_grid_are_refused(self, values, refused, monkeypatch):
+        # the grid and extremes are finite; scale_bound * x overflows exactly
+        # for the refused agents, which the scalar check tests before the multiply
+        profile = LocationProfile(values)
+        expect = (NonFiniteResult, f"the misreport window of {profile!r} overflows")
+        for agent in (1, 2):
+            built = outcome(lambda: misreport_candidates(profile, agent).tobytes())
+            assert built == outcome(lambda: reference_candidates(profile, agent).tobytes())
+            assert (built == expect) == (agent in refused)
+            for spec in (Median(), Optimal()):
+                got = outcome(best_deviation, spec, profile, 3.0, agent)
+                assert (got == expect) == (agent in refused), spec
+        # the scan meets the per-agent loop's first error; at [4.4e307, 4.6e307]
+        # that is agent 1's overflowing costs, before agent 2's window
+        monkeypatch.setattr(deviation, "four_block_profiles", lambda n, p: [profile])
+        first_error = per_agent_loop(Median(), profile, 3.0)
+        assert first_error[0] is NonFiniteResult
+        assert outcome(sp_scan, Median(), 3.0, 2, 0, 0) == first_error
+
+    def test_a_plan_error_comes_before_the_window_error(self):
+        # the window is built once per profile, before any plan, yet an agent's
+        # plan error still comes before the window's
+        profile = LocationProfile([-1e308, 1e308])
+        assert outcome(best_deviation, OrderStatistic(3), profile, 3.0, 1)[0] is mechanisms.ArityMismatch
+        assert outcome(best_deviation, Median(), profile, 3.0, 1)[0] is NonFiniteResult
+
+
+def reference_plan_costs(others, atoms, x, reports):
+    """_plan_costs in its first form: a zero seed, .clip and w * |x - y|."""
+    total = np.zeros(reports.size)
+    for w, slope, shift, lo, hi, q, mirrored in atoms:
+        if q is None:
+            y = (reports if slope == 1.0 and shift == 0.0 else slope * reports + shift).clip(lo, hi)
+        else:
+            y = _optimum_rows([(others, reports)], q)[0]
+        if mirrored:
+            y = reports + others[0] - y
+        total += w * np.abs(x - y)
+    return total
+
+
+class TestPlanCosts:
+    """_plan_costs seeds its sum with the first term and skips the unit
+    multiply and the unbounded clip; its bits are the first form's."""
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_bits_equal_the_first_form(self, n):
+        rng = np.random.default_rng(n)
+        profiles = [
+            rng.uniform(0.0, 1.0, n),
+            np.round(rng.uniform(0.0, 1.0, n) * 2.0) / 2.0,
+            np.resize([0.0, -0.0], n),
+            5e-324 * rng.integers(-3, 4, n),
+            1e-310 * rng.uniform(-1.0, 1.0, n),
+            np.full(n, 0.1),
+            rng.uniform(3.6e307, 4.6e307, n),
+            np.resize([-1e308, 1e308], n),
+        ]
+        specs = catalog(n) + ([ThreePoint(0.0)] if n == 2 else [])
+        for values in profiles:
+            profile = LocationProfile(values)
+            lo, hi = profile.low, profile.high
+            with np.errstate(all="ignore"):
+                raw = np.concatenate([values, [lo - hi, 2.0 * hi, -0.0, 0.0, 5e-324], np.linspace(lo, hi, 9), 4.0 * values])
+            reports = raw[np.isfinite(raw)]
+            for spec in specs:
+                for p in (1.0, 1.5, 2.0, 3.0, 5.0, math.inf):
+                    for agent in range(1, n + 1):
+                        try:
+                            others, atoms = _outcome_plan(spec, profile, p, agent)
+                        except mechanisms.ArityMismatch:
+                            continue
+                        x = float(values[agent - 1])
+                        with np.errstate(all="ignore"):
+                            got = _plan_costs(others, atoms, x, reports)
+                            expect = reference_plan_costs(others, atoms, x, reports)
+                        assert got.tobytes() == expect.tobytes(), (spec, values, p, agent)
 
 
 class TestSearchConfig:

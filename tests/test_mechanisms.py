@@ -99,6 +99,10 @@ class TestOptimalSpec:
     def test_a_mean_whose_sum_overflows(self):
         assert run(Optimal(), LocationProfile([1e308, 1.5e308]), 2.0) == point_mass(1.25e308)
 
+    @pytest.mark.parametrize("value", [0.1, 0.7])
+    def test_a_mean_of_equal_points_is_that_point(self, value):
+        assert run(Optimal(), LocationProfile([value] * 3), 2.0) == point_mass(value)
+
 
 class TestTwoAgentLotteries:
     def test_lrm_distribution(self):

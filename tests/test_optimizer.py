@@ -18,7 +18,7 @@ from lpfacility import (
     smallest_positive_root,
     social_cost,
 )
-from lpfacility.optimizer import BRACKET_TOL, ROOT_TOL, _bisect_rows, _powi, _solve_row
+from lpfacility.optimizer import BRACKET_TOL, ROOT_TOL, _bisect_rows, _optimum_rows, _powi, _solve_row
 
 
 def brute_force_cost_curve(values, grid, p):
@@ -139,6 +139,26 @@ class TestExtremeRows:
         res = optimal_location(LocationProfile(values), 2.0)
         assert res.location == 4.0 * optimal_location(LocationProfile(np.divide(values, 4.0)), 2.0).location
         assert res.method == "closed_form_mean" and math.isfinite(res.cost)
+
+    @pytest.mark.parametrize("value", [0.1, 0.7, -0.3, 1e-310, 3e307])
+    @pytest.mark.parametrize("n", [3, 5, 6, 7])
+    def test_a_p2_mean_of_equal_points_is_that_point(self, value, n):
+        # fsum(row) / n rounds twice; at [0.1] * 3 it gave 0.10000000000000002
+        res = optimal_location(LocationProfile([value] * n), 2.0)
+        assert res.location == value and res.cost == 0.0
+
+    def test_p2_means_stay_in_the_hull_in_both_kernels(self):
+        rng = np.random.default_rng(23)
+        for _ in range(300):
+            n = int(rng.integers(2, 9))
+            others = np.sort(rng.choice([0.1, 0.7, -0.3], n - 1) if rng.random() < 0.5 else rng.uniform(-1, 1, n - 1))
+            reports = np.concatenate([others, rng.uniform(-2, 2, 8)])
+            means = _optimum_rows([(others.tolist(), reports)], 2.0)[0]
+            assert np.all(np.minimum(reports, others[0]) <= means)
+            assert np.all(means <= np.maximum(reports, others[-1]))
+            for r, mean in zip(reports.tolist(), means.tolist()):
+                row = sorted([*others.tolist(), r])
+                assert row[0] <= optimal_location(LocationProfile(row), 2.0).location <= row[-1]
 
     def test_tolerance_scales_with_the_span(self):
         tiny = optimal_location(LocationProfile([0.0, 1e-13, 1e-12]), 3.0).location

@@ -63,6 +63,12 @@ class TestRatio:
         assert report.ratio == 1.0
         assert report.opt_cost == 0.0
 
+    @pytest.mark.parametrize("value", [0.1, 0.7])
+    def test_equal_points_whose_mean_rounds_take_the_degenerate_convention(self, value):
+        # the p = 2 optimum is the points themselves, not a rounded mean off them
+        report = ratio(Median(), LocationProfile([value] * 3), 2.0)
+        assert report.opt_cost == 0.0 and report.ratio == 1.0
+
     def test_off_support_point_on_degenerate_profile_is_infinite(self):
         prof = LocationProfile([5.0, 5.0])
         report = _report_for_distribution(None, prof, 2.0, point_mass(6.0))
