@@ -184,26 +184,12 @@ def optimal_cost(profile: LocationProfile, p: float) -> float:
     return optimal_location(profile, p).cost
 
 
-def _row_slopes(zs: list, t: float, e: float, m: float) -> tuple[float, float]:
-    # D(t) / m^e and D'(t) / m^e for one scaled row, m the peak distance
-    s0 = s1 = 0.0
-    try:
-        for z in zs:
-            d = (t - z) / m
-            g = abs(d) ** (e - 1.0)
-            s0 += g
-            s1 += g * d
-    except (OverflowError, ZeroDivisionError):
-        # p < 2 with t on, or a subnormal away from, a data point: D' = inf
-        return sum(math.copysign(abs((t - z) / m) ** e, t - z) for z in zs), math.inf
-    return s1, e * s0 / m
-
-
 def _solve_row(points: list, p: float) -> float:
     """Minimizer of sum_j |y - x_j|^p over one unweighted row, 1 < p < inf.
 
     The pure-Python kernel of the solve in the module docstring; same steps
-    and certificate as `_bisect_rows`.
+    and certificate as `_bisect_rows`. At each iterate it takes D(t) / m^e
+    and D'(t) / m^e, m the peak distance; at p = 3, |d| ** 1.0 is |d|.
     """
     lo, hi = min(points), max(points)
     center = 0.5 * lo + 0.5 * hi
@@ -213,12 +199,31 @@ def _solve_row(points: list, p: float) -> float:
     zs = [(x - center) / half for x in points]
     zlo, zhi = min(zs), max(zs)
     e = p - 1.0
+    g_exp = e - 1.0
     tol = BRACKET_TOL
     a, b = zlo, zhi
     t = est = sum(zs) / len(zs)
     dx_old = b - a
-    f, df = _row_slopes(zs, t, e, max(t - zlo, zhi - t))
     for _ in range(_MAX_NEWTON):
+        m = max(t - zlo, zhi - t)
+        s0 = s1 = 0.0
+        try:
+            if g_exp == 1.0:
+                for z in zs:
+                    d = (t - z) / m
+                    g = abs(d)
+                    s0 += g
+                    s1 += g * d
+            else:
+                for z in zs:
+                    d = (t - z) / m
+                    g = abs(d) ** g_exp
+                    s0 += g
+                    s1 += g * d
+            f, df = s1, e * s0 / m
+        except (OverflowError, ZeroDivisionError):
+            # p < 2 with t on, or a subnormal away from, a data point: D' = inf
+            f, df = sum(math.copysign(abs((t - z) / m) ** e, t - z) for z in zs), math.inf
         if f <= 0.0:
             a = t
         if f >= 0.0:
@@ -236,7 +241,6 @@ def _solve_row(points: list, p: float) -> float:
         if abs(dx) < tol:
             # converged: probe the still-open side of the bracket
             t = est + 0.5 * tol if b - est > tol else est - 0.5 * tol
-        f, df = _row_slopes(zs, t, e, max(t - zlo, zhi - t))
     return min(max(center + half * est, lo), hi)
 
 

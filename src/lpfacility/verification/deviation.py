@@ -12,6 +12,9 @@ Both read the rule's outcome plan (`mechanisms._outcome_plan`): the
 candidate scan evaluates it in numpy, one column per atom, solving only the
 optimum rows that can win, every agent of a profile in one batch, and the
 polish in pure Python, since numpy overhead dominates one-point evaluations.
+`sp_scan` keeps only its largest gain, so it polishes a profile's agents in
+decreasing order of scan gain and skips every agent whose gain, bounded by
+what the polish can add, stays below the largest found so far.
 """
 
 from __future__ import annotations
@@ -196,21 +199,68 @@ def best_deviation(
     for the unsolved rows too.
     `sp_scan` scans every agent of a profile at once (`_deviations`), and
     best_deviation is its one-agent case.
+
+    `sp_scan` keeps only the largest gain, so it skips the polish of an agent
+    whose polished gain provably stays below the largest found so far. The
+    polish prices reports r in [a, b], and with b - a finite every golden
+    point lies there, within window + u * (|r*| + window) of r* = best_r, u
+    the unit roundoff. Each atom's location is Lipschitz in r: |slope| for a
+    clipped line; 1 for an L_q optimum, which is nondecreasing and
+    translation equivariant (adding h to every point adds h to it); plus 1
+    when mirrored. Each computed location is within
+    delta = 1e-9 * (1 + |w0| + |w1|) of the exact one, [w0, w1] the hull of
+    the profile and [a, b]: a solved optimum by the certificate above; a
+    line, a mirror, the median, the midrange and both p = 2 means (the
+    scalar fsum(row) / n and the batched (fsum(others) + r) / n, which can
+    differ in the last bits) to within a few ulps of the row's largest |y|.
+    So each atom moves by at most L_k * window + 2 * delta between the
+    scan's r* and a golden point, the unit roundoff's share of the golden
+    distance (at most 2u (|r*| + window), as L_k <= 2 in the catalog) lying
+    deep inside delta's 1000-fold margin. The cost is a sum of K terms
+    w * |x - y|, each rounded twice and summed K times, so the scan's c and a
+    golden point's cost carry relative errors of at most (K + 2) u each,
+    below 1e-12 / 2 for K < 4000 atoms. Every golden cost is therefore at
+    least c - slack, slack = sum w_k L_k * window + 2 delta sum w_k +
+    1e-12 (truthful + c); the last term also covers the rounding of
+    truthful - c and of the bound's own sum. A polished point is kept only
+    if cheaper than c, so the agent's gain is at most truthful - c + slack
+    (`_polish_slack`, with delta widened to 1e-9 (1 + |low| + |high| +
+    2 (|r*| + window))). An agent with that bound strictly below the largest
+    gain found loses the reduction either way. The polish raises nothing,
+    so skipping it drops no error: float arithmetic does not raise;
+    `_solve_row` catches its powers' overflow, and its fallback's powers
+    have bases <= 1 and divide by a peak distance of about 1 or more (its
+    scaled row spans [-1, 1]); an overflowing fsum is caught and rescaled
+    by 2^-k, 2^k > n, so the mean rounds to at most the largest double.
+    Where b - a is not finite (nothing is skipped there) a report may be
+    infinite or NaN; fsum of one infinity or a NaN returns it, and
+    `_solve_row` then meets NaN peak distances, never a zero one.
     """
-    return _deviations(spec, profile, p, [agent], cfg)[0]
+    return _deviations(spec, profile, p, [agent], cfg, -math.inf)[0]
 
 
-def _deviations(spec, profile: LocationProfile, p: float, agents, cfg: SearchConfig) -> list:
+def _deviations(spec, profile: LocationProfile, p: float, agents, cfg: SearchConfig, floor: float = math.nan) -> list:
     """[best_deviation(spec, profile, p, a, cfg) for a in agents], bit for
-    bit, with every agent's candidate scan in one `_plan_min` call, so the
-    optimum rows of all agents share its two kernel calls. The candidates'
-    extremes and grid are built once for the profile, and each agent's
-    candidates copy them (`misreport_candidates` composes the same two
-    parts); a window that is not finite is refused at the first agent whose
-    plan is built, as the per-agent loop refuses it. Plans are built
-    up to the first agent that raises, whose error is raised once the agents
-    before it are scanned, checked and polished in order: as `_plan_min`
-    raises nothing, it is the error the per-agent loop raises first."""
+    bit, less the agents whose gain provably stays below `floor`, with every
+    agent's candidate scan in one `_plan_min` call, so the optimum rows of
+    all agents share its two kernel calls. The candidates' extremes and grid
+    are built once for the profile, and each agent's candidates copy them
+    (`misreport_candidates` composes the same two parts); a window that is
+    not finite is refused at the first agent whose plan is built, as the
+    per-agent loop refuses it. Plans are built up to the first agent that
+    raises; the costs of the agents before it are checked in order, and only
+    then is its error raised: as neither `_plan_min` nor the polish raises,
+    it is the error the per-agent loop raises first.
+
+    The agents are then polished in decreasing order of their scan gain, and
+    the floor rises to each gain found. An agent whose polish would run but
+    whose gain bound (`_polish_slack`) lies strictly below the floor is
+    neither polished nor reported: its gain cannot reach the floor. The
+    reports left come back in agent order. `sp_scan` passes its largest gain
+    so far, -inf before the first profile, and best_deviation -inf, which
+    drops nothing from one agent; the default, NaN, never rises and drops
+    nothing, since no comparison with NaN holds.
+    """
     p = validate_pnorm(p)
     plans, error = [], None
     shared = _window_candidates(profile, cfg)
@@ -222,30 +272,50 @@ def _deviations(spec, profile: LocationProfile, p: float, agents, cfg: SearchCon
         except Exception as exc:
             error = exc
             break
-    window = profile.span * (1.0 + 2.0 * cfg.grid_pad) / (cfg.grid_points - 1)
-    reports = []
+    scanned = []
     for agent, (others, atoms, x, candidates), (i, best_c) in zip(agents, plans, _plan_min(plans)):
         truthful = _plan_at(others, atoms, x, x)
         if not (math.isfinite(truthful) and math.isfinite(best_c)):
             raise NonFiniteResult(f"misreport costs overflow on {profile!r}")
-        best_r = float(candidates[i])
+        scanned.append((truthful - best_c, agent, others, atoms, x, float(candidates[i]), truthful, best_c))
+    if error is not None:
+        raise error
+    window = profile.span * (1.0 + 2.0 * cfg.grid_pad) / (cfg.grid_points - 1)
+    reach = 1.0 + abs(profile.low) + abs(profile.high)
+    reports = [None] * len(scanned)
+    for k in sorted(range(len(scanned)), key=lambda k: -scanned[k][0]):
+        _, agent, others, atoms, x, best_r, truthful, best_c = scanned[k]
         a, b = best_r - window, best_r + window
         polish = window > 0.0 and cfg.refine_iters > 0 and best_c > 0.0
         if polish and not _never_below_ends(others, atoms, x, a, b, best_c):
+            if floor > -math.inf and math.isfinite(b - a):
+                if truthful - best_c + _polish_slack(atoms, best_r, window, reach, truthful, best_c) < floor:
+                    continue
             r2, c2 = _golden_min(lambda r: _plan_at(others, atoms, r, x), a, b, cfg.refine_iters)
             if c2 < best_c:
                 best_r, best_c = float(r2), float(c2)
-        reports.append(DeviationReport(
+        floor = max(floor, truthful - best_c)
+        reports[k] = DeviationReport(
             agent=agent,
             true_profile=profile,
             best_misreport=best_r,
             truthful_cost=truthful,
             deviated_cost=best_c,
             gain=truthful - best_c,
-        ))
-    if error is not None:
-        raise error
-    return reports
+        )
+    return [report for report in reports if report is not None]
+
+
+def _polish_slack(atoms, best_r: float, window: float, reach: float, truthful: float, best_c: float) -> float:
+    # every point the polish prices costs at least best_c - slack, so the
+    # polished gain is at most truthful - best_c + slack (see best_deviation);
+    # reach is 1 + |low| + |high| of the profile
+    lip = mass = 0.0
+    for w, slope, _, _, _, q, mirrored in atoms:
+        lip += w * ((abs(slope) if q is None else 1.0) + mirrored)
+        mass += w
+    delta = 1e-9 * (reach + 2.0 * (abs(best_r) + window))
+    return lip * window + 2.0 * mass * delta + 1e-12 * (truthful + best_c)
 
 
 def _report_key(report: DeviationReport):
@@ -271,8 +341,12 @@ def sp_scan(
 
     Each profile's agents are scanned together, their optimum rows in two
     batched kernel calls per profile rather than two per agent, and every
-    report is best_deviation's to the bit. Raises TypeError unless n, trials
-    and seed are integers, and ValueError for n < 2, trials < 0 or seed < 0.
+    report is best_deviation's to the bit. Each profile is scanned with the
+    largest gain so far as its floor: an agent whose polished gain provably
+    stays below it is not polished (see best_deviation), since it cannot be
+    the worst deviation, so the result is the reduction over every agent's
+    report, to the bit. Raises TypeError unless n, trials and seed are
+    integers, and ValueError for n < 2, trials < 0 or seed < 0.
     """
     p = validate_pnorm(p)
     n, trials, seed = _check_int(n, "n", 2), _check_int(trials, "trials", 0), _check_int(seed, "seed", 0)
@@ -284,9 +358,14 @@ def sp_scan(
     profiles += [LocationProfile(rng.uniform(0.0, 1.0, size=n)) for _ in range(trials)]
     if not profiles:
         raise ValueError("nothing to scan: zero trials and no structured profiles")
-    agents = range(1, n + 1)
-    reports = (report for prof in profiles for report in _deviations(spec, prof, p, agents, cfg))
-    return max(reports, key=_report_key)
+    agents, worst, worst_key = range(1, n + 1), None, None
+    for prof in profiles:
+        floor = -math.inf if worst is None else worst.gain
+        for report in _deviations(spec, prof, p, agents, cfg, floor):
+            key = _report_key(report)
+            if worst is None or key > worst_key:
+                worst, worst_key = report, key
+    return worst
 
 
 def symmetric_sp_margin(dist, x2: float) -> float:

@@ -36,7 +36,7 @@ from lpfacility import (
 from lpfacility import mechanisms, optimizer
 from lpfacility.core import NonFiniteResult
 from lpfacility.mechanisms import _outcome_plan, _plan_at, _plan_costs
-from lpfacility.optimizer import _optimum_rows
+from lpfacility.optimizer import _means, _optimum, _optimum_rows
 from lpfacility.verification import DeviationReport, SearchConfig, deviation
 from lpfacility.verification.deviation import _golden_min
 
@@ -713,6 +713,225 @@ class TestProfileBatch:
             calls.clear()
             sp_scan(spec, 3.0, n=5, trials=1, seed=seed, include_structured=False)
             assert 1 <= len(calls) <= 2, seed
+
+
+def reference_scan(spec, p, n, trials, seed, include_structured=True, best=best_deviation):
+    """sp_scan's result with no floor, as an outcome: the first of the
+    largest (gain, profile values) over every agent's report from `best`,
+    or the first error in profile and agent order."""
+    profiles = []
+    if include_structured:
+        profiles = [LocationProfile([0.0] * (n - n // 2) + [1.0] * (n // 2))] + deviation.four_block_profiles(n, p)
+    rng = np.random.default_rng(seed)
+    profiles += [LocationProfile(rng.uniform(0.0, 1.0, size=n)) for _ in range(trials)]
+    reports = []
+    for profile in profiles:
+        for agent in range(1, n + 1):
+            got = outcome(best, spec, profile, p, agent)
+            if not isinstance(got[0], int):
+                return got
+            reports.append(best(spec, profile, p, agent))
+    return outcome(lambda: max(reports, key=lambda r: (r.gain, tuple(r.true_profile.values.tolist()))))
+
+
+def scan_outcome(spec, p, n, trials, seed, include_structured=True):
+    return outcome(lambda: sp_scan(spec, p, n, trials, seed, include_structured=include_structured))
+
+
+def optimum_rules_at_two():
+    return [Mirror(Optimal(3.0)), Mirror(Optimal(1.5)), Symmetrized(Optimal()), Symmetrized(Optimal(8.0))]
+
+
+class TestScanFloor:
+    """sp_scan polishes only the agents whose bounded gain can still reach the
+    largest gain found so far; its report, and its first error, equal the
+    reduction over every agent's report by float.hex."""
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_equals_the_reduction_over_every_agent(self, n):
+        specs = catalog(n) + (optimum_rules_at_two() if n == 2 else [])
+        for k, (spec, p) in enumerate((spec, p) for spec in specs for p in P_GRID):
+            args = (spec, p, n, 2, k % 3, k % 2 == 0)
+            assert scan_outcome(*args) == reference_scan(*args), (spec, p)
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_equals_the_always_polishing_reduction(self, n):
+        specs = [Optimal(), Median(), catalog(n)[8]] + (optimum_rules_at_two() if n == 2 else [LRM()])
+        for k, (spec, p) in enumerate((spec, p) for spec in specs for p in (1.5, 2.0, 3.0, math.inf)):
+            args = (spec, p, n, 3, k, k % 2 == 1)
+            assert scan_outcome(*args) == reference_scan(*args, best=reference_best_deviation), (spec, p)
+
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_tied_and_huge_profiles(self, n, monkeypatch):
+        rng = np.random.default_rng(60 + n)
+        injected = [
+            LocationProfile(np.round(rng.uniform(0.0, 1.0, n) * 2.0) / 2.0),
+            LocationProfile(1e300 * rng.uniform(-1.0, 1.0, n)),
+            LocationProfile(np.full(n, 0.25)),
+            LocationProfile(np.resize([-1e300, 1e300], n)),
+            LocationProfile(1e-300 * rng.uniform(-1.0, 1.0, n)),
+            LocationProfile(np.resize([0.0, 1.0, 1.0], n)),
+            LocationProfile(np.resize([1e307, 3e307], n)),
+        ]
+        monkeypatch.setattr(deviation, "four_block_profiles", lambda n, p: injected)
+        specs = catalog(n) + (optimum_rules_at_two() if n == 2 else [])
+        # every other (spec, p) pair: as len(P_GRID) is odd, each spec and each p still comes up
+        for k, (spec, p) in enumerate([(spec, p) for spec in specs for p in P_GRID][::2]):
+            args = (spec, p, n, 1, k % 3)
+            assert scan_outcome(*args) == reference_scan(*args), (spec, p)
+
+    def test_p2_means_that_differ_from_the_scalar_mean(self, monkeypatch):
+        # the batched p = 2 mean, (fsum(others) + r) / n, and the scalar one,
+        # fsum(row) / n, differ in the last bits on these profiles: the scan
+        # prices the best candidate with one and the polish with the other
+        rng, differing = np.random.default_rng(8), []
+        while len(differing) < 8:
+            values = rng.uniform(0.0, 1.0, size=5)
+            for agent in range(1, 6):
+                others = sorted(np.delete(values, agent - 1).tolist())
+                scalar = _optimum(sorted(values.tolist()), 2.0)
+                if _means(others, values[agent - 1 : agent].copy(), 5)[0] != scalar:
+                    differing.append(LocationProfile(values))
+                    break
+        monkeypatch.setattr(deviation, "four_block_profiles", lambda n, p: differing)
+        for spec in (Optimal(), Optimal(2.0), catalog(5)[8]):
+            for seed in (0, 1):
+                args = (spec, 2.0, 5, 3, seed)
+                assert scan_outcome(*args) == reference_scan(*args), spec
+                assert scan_outcome(*args) == reference_scan(*args, best=reference_best_deviation), spec
+
+    @pytest.mark.parametrize(
+        "spec, n, bad, error",
+        [
+            (Median(), 3, [3.6e307, 3.8e307, 4.6e307], (NonFiniteResult, "the misreport window of {} overflows")),
+            (Optimal(), 3, [3.6e307, 3.8e307, 4.6e307], (NonFiniteResult, "the misreport window of {} overflows")),
+            (
+                Mixture(dictator_weights=(0.3, 0.0, 0.0), opt_weight=0.7),
+                3,
+                [3.6e307, 3.8e307, 4.6e307],
+                (NonFiniteResult, "misreport costs overflow on {}"),
+            ),
+            (LRM(), 2, [0.0, 0.5, 1.0], (mechanisms.ArityMismatch, "lrm is a two-agent rule, profile has 3")),
+            (
+                Mixture(dictator_weights=(0.5, 0.5)),
+                2,
+                [0.0, 0.5, 1.0],
+                (mechanisms.ArityMismatch, "dictator weights sized 2 for 3 agents"),
+            ),
+        ],
+    )
+    def test_a_later_profile_error_is_raised_with_the_floor_set(self, spec, n, bad, error, monkeypatch):
+        # the half-half profile sets the floor; the injected profile then fails
+        # at one of its agents, with the error the per-agent loop raises first
+        profile = LocationProfile(bad)
+        expect = (error[0], error[1].format(repr(profile)))
+        monkeypatch.setattr(deviation, "four_block_profiles", lambda n, p: [profile])
+        floors, scan = [], deviation._deviations
+
+        def spy(spec, profile, p, agents, cfg, floor=-math.inf):
+            floors.append(floor)
+            return scan(spec, profile, p, agents, cfg, floor)
+
+        assert reference_scan(spec, 3.0, n, 0, 0) == expect
+        monkeypatch.setattr(deviation, "_deviations", spy)
+        assert outcome(sp_scan, spec, 3.0, n, 0, 0) == expect
+        assert len(floors) == 2 and floors[1] > -math.inf
+
+    def test_the_sp_opt_shape_polishes_few_agents(self, monkeypatch):
+        # counts polishes, not seconds: 21 profiles of 5 agents are 105 rows
+        calls = []
+        monkeypatch.setattr(deviation, "_golden_min", lambda *args: calls.append(args) or _golden_min(*args))
+        sp_scan(Optimal(), 3.0, n=5, trials=20, seed=1)
+        assert 0 < len(calls) <= 10
+        calls.clear()
+        sp_scan(Median(), 3.0, n=5, trials=20, seed=1)
+        assert calls == []
+
+    @pytest.mark.parametrize("spec", [Optimal(), Mixture(order_weights=(0.0, 0.0, 0.5, 0.0, 0.0), opt_weight=0.5)])
+    def test_a_lone_profile_polishes_only_its_top_agent(self, spec, monkeypatch):
+        # the agent of largest scan gain is polished first and lifts the floor
+        # past every other agent's bound
+        calls = []
+        monkeypatch.setattr(deviation, "_golden_min", lambda *args: calls.append(args) or _golden_min(*args))
+        for seed in range(1, 6):
+            calls.clear()
+            sp_scan(spec, 3.0, n=5, trials=1, seed=seed, include_structured=False)
+            assert len(calls) == 1, seed
+
+
+class TestPolishSlack:
+    """Every point the golden polish prices costs at least best_c - slack, so
+    the polished gain is at most truthful - best_c + slack."""
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e6, 1e150, 1e300, 1e306])
+    def test_golden_points_cost_at_least_best_c_less_the_slack(self, n, scale):
+        rng = np.random.default_rng(70 + n)
+        specs = catalog(n) + (optimum_rules_at_two() if n == 2 else [])
+        cfg = SearchConfig()
+        checked = 0
+        rows = [(spec, p, agent) for spec in specs for p in P_GRID for _ in range(2) for agent in range(1, n + 1)]
+        for k, (spec, p, agent) in enumerate(rows):
+            values = rng.uniform(-1.0, 1.0, n) * scale
+            if k % 3 == 0:
+                values = np.round(values / scale * 2.0) / 2.0 * scale
+            profile = LocationProfile(values)
+            try:
+                others, atoms = _outcome_plan(spec, profile, p, agent)
+                candidates = misreport_candidates(profile, agent, cfg)
+            except (mechanisms.ArityMismatch, NonFiniteResult):
+                continue
+            x = float(values[agent - 1])
+            ((i, best_c),) = mechanisms._plan_min([(others, atoms, x, candidates)])
+            truthful = _plan_at(others, atoms, x, x)
+            best_r = float(candidates[i])
+            window = profile.span * (1.0 + 2.0 * cfg.grid_pad) / (cfg.grid_points - 1)
+            if not (math.isfinite(best_c) and math.isfinite(truthful) and math.isfinite(2.0 * window)):
+                continue
+            costs = []
+            _golden_min(lambda r: costs.append(_plan_at(others, atoms, r, x)) or costs[-1],
+                        best_r - window, best_r + window, cfg.refine_iters)
+            reach = 1.0 + abs(profile.low) + abs(profile.high)
+            slack = deviation._polish_slack(atoms, best_r, window, reach, truthful, best_c)
+            assert min(costs) >= best_c - slack, (spec, p, values, agent)
+            assert truthful - min(min(costs), best_c) <= truthful - best_c + slack, (spec, p, values, agent)
+            checked += 1
+        assert checked >= len(rows) // 2
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_the_polish_raises_nothing(self, n):
+        # skipping a polish drops no error: the point cost raises nothing at
+        # reports past the largest double, infinite or NaN, nor does the mean
+        # of a row whose sum overflows
+        big = 1.7976931348623157e308
+        reports = (math.inf, -math.inf, math.nan, big, -big, 5e-324, 0.0)
+        specs = catalog(n) + (optimum_rules_at_two() if n == 2 else [])
+        for values in (np.linspace(0.0, 1.0, n), np.resize([-1e300, 1e300], n), np.resize([0.0, 4e307], n)):
+            profile = LocationProfile(values)
+            for spec in specs:
+                for p in P_GRID + (1.1, 30.0):
+                    try:
+                        others, atoms = _outcome_plan(spec, profile, p, 1)
+                    except mechanisms.ArityMismatch:
+                        continue
+                    for r in reports:
+                        _plan_at(others, atoms, r, float(values[0]))
+                    _golden_min(lambda r: _plan_at(others, atoms, r, 0.0), -math.inf, math.inf, 3)
+        for m in range(2, 13):
+            for row in ([big] * m, [big * (1.0 - 2.0**-52)] * (m - 1) + [big], [-big] * m):
+                assert abs(_optimum(row, 2.0)) <= big
+
+    @pytest.mark.parametrize("slope, mirrored, lip", [(1.0, False, 1.0), (0.5, False, 0.5), (-1.0, True, 2.0)])
+    def test_the_lipschitz_term_is_attained(self, slope, mirrored, lip):
+        # the facility at slope * r, mirrored to r + 0 - y: from a best report one
+        # window above the cheapest one, the polish takes off nearly lip * window
+        atoms = [(1.0, slope, 0.0, -math.inf, math.inf, None, mirrored)]
+        others, x, best_r, window = [0.0], 0.0, 0.25, 0.25
+        best_c = _plan_at(others, atoms, best_r, x)
+        _, c2 = _golden_min(lambda r: _plan_at(others, atoms, r, x), best_r - window, best_r + window, 48)
+        slack = deviation._polish_slack(atoms, best_r, window, 1.0, 0.0, best_c)
+        assert best_c - c2 > (lip - 1e-6) * window
+        assert c2 >= best_c - slack
 
 
 class TestSpScan:

@@ -228,6 +228,74 @@ class TestSolverCertificate:
             assert y == pytest.approx(_solve_row(expanded, 3.0), abs=1e-12)
 
 
+def reference_solve_row(points, p):
+    """_solve_row in its first form: the slopes from a separate helper,
+    `abs(d) ** (e - 1.0)` at every p, and one evaluation after the loop."""
+
+    def slopes(zs, t, e, m):
+        s0 = s1 = 0.0
+        try:
+            for z in zs:
+                d = (t - z) / m
+                g = abs(d) ** (e - 1.0)
+                s0 += g
+                s1 += g * d
+        except (OverflowError, ZeroDivisionError):
+            return sum(math.copysign(abs((t - z) / m) ** e, t - z) for z in zs), math.inf
+        return s1, e * s0 / m
+
+    lo, hi = min(points), max(points)
+    center = 0.5 * lo + 0.5 * hi
+    half = 0.5 * hi - 0.5 * lo
+    if not half > 0.0:
+        return lo
+    zs = [(x - center) / half for x in points]
+    zlo, zhi = min(zs), max(zs)
+    e, tol = p - 1.0, BRACKET_TOL
+    a, b = zlo, zhi
+    t = est = sum(zs) / len(zs)
+    dx_old = b - a
+    f, df = slopes(zs, t, e, max(t - zlo, zhi - t))
+    for _ in range(200):
+        if f <= 0.0:
+            a = t
+        if f >= 0.0:
+            b = t
+        if est - a <= tol and b - est <= tol:
+            break
+        dx = 0.5 * (b - a)
+        est = a + dx
+        if 0.0 < df < math.inf:
+            step = f / df
+            if a <= t - step <= b and abs(2.0 * f) <= abs(dx_old * df):
+                dx, est = step, t - step
+        dx_old = dx
+        t = est
+        if abs(dx) < tol:
+            t = est + 0.5 * tol if b - est > tol else est - 0.5 * tol
+        f, df = slopes(zs, t, e, max(t - zlo, zhi - t))
+    return min(max(center + half * est, lo), hi)
+
+
+class TestSolveRowFirstForm:
+    """_solve_row computes its slopes inline and takes |d| for |d| ** 1.0 at
+    p = 3; every result keeps the first form's bits."""
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_bits_equal_the_first_form(self, n):
+        rng = np.random.default_rng(100 + n)
+        rows = []
+        for scale in (1e-300, 1e-12, 1.0, 1e6, 1e150, 1e300):
+            values = rng.uniform(-1.0, 1.0, size=(6, n))
+            values[:2] = np.round(values[:2] * 2.0) / 2.0  # ties
+            values[2, 1:] = values[2, 0]  # all but one point tied
+            rows += (np.sort(values, axis=1) * scale).tolist()
+        rows.append([0.0] * (n - 1) + [5e-324])
+        for p in (1.01, 1.1, 1.5, 1.9, 2.5, 3.0, 4.0, 5.0, 8.0, 30.0, 1e3, 1e6):
+            for row in rows:
+                assert _solve_row(row, p).hex() == reference_solve_row(row, p).hex(), (p, row)
+
+
 def reference_smallest_positive_root(f, scan_step, max_bound, tol=ROOT_TOL):
     # the scan and a scalar bracket bisection in Python floats, no numpy
     if not (max_bound > 0.0 and math.isfinite(max_bound)):
