@@ -338,17 +338,17 @@ def _plan_min(plans: list) -> list:
     """(i, costs[i]) per plan (others, atoms, x, reports), for costs =
     _plan_costs(others, atoms, x, reports) and i = argmin(costs), bit for
     bit; the cost is inf when an entry is not finite, and overflow is not
-    warned of, since callers check the costs. Plans with an optimum atom
-    that is not a closed form, no mirrored atom and no clipped line of
-    negative slope solve only the reports that can win, in two kernel calls
-    per exponent for all of them; `verification.deviation.best_deviation`
+    warned of, since callers check the costs. The plans must come from one
+    rule on one profile, so they share n and the exponent q of any solved
+    optimum. Plans of clipped lines of slope >= 0 and then one optimum that
+    is not a closed form, none mirrored (every catalog plan with a solved
+    optimum and no mirror), solve only the reports that can win, all of
+    them in one kernel call per phase; `verification.deviation.best_deviation`
     gives the argument. The other plans take the full curve, one by one.
     """
-    found = [None] * len(plans)
-    solved = [k for k, plan in enumerate(plans) if any(atom[5] not in _UNSOLVED for atom in plan[1])]
-    if solved:
-        for k, pruned in zip(solved, _pruned_min([plans[k] for k in solved])):
-            found[k] = pruned
+    # closed rules skip the shape guard, whose set-up slows their scans
+    solved = any(atom[5] not in _UNSOLVED for plan in plans for atom in plan[1])
+    found = _pruned_min(plans) if solved else [None] * len(plans)
     with np.errstate(over="ignore", invalid="ignore"):
         for k, plan in enumerate(plans):
             if found[k] is None:
@@ -360,53 +360,54 @@ def _plan_min(plans: list) -> list:
 
 
 def _pruned_min(plans: list) -> list:
-    # per plan, _plan_min from its coarse rows, then from the rows whose lower
-    # bound does not exceed the coarse minimum; None for a mirrored atom, a
-    # line of negative slope or a cost cap that overflows
-    found = [None] * len(plans)
-    scans = []
-    # a term may overflow; the cap then sends its plan to the full curve
+    # per plan, _plan_min priced as rest + w * |x - y|, rest the cost curve of
+    # its lines and y its optimum, solved at the coarse rows, then at the rows
+    # whose lower bound does not exceed the coarse minimum; None for a plan of
+    # another shape or whose cost cap overflows
+    found, scans = [None] * len(plans), []
+    # a line's cost may overflow; the cap then sends its plan to the full curve
     with np.errstate(over="ignore", invalid="ignore"):
         for k, (others, atoms, x, reports) in enumerate(plans):
-            if any(m or s < 0.0 for _, s, _, _, _, _, m in atoms):
+            *lines, (w, _, _, _, _, q, mirrored) = atoms
+            if q in _UNSOLVED or mirrored or any(a[1] < 0.0 or a[5] is not None or a[6] for a in lines):
                 continue
             order = np.argsort(reports, kind="stable")
             r = reports[order]
-            # the cost terms of the atoms left unsolved at every row, None for a solved one
-            terms = [None if atom[5] not in _UNSOLVED else _plan_costs(others, [atom], x, r) for atom in atoms]
-            # a solved optimum lies in `window`, which holds every row's points; any
-            # other atom is monotone in the report, so its term peaks at an end;
-            # below a finite cap no cost overflows
+            # _plan_costs' sum in atom order with the optimum left out: None when
+            # no line is, and w * |x - y| + rest is the full sum, as + commutes
+            rest = _plan_costs(others, lines, x, r)
+            # the optimum lies in `window`, which holds every row's points, so no
+            # row costs more than the cap, and below a finite cap none overflows
             window = (min(float(r[0]), others[0]), max(float(r[-1]), others[-1]))
-            reach = max(abs(x - window[0]), abs(x - window[1]))
-            cap = 0.0
-            for atom, term in zip(atoms, terms):
-                cap += atom[0] * reach if term is None else float(max(term[0], term[-1]))
+            cap = w * max(abs(x - window[0]), abs(x - window[1])) + (0.0 if rest is None else float(rest.max()))
             if math.isfinite(cap):
-                scans.append((k, order, r, terms, window))
-    coarse = [_stride_rows(r.size)[0] for _, _, r, _, _ in scans]
+                scans.append((k, order, r, rest, w, x, 1e-9 * (1.0 + abs(window[0]) + abs(window[1]))))
+
+    def priced(scan, rows, y):
+        # the scan's costs at its sorted reports' rows, y its optima there
+        _, _, _, rest, w, x, _ = scan
+        costs = w * np.abs(x - y)
+        if rest is not None:
+            costs += rest[rows]
+        return costs
+
+    coarse = [_stride_rows(r.size)[0] for _, _, r, *_ in scans]
     kept, least = [], []
-    for (k, order, r, terms, window), rows, ys in zip(scans, coarse, _optima_at(plans, scans, coarse)):
-        atoms, x = plans[k][1:3]
+    for scan, rows, y in zip(scans, coarse, _optima_at(plans, scans, coarse)):
+        _, _, r, rest, w, x, delta = scan
         _, inner, gap = _stride_rows(r.size)
-        delta = 1e-9 * (1.0 + abs(window[0]) + abs(window[1]))
-        bound = np.zeros(inner.size)
-        for atom, term, y in zip(atoms, terms, ys):
-            if term is None:
-                # a solved optimum lies within delta of the bracket its gap's ends give
-                bound += atom[0] * np.maximum(np.maximum(y[:-1] - delta - x, x - (y[1:] + delta)), 0.0)[gap]
-            else:
-                bound += term[inner]
-        costs = _row_costs(atoms, x, terms, rows, ys)
+        # the optimum lies within delta of the bracket its gap's ends give
+        bound = w * np.maximum(np.maximum(y[:-1] - delta - x, x - (y[1:] + delta)), 0.0)[gap]
+        if rest is not None:
+            bound += rest[inner]
+        costs = priced(scan, rows, y)
         kept.append(inner[bound * (1.0 - 1e-12) - delta <= costs.min()])
         least.append((rows, costs))
-    for (k, order, _, terms, _), keep, (rows, costs), ys in zip(scans, kept, least, _optima_at(plans, scans, kept)):
+    for scan, keep, (rows, costs), y in zip(scans, kept, least, _optima_at(plans, scans, kept)):
         if keep.size:
-            atoms, x = plans[k][1:3]
-            rows = np.concatenate([rows, keep])
-            costs = np.concatenate([costs, _row_costs(atoms, x, terms, keep, ys)])
+            rows, costs = np.concatenate([rows, keep]), np.concatenate([costs, priced(scan, keep, y)])
         c = costs.min()
-        found[k] = int(order[rows[costs == c]].min()), float(c)
+        found[scan[0]] = int(scan[1][rows[costs == c]].min()), float(c)
     return found
 
 
@@ -422,29 +423,12 @@ def _stride_rows(size: int):
 
 
 def _optima_at(plans: list, scans: list, rows: list) -> list:
-    # per scan, each atom's optima at its sorted reports' `rows`, None for an
-    # atom left unsolved; the blocks of each (n, q) share one kernel call
-    blocks, groups = [], {}
-    for (k, _, r, terms, _), idx in zip(scans, rows):
-        others, atoms = plans[k][:2]
-        for atom, term in zip(atoms, terms):
-            if term is None and idx.size:
-                groups.setdefault((len(others), atom[5]), []).append(len(blocks))
-                blocks.append((others, r[idx]))
-    for (_, q), members in groups.items():
-        for i, y in zip(members, _optimum_rows([blocks[i] for i in members], q)):
-            blocks[i] = y
-    ys = iter(blocks)
-    return [[next(ys) if term is None and idx.size else None for term in scan[3]] for scan, idx in zip(scans, rows)]
-
-
-def _row_costs(atoms: list, x: float, terms: list, rows: np.ndarray, ys: list) -> np.ndarray:
-    # _plan_costs at the sorted reports' `rows`, from the unsolved atoms'
-    # terms and the solved atoms' optima ys there: the same sum, term by term
-    total = np.zeros(rows.size)
-    for atom, term, y in zip(atoms, terms, ys):
-        total += atom[0] * np.abs(x - y) if term is None else term[rows]
-    return total
+    # per scan, its optimum at its sorted reports' `rows`, all in one kernel
+    # call, as the plans share n and q; no call, and None, when no row is asked
+    if not any(idx.size for idx in rows):
+        return [None] * len(scans)
+    blocks = [(plans[k][0], r[idx]) for (k, _, r, *_), idx in zip(scans, rows)]
+    return _optimum_rows(blocks, plans[scans[0][0]][1][-1][5])
 
 
 def format_mechanism(spec: MechanismSpec) -> str:

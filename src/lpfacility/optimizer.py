@@ -2,8 +2,9 @@
 certificates.
 
 The social cost y -> (sum_i |x_i - y|^p)^(1/p) is minimized in closed form
-for p in {1, 2, inf} (lower median, mean, midrange). Otherwise the minimizer
-is the root of the nondecreasing derivative
+for p in {1, 2, inf} (lower median, mean, midrange; where a mean's or a
+midrange's sum overflows, it is taken at a smaller scale). Otherwise the
+minimizer is the root of the nondecreasing derivative
 
     D(y) = sum_i w_i sign(y - x_i) |y - x_i|^(p-1),
 
@@ -24,12 +25,12 @@ forms once. `_optimum` is pure Python for one row (optimal_location, `run`
 and the deviation polish, where numpy's per-call overhead would dominate)
 and solves with `_solve_row`. `_optimum_rows` is numpy for blocks of rows
 that differ in one report (deviation curves; the misreport scan passes one
-block per agent of a profile); it reads the closed forms off each block's
-other reports in O(C), writes every block as columns of one (n, C)
-workspace buffer and solves them with one `_bisect_columns` call, where
-no column's result depends on the rest of its batch. `_bisect_rows` copies
-a (B, n) batch, such as the weighted rows of certificate residuals, into
-that buffer and solves it the same way.
+block per agent of a profile, in one call per phase); it reads the closed
+forms off each block's other reports in O(C), writes every block as columns
+of one (n, C) workspace buffer and solves them with one `_bisect_columns`
+call, where no column's result depends on the rest of its batch.
+`_bisect_rows` copies a (B, n) batch, such as the weighted rows of
+certificate residuals, into that buffer and solves it the same way.
 
 Rank roots: for rank j among 2k agents and e = p - 1, the root a_j of
 
@@ -129,7 +130,9 @@ def _optimum(row: list, p: float) -> float:
         # the division rounds again, which can leave the hull of equal points
         return min(max(mean, row[0]), row[-1])
     if math.isinf(p):
-        return 0.5 * (row[0] + row[-1])
+        # the sum overflows for points above half the largest double
+        mid = 0.5 * (row[0] + row[-1])
+        return mid if math.isfinite(mid) else 0.5 * row[0] + 0.5 * row[-1]
     return _solve_row(row, p)
 
 
@@ -153,6 +156,16 @@ def _means(others: list, reports: np.ndarray, n: int) -> np.ndarray:
     return np.minimum(y, np.maximum(reports, others[-1]), out=y)
 
 
+def _midranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    # 0.5 * (lo + hi), or 0.5 * lo + 0.5 * hi where the sum overflows
+    with np.errstate(over="ignore"):
+        y = 0.5 * (lo + hi)
+    wide = np.isinf(y)
+    if wide.any():
+        y[wide] = 0.5 * lo[wide] + 0.5 * hi[wide]
+    return y
+
+
 def _optimum_rows(blocks: list, p: float) -> list:
     """The batched kernel: for each (others, reports) block, the minimizer
     of each row others + [r], r in reports, one array per block; every
@@ -167,7 +180,7 @@ def _optimum_rows(blocks: list, p: float) -> list:
     if p == 2.0:
         return [_means(others, reports, n) for others, reports in blocks]
     if math.isinf(p):
-        return [0.5 * (np.minimum(r, others[0]) + np.maximum(r, others[-1])) for others, r in blocks]
+        return [_midranges(np.minimum(r, others[0]), np.maximum(r, others[-1])) for others, r in blocks]
     ends = [0]
     for _, reports in blocks:
         ends.append(ends[-1] + reports.size)

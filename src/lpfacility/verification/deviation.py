@@ -176,27 +176,28 @@ def best_deviation(
 
     The candidate scan (`mechanisms._plan_min`) solves only the optimum rows
     that can win, and returns the same index and cost, bit for bit, as the
-    full curve. The L_q optimum of others + [r] is nondecreasing in r by
-    strict convexity (the monotonicity behind the median's
-    strategyproofness), as are, in floating point too, every clipped line of
-    slope >= 0 and every closed-form optimum. The scan sorts the candidates,
+    full curve. It prunes plans of clipped lines of slope >= 0 and then one
+    optimum that is not a closed form, none mirrored (`Optimal` and its
+    mixtures with dictators and order statistics), which cost
+    rest + w * |x - y| at report r: rest, the lines' cost in the full curve's
+    atom order, is evaluated at every candidate, and the optimum y of
+    others + [r] is nondecreasing in r by strict convexity (the monotonicity
+    behind the median's strategyproofness). The scan sorts the candidates,
     solves every 64th and the last, and takes the least of their costs, UB.
-    A solved optimum at a row between two of these lies in the bracket of
-    its values at the two ends, widened by delta = 1e-9 * (1 + |w0| + |w1|),
-    [w0, w1] the window that holds every row's points: each solve is
-    certified within BRACKET_TOL (1e-12) half-spans, at most (w1 - w0) / 2,
-    so delta is 1000 times that, with room for the back-transform's
-    rounding, which scales with |w0| and |w1|. Closed atoms are evaluated
-    at every row. So the row costs at least LB, their cost plus
-    sum w * dist(x, bracket) over the solved atoms; a row with
-    LB * (1 - 1e-12) - delta > UB cannot be the least and is not solved,
-    and the rest are solved in one more batch, where a row's solve does not
-    depend on the rest of the batch (`optimizer._bisect_columns`). Mirrored
-    atoms and clipped lines of negative slope are not monotone, so their
-    plans take the full curve, as do plans whose cap, sum w * max |x - y|
-    over each atom's range on the window, overflows: each cost rounds to at
-    most the cap, so below it no cost overflows and the overflow check holds
-    for the unsolved rows too.
+    Between two of these, y lies in [y0 - delta, y1 + delta], y0 and y1 its
+    values at the two ends and delta = 1e-9 * (1 + |w0| + |w1|), [w0, w1]
+    the window that holds every row's points: each solve is certified within
+    BRACKET_TOL (1e-12) half-spans, at most (w1 - w0) / 2, and delta is 1000
+    times that, with room for the back-transform's rounding, which scales
+    with |w0| and |w1|. So a row costs at least LB = rest + w * dist(x,
+    [y0 - delta, y1 + delta]); one with LB * (1 - 1e-12) - delta > UB cannot
+    be the least and is not solved, and the rest are solved in one more
+    batch, where a row's solve does not depend on the rest of the batch
+    (`optimizer._bisect_columns`). Other plans take the full curve (a
+    mirrored optimum is not monotone), as do plans whose cap,
+    max(rest) + w * max |x - y| over the window, overflows: y lies in the
+    window, so each cost rounds to at most the cap, below it no cost
+    overflows, and the overflow check holds for the unsolved rows too.
     `sp_scan` scans every agent of a profile at once (`_deviations`), and
     best_deviation is its one-agent case.
 

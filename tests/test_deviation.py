@@ -622,6 +622,29 @@ class TestPrunedScan:
                 assert outcome(best_deviation, spec, profile, 3.0, agent) == expect, (spec, agent)
         assert pruned_calls == [None] * 6
 
+    def test_plans_of_another_shape_take_the_full_curve(self, pruned_calls):
+        # hand-built plans the catalog never makes: the scan prices only clipped
+        # lines of slope >= 0 followed by one solved optimum
+        inf = math.inf
+        profile = LocationProfile(np.random.default_rng(5).uniform(0.0, 1.0, size=5))
+        others, _ = _outcome_plan(Median(), profile, 3.0, 1)
+        x, reports = float(profile.values[0]), misreport_candidates(profile, 1)
+        optimum = lambda w, q: (w, 0.0, 0.0, -inf, inf, q, False)
+        line = lambda w, slope, shift: (w, slope, shift, others[1], others[2], None, False)
+        shapes = {
+            "optimum before a line": [optimum(0.5, 3.0), line(0.25, 1.0, 0.0), line(0.25, 0.5, 0.1)],
+            "two solved optima": [optimum(0.4, 3.0), optimum(0.6, 5.0)],
+            "a closed-form optimum": [optimum(0.3, 2.0), line(0.2, 1.0, 0.0), optimum(0.5, 3.0)],
+            "a line of negative slope": [line(0.5, -1.0, 1.0), optimum(0.5, 3.0)],
+            "a mirrored line": [(*line(0.5, 1.0, 0.0)[:6], True), optimum(0.5, 3.0)],
+        }
+        for shape, atoms in shapes.items():
+            pruned_calls.clear()
+            ((i, cost),) = mechanisms._plan_min([(others, atoms, x, reports)])
+            costs = _plan_costs(others, atoms, x, reports)
+            assert (i, cost.hex()) == (int(costs.argmin()), float(costs.min()).hex()), shape
+            assert pruned_calls == [None], shape
+
     @pytest.mark.parametrize("p", PRUNE_P)
     def test_computed_optima_are_monotone_in_the_report_within_delta(self, p):
         # the assumption behind the bracket: a solved optimum never drops by

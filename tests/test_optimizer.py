@@ -10,15 +10,21 @@ from hypothesis import strategies as st
 
 from lpfacility import (
     LocationProfile,
+    Median,
     NoRootFound,
+    Optimal,
     adversarial_root,
     adversarial_roots,
+    best_deviation,
     optimal_cost,
     optimal_location,
+    point_mass,
+    ratio,
+    run,
     smallest_positive_root,
     social_cost,
 )
-from lpfacility.optimizer import BRACKET_TOL, ROOT_TOL, _bisect_rows, _optimum_rows, _powi, _solve_row
+from lpfacility.optimizer import BRACKET_TOL, ROOT_TOL, _bisect_rows, _optimum, _optimum_rows, _powi, _solve_row
 
 
 def brute_force_cost_curve(values, grid, p):
@@ -159,6 +165,42 @@ class TestExtremeRows:
             for r, mean in zip(reports.tolist(), means.tolist()):
                 row = sorted([*others.tolist(), r])
                 assert row[0] <= optimal_location(LocationProfile(row), 2.0).location <= row[-1]
+
+    def test_an_overflowing_pinf_sum_still_gives_the_midrange(self):
+        # 0.5 * (lo + hi) overflowed above half the largest double: the location
+        # and cost were inf, run raised an unnamed ValueError, and best_deviation
+        # refused the costs as overflowing
+        prof = LocationProfile([1e308, 1.5e308])
+        res = optimal_location(prof, math.inf)
+        assert (res.location, res.cost) == (1.25e308, 2.5e307)
+        assert run(Optimal(), prof, math.inf) == point_mass(1.25e308)
+        assert ratio(Median(), prof, math.inf).ratio == 2.0
+        report = best_deviation(Optimal(), LocationProfile([3e307, 4e307]), math.inf, 2)
+        assert (report.best_misreport, report.deviated_cost) == (5e307, 0.0)
+        assert report.gain == report.truthful_cost == 4e307 - 0.5 * (3e307 + 4e307)
+        # warnings are errors in this suite: the batched kernel warns of nothing
+        (y,) = _optimum_rows([([1e308], np.array([1.5e308, 1.7e308]))], math.inf)
+        assert y.tolist() == [1.25e308, 1.35e308]
+
+    def test_pinf_midranges_keep_their_bits_where_the_sum_is_finite(self):
+        rng = np.random.default_rng(29)
+        for trial in range(200):
+            n = 2 + trial % 7
+            # every fourth row lies in +-[5e307, 1.7e308], where sums overflow
+            low, scale = (0.5, 1e308) if trial % 4 == 0 else (-1.7, 10.0 ** float(rng.integers(-300, 308)))
+            scale = -scale if trial % 8 == 0 else scale
+            others = np.sort(rng.uniform(low, 1.7, n - 1) * scale)
+            reports = rng.uniform(low, 1.7, 16) * scale
+            lo, hi = np.minimum(reports, others[0]), np.maximum(reports, others[-1])
+            with np.errstate(over="ignore"):
+                expect = 0.5 * (lo + hi)
+            finite = np.isfinite(expect)
+            (y,) = _optimum_rows([(others.tolist(), reports)], math.inf)
+            assert np.all((lo <= y) & (y <= hi))
+            assert [v.hex() for v in y[finite].tolist()] == [v.hex() for v in expect[finite].tolist()]
+            # the scalar kernel agrees with the batched one, overflowing rows included
+            for r, mid in zip(reports.tolist(), y.tolist()):
+                assert _optimum(sorted([*others.tolist(), r]), math.inf).hex() == mid.hex()
 
     def test_tolerance_scales_with_the_span(self):
         tiny = optimal_location(LocationProfile([0.0, 1e-13, 1e-12]), 3.0).location
