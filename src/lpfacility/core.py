@@ -162,6 +162,28 @@ def _check_agent(agent: int, n: int) -> int:
     return int(agent)
 
 
+def _merged_atoms(locations: list, probabilities: list) -> list:
+    """A finite distribution's atoms, validated as FacilityDistribution
+    states: the (location, probability) pairs with positive mass, locations
+    ascending, equal ones merged and -0.0 made +0.0."""
+    if not locations:
+        raise ValueError("distribution needs at least one atom")
+    if not all(map(math.isfinite, locations)):
+        raise ValueError("atom locations must be finite")
+    if not all(math.isfinite(prob) and prob >= 0.0 for prob in probabilities):
+        raise ValueError("atom probabilities must be finite and nonnegative")
+    total = float(np.add.reduce(probabilities))
+    if abs(total - 1.0) > ATOM_MASS_TOL:
+        raise ValueError(f"atom probabilities sum to {total!r}, not 1")
+    # each location's mass is summed in input order; a dict merges the
+    # few atoms of a rule faster than np.unique
+    merged = {}
+    for loc, prob in zip(locations, probabilities):
+        loc += 0.0
+        merged[loc] = merged.get(loc, 0.0) + prob
+    return sorted(atom for atom in merged.items() if atom[1] > 0.0)
+
+
 class FacilityDistribution:
     """Finite probability distribution over facility locations.
 
@@ -176,23 +198,9 @@ class FacilityDistribution:
 
     def __init__(self, atoms):
         pairs = list(atoms)
-        if not pairs:
-            raise ValueError("distribution needs at least one atom")
-        locations = np.array([pair[0] for pair in pairs], dtype=float) + 0.0
+        locations = np.array([pair[0] for pair in pairs], dtype=float)
         probabilities = np.array([pair[1] for pair in pairs], dtype=float)
-        if not np.all(np.isfinite(locations)):
-            raise ValueError("atom locations must be finite")
-        if not np.all(np.isfinite(probabilities)) or np.any(probabilities < 0.0):
-            raise ValueError("atom probabilities must be finite and nonnegative")
-        total = float(probabilities.sum())
-        if abs(total - 1.0) > ATOM_MASS_TOL:
-            raise ValueError(f"atom probabilities sum to {total!r}, not 1")
-        # each location's mass is summed in input order; a dict merges the
-        # few atoms of a rule faster than np.unique
-        merged = {}
-        for loc, prob in zip(locations.tolist(), probabilities.tolist()):
-            merged[loc] = merged.get(loc, 0.0) + prob
-        kept = sorted(atom for atom in merged.items() if atom[1] > 0.0)
+        kept = _merged_atoms(locations.tolist(), probabilities.tolist())
         locs = np.array([loc for loc, _ in kept])
         probs = np.array([prob for _, prob in kept])
         for arr in (locs, probs):
@@ -243,18 +251,21 @@ def expected_agent_cost(x: float, dist: FacilityDistribution) -> float:
     return float(np.abs(float(x) - dist.locations) @ dist.probabilities)
 
 
-def _lp_norm(distances: np.ndarray, p: float) -> float:
-    """L_p norm of a nonnegative 1-D array, max-factored for overflow safety."""
+def _lp_norms(distances: np.ndarray, p: float) -> list:
+    """L_p norm of each row of a nonnegative (m, n) array, each row
+    max-factored for overflow safety; a row's norm does not depend on the
+    rest of its batch. An overflowing p = 1 sum is inf, which callers
+    refuse by name, so numpy's warning is not raised."""
+    peaks = distances.max(axis=1)
     if math.isinf(p):
-        return float(distances.max())
-    peak = float(distances.max())
-    if peak == 0.0:
-        return 0.0
+        return peaks.tolist()
     if p == 1.0:
-        return float(distances.sum())
-    # factor out the peak so every power stays in [0, 1]
-    scaled = distances / peak
-    return peak * float(np.sum(scaled**p)) ** (1.0 / p)
+        with np.errstate(over="ignore"):
+            return np.add.reduce(distances, axis=1).tolist()
+    # factor out the peak so every power stays in [0, 1]; a zero row stays zero
+    scaled = distances / np.where(peaks > 0.0, peaks, 1.0)[:, None]
+    sums = np.add.reduce(scaled**p, axis=1).tolist()
+    return [peak * total ** (1.0 / p) for peak, total in zip(peaks.tolist(), sums)]
 
 
 def social_cost(profile: LocationProfile, y: float, p: float) -> float:
@@ -264,7 +275,7 @@ def social_cost(profile: LocationProfile, y: float, p: float) -> float:
     # checked in Python floats, which overflow to inf without numpy's warning
     if max(profile.high - y, y - profile.low) == math.inf:
         return math.inf
-    return _lp_norm(np.abs(profile.values - y), p)
+    return _lp_norms(np.abs(profile.values - y)[None, :], p)[0]
 
 
 def expected_social_cost(

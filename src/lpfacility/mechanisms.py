@@ -210,22 +210,24 @@ def run(spec: MechanismSpec, reported: LocationProfile, p: float) -> FacilityDis
     profile size (two-agent rules, out-of-range ranks or dictators).
     """
     p = validate_pnorm(p)
-    others, atoms = _outcome_plan(spec, reported, p, 1)
-    locations = _plan_at(others, atoms, float(reported.values[0]))
+    values = reported.values.tolist()
+    others, atoms = _outcome_plan(spec, values, p, 1)
+    locations = _plan_at(others, atoms, values[0])
     return FacilityDistribution(zip(locations, [atom[0] for atom in atoms]))
 
 
-def _outcome_plan(spec, profile: LocationProfile, p: float, agent: int):
-    """The rule's outcome as data, with `agent`'s report r left free.
+def _outcome_plan(spec, values: list, p: float, agent: int):
+    """The rule's outcome on a profile's reports `values` (floats, in agent
+    order) as data, with `agent`'s report r left free.
 
     Returns (others, atoms): the other agents' reports sorted ascending, and
     one (weight, slope, shift, lo, hi, q, mirrored) tuple per atom. The
     atom's location is slope * r + shift clipped to [lo, hi] when q is None,
     else the L_q optimum of others + [r]; when mirrored, it is reflected
-    about the midpoint of the two reports (r + others[0] minus it). Mixture
-    components of zero weight are left out.
+    about the midpoint of the two reports (r + others[0] minus it, or
+    (r - y) + others[0] where that sum overflows). Mixture components of
+    zero weight are left out.
     """
-    values = profile.values.tolist()
     n = len(values)
     others = sorted(values[: agent - 1] + values[agent:])
     inf = math.inf
@@ -268,7 +270,7 @@ def _outcome_plan(spec, profile: LocationProfile, p: float, agent: int):
             atoms.append((spec.opt_weight, 0.0, 0.0, -inf, inf, p if spec.p is None else spec.p, False))
     elif isinstance(spec, (Mirror, Symmetrized)):
         _require_two(n, "mirror" if isinstance(spec, Mirror) else "symmetrize")
-        inner = _outcome_plan(spec.inner, profile, p, agent)[1]
+        inner = _outcome_plan(spec.inner, values, p, agent)[1]
         atoms = [(*atom[:6], not atom[6]) for atom in inner]
         if isinstance(spec, Symmetrized):
             atoms = [(0.5 * atom[0], *atom[1:]) for atom in inner + atoms]
@@ -292,7 +294,8 @@ def _plan_at(others: list, atoms: list, r: float, x: float | None = None):
         else:
             y = _optimum(sorted([*others, r]), q)
         if mirrored:
-            y = r + others[0] - y
+            m = r + others[0] - y
+            y = m if math.isfinite(m) else (r - y) + others[0]
         if x is None:
             locations.append(y)
         else:
@@ -317,7 +320,12 @@ def _plan_costs(others: list, atoms: list, x: float, reports: np.ndarray) -> np.
         else:
             y = _optimum_rows([(others, reports)], q)[0]
         if mirrored:
-            y = reports + others[0] - y
+            with np.errstate(over="ignore"):
+                m = reports + others[0] - y
+                wide = ~np.isfinite(m)
+                if wide.any():
+                    m[wide] = (reports[wide] - y[wide]) + others[0]
+            y = m
         term = np.abs(x - y)
         if w != 1.0:
             term *= w

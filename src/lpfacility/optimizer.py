@@ -11,7 +11,7 @@ minimizer is the root of the nondecreasing derivative
 found by safeguarded Newton steps with D'(y) = (p-1) sum_i w_i |y - x_i|^(p-2).
 Each row is first shifted to its midpoint and divided by its half-span, so
 every point lies in [-1, 1]; at each iterate the peak distance m is factored
-out of D and D' (the way core._lp_norm factors it out of the norm), so every
+out of D and D' (the way core._lp_norms factors it out of the norm), so every
 power in D lies in [0, 1] and the peak's is exactly 1: nothing overflows and
 the sign of D survives underflow, for spans up to about 1e308 and p up to
 1e6. A bracket [a, b] with D(a) <= 0 <= D(b) is kept throughout. The
@@ -21,15 +21,15 @@ previous step (the rtsafe rule). A point is returned only once it is
 certified: D changes sign within BRACKET_TOL half-spans on either side.
 
 The optimum has two kernels chosen by call shape, each holding the closed
-forms once. `_optimum` is pure Python for one row (optimal_location, `run`
-and the deviation polish, where numpy's per-call overhead would dominate)
-and solves with `_solve_row`. `_optimum_rows` is numpy for blocks of rows
-that differ in one report (deviation curves; the misreport scan passes one
-block per agent of a profile, in one call per phase); it reads the closed
-forms off each block's other reports in O(C), writes every block as columns
-of one (n, C) workspace buffer and solves them with one `_bisect_columns`
-call, where no column's result depends on the rest of its batch.
-`_bisect_rows` copies a (B, n) batch, such as the weighted rows of
+forms once. `_optimum` is pure Python for one row (optimal_location, `run`,
+the ratio pricer and the deviation polish, where numpy's per-call overhead
+would dominate) and solves with `_solve_row`. `_optimum_rows` is numpy for
+blocks of rows that differ in one report (deviation curves; the misreport
+scan passes one block per agent of a profile, in one call per phase); it
+reads the closed forms off each block's other reports in O(C), writes every
+block as columns of one (n, C) workspace buffer and solves them with one
+`_bisect_columns` call, where no column's result depends on the rest of its
+batch. `_bisect_rows` copies a (B, n) batch, such as the weighted rows of
 certificate residuals, into that buffer and solves it the same way.
 
 Rank roots: for rank j among 2k agents and e = p - 1, the root a_j of

@@ -122,7 +122,7 @@ def deviation_cost_curve(spec, profile, p, agent, reports) -> np.ndarray:
     finite = np.isfinite(reports)
     if not finite.all():
         raise NonFiniteResult(f"misreports must be finite, got {float(reports[~finite][0])!r}")
-    others, atoms = _outcome_plan(spec, profile, p, agent)
+    others, atoms = _outcome_plan(spec, profile.values.tolist(), p, agent)
     return _plan_costs(others, atoms, x, reports)
 
 
@@ -264,11 +264,11 @@ def _deviations(spec, profile: LocationProfile, p: float, agents, cfg: SearchCon
     """
     p = validate_pnorm(p)
     plans, error = [], None
-    shared = _window_candidates(profile, cfg)
+    shared, values = _window_candidates(profile, cfg), profile.values.tolist()
     for agent in agents:
         try:
             x = float(profile.values[_check_agent(agent, profile.n) - 1])
-            others, atoms = _outcome_plan(spec, profile, p, agent)
+            others, atoms = _outcome_plan(spec, values, p, agent)
             plans.append((others, atoms, x, _agent_candidates(shared, profile, agent, cfg)))
         except Exception as exc:
             error = exc

@@ -12,14 +12,19 @@ from ..core import (
     LocationProfile,
     NonFiniteResult,
     _check_int,
+    _lp_norms,
+    _merged_atoms,
     expected_social_cost,
     validate_pnorm,
 )
-from ..mechanisms import run
-from ..optimizer import _cached_adversarial_roots, optimal_cost
+from ..mechanisms import _outcome_plan, _plan_at
+from ..optimizer import _cached_adversarial_roots, _optimum, optimal_cost
 from .reports import RatioReport, _check_fields
 
 __all__ = ["RatioSearchConfig", "ratio", "worst_ratio_search", "four_block_profiles"]
+
+# Below the smallest normal double a cost keeps fewer than 53 bits.
+_NORMAL_MIN = 2.0**-1022
 
 
 @dataclass(frozen=True)
@@ -34,29 +39,107 @@ class RatioSearchConfig:
         _check_fields(self, (("trials", 0, True), ("hill_iters", 0, True), ("seed", 0, True)))
 
 
+def _checked_ratio(mech: float, opt: float, row) -> float:
+    # the ratio of one profile's costs, `row` its reports
+    if not (math.isfinite(mech) and math.isfinite(opt)):
+        raise NonFiniteResult(f"social cost overflows on {LocationProfile(row)!r}: {mech!r} against {opt!r}")
+    if opt == 0.0:
+        # all agents coincide: any mass off that point is infinitely bad
+        return 1.0 if mech == 0.0 else math.inf
+    return mech / opt
+
+
 def _report_for_distribution(
     spec, profile: LocationProfile, p: float, dist: FacilityDistribution
 ) -> RatioReport:
     mech = expected_social_cost(profile, dist, p)
     opt = optimal_cost(profile, p)
-    if not (math.isfinite(mech) and math.isfinite(opt)):
-        raise NonFiniteResult(f"social cost overflows on {profile!r}: {mech!r} against {opt!r}")
-    if opt == 0.0:
-        # all agents coincide: any mass off that point is infinitely bad
-        value = 1.0 if mech == 0.0 else math.inf
-    else:
-        value = mech / opt
-    return RatioReport(spec, profile, p, mech, opt, value)
+    return RatioReport(spec, profile, p, mech, opt, _checked_ratio(mech, opt, profile.values))
+
+
+def _ratios(spec, rows: np.ndarray, p: float) -> list:
+    """(mechanism cost, optimal cost, ratio) of each row of a (B, n) array of
+    finite profiles in agent order, as `ratio` reports them on
+    LocationProfile(row). A validated p is assumed.
+
+    Each row's outcome is the rule's plan (`mechanisms._outcome_plan`) at
+    agent 1's report, validated and merged as FacilityDistribution does; its
+    optimum is the scalar one-row kernel's on the sorted row, the solve of
+    `optimal_location`. Then every row's distances to its atoms and to its
+    optimum form one matrix, normed row by row in one `core._lp_norms` call,
+    and each mechanism cost is summed in Python in ascending location order.
+    So every cost equals `expected_social_cost(profile, run(spec, profile,
+    p), p)` and `optimal_cost(profile, p)` bit for bit, except where a
+    weighted cost term or the optimal cost falls below the smallest normal
+    double and loses bits (0.5 * 5e-324 is 0). Ratios are scale-free, so
+    such a row is priced again at unit span, on (x - low) / span, its ratio
+    taken there and its costs scaled back by the span. Every catalog atom
+    lies in [low, high], so each cost is at least span / 2: a row of span
+    1e-290 or more is priced again only for a weight below 4.5e-18.
+
+    Errors are raised in row order: the first failing row raises what
+    `ratio` raises on it.
+    """
+    inf = math.inf
+    values = rows.tolist()
+    plans, ys, owners, error = [], [], [], None
+    for i, row in enumerate(values):
+        try:
+            others, atoms = _outcome_plan(spec, row, p, 1)
+            srt = sorted(row)
+            opt_y = _optimum(srt, p)
+            # an optimum atom at q == p solves the same sorted list (up to the
+            # order of equal zeros, which moves no distance): the row's
+            # optimum, here a constant line
+            atoms = [(a[0], 0.0, opt_y, -inf, inf, None, a[6]) if a[5] == p else a for a in atoms]
+            pairs = _merged_atoms(_plan_at(others, atoms, row[0]), [a[0] for a in atoms])
+        except Exception as exc:  # raised once the rows before it are priced
+            error = exc
+            break
+        plans.append((srt[0], srt[-1], pairs, opt_y))
+        ys += [y for y, _ in pairs]
+        ys.append(opt_y)
+        owners += [i] * (len(pairs) + 1)
+    # a row whose distances overflow is priced inf below, as social_cost does
+    with np.errstate(over="ignore", invalid="ignore"):
+        costs = iter(_lp_norms(np.abs(rows[owners] - np.reshape(ys, (-1, 1))), p) if ys else [])
+    out = []
+    for row, (low, high, pairs, opt_y) in zip(values, plans):
+        mech, tiny = 0.0, False
+        # the sum expected_social_cost takes, in ascending location order
+        for y, w in pairs:
+            c = next(costs)
+            if max(high - y, y - low) == inf:
+                c = inf
+            term = w * c
+            tiny = tiny or (c > 0.0 and term < _NORMAL_MIN)
+            mech += term
+        opt = next(costs)
+        if max(high - opt_y, opt_y - low) == inf:
+            opt = inf
+        span = high - low
+        if (tiny or 0.0 < opt < _NORMAL_MIN) and span != 1.0:
+            ((unit_mech, unit_opt, value),) = _ratios(spec, np.array([[(x - low) / span for x in row]]), p)
+            mech, opt = unit_mech * span, unit_opt * span
+        else:
+            value = _checked_ratio(mech, opt, row)
+        out.append((mech, opt, value))
+    if error is not None:
+        raise error
+    return out
 
 
 def ratio(spec, profile: LocationProfile, p: float) -> RatioReport:
-    """Mechanism cost over optimal cost on one profile.
+    """Mechanism cost over optimal cost on one profile: the one-row case of
+    the batched pricer `_ratios`, whose docstring gives the arithmetic. The
+    optimum is solved by the same scalar kernel as `optimal_location`.
 
     Convention for a degenerate profile (zero optimal cost): the ratio is 1
     when the mechanism also pays zero, +inf otherwise.
     """
     p = validate_pnorm(p)
-    return _report_for_distribution(spec, profile, p, run(spec, profile, p))
+    ((mech, opt, value),) = _ratios(spec, profile.values[None, :], p)
+    return RatioReport(spec, profile, p, mech, opt, value)
 
 
 def four_block_profiles(n: int, p: float) -> list[LocationProfile]:
@@ -78,6 +161,12 @@ def worst_ratio_search(
     """Empirically worst ratio over structured families, random profiles, and
     a coordinate-wise perturbation hill climb from the best profile found.
 
+    Every profile known before the climb (the 0/1 splits, the four-block
+    profiles and the `cfg.trials` random draws) is priced in one `_ratios`
+    call; the climb prices one proposal per step. Each profile's optimum is
+    still solved by the scalar one-row kernel, so every report equals what
+    `ratio` gives on its profile.
+
     Degenerate profiles (zero optimal cost) are skipped: the worst case of
     interest is the supremum over profiles the optimum can actually price.
     Deterministic for a fixed config.
@@ -85,23 +174,22 @@ def worst_ratio_search(
     p = validate_pnorm(p)
     n = _check_int(n, "n", 2)
     rng = np.random.default_rng(cfg.seed)
-    # every two-point 0/1 split: covers half-half and all-but-one clusters
-    profiles = [LocationProfile([0.0] * (n - m) + [1.0] * m) for m in range(1, n)]
-    profiles += four_block_profiles(n, p)
-    profiles += [LocationProfile(rng.uniform(0.0, 1.0, size=n)) for _ in range(cfg.trials)]
-    reports = (ratio(spec, prof, p) for prof in profiles)
+    # every two-point 0/1 split: covers half-half and all-but-one clusters;
+    # one (trials, n) draw is the stream of `trials` draws of n
+    splits = [[0.0] * (n - m) + [1.0] * m for m in range(1, n)]
+    blocks = [prof.values for prof in four_block_profiles(n, p)]
+    rows = np.vstack([splits, *blocks, rng.uniform(0.0, 1.0, size=(cfg.trials, n))])
+    priced = _ratios(spec, rows, p)
     # the splits are never degenerate; max keeps the first of equal ratios, as sp_scan's does
-    best = max((report for report in reports if report.opt_cost != 0.0), key=lambda report: report.ratio)
-    current = best.profile.values.copy()
-    span = max(best.profile.span, 1.0)
+    i = max((i for i, (_, o, _) in enumerate(priced) if o != 0.0), key=lambda i: priced[i][2])
+    current, (mech, opt, best) = rows[i], priced[i]
+    span = max(float(current.max()) - float(current.min()), 1.0)
     for it in range(cfg.hill_iters):
         idx = it % n
         step = span * 0.5 ** (1.0 + 4.0 * it / max(cfg.hill_iters, 1))
         proposal = current.copy()
         proposal[idx] += step * float(rng.uniform(-1.0, 1.0))
-        prof = LocationProfile(proposal)
-        report = ratio(spec, prof, p)
-        if report.opt_cost > 0.0 and report.ratio > best.ratio:
-            best = report
-            current = proposal
-    return best
+        ((m, o, value),) = _ratios(spec, proposal[None, :], p)
+        if o > 0.0 and value > best:
+            current, mech, opt, best = proposal, m, o, value
+    return RatioReport(spec, LocationProfile(current), p, mech, opt, best)

@@ -19,6 +19,7 @@ from lpfacility import (
     social_cost,
     validate_pnorm,
 )
+from lpfacility.core import _lp_norms
 
 
 class TestPNorm:
@@ -157,6 +158,28 @@ class TestCosts:
         prof = LocationProfile([-1e308, 1e308])
         assert social_cost(prof, -1e308, 3.0) == math.inf
         assert social_cost(prof, 0.0, 3.0) == 1.2599210498948732e308
+
+    def test_an_overflowing_p1_sum_costs_inf_without_a_warning(self):
+        prof = LocationProfile([-1e308, -1e307, 1e307, 1e308])
+        assert social_cost(prof, 0.0, 1.0) == math.inf
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 3.0, 5.0, 7.3, math.inf])
+    def test_row_norms_equal_the_one_dimensional_norm(self, p):
+        # each row of a batch against the 1-D peak-factored norm, by float.hex
+        rng = np.random.default_rng(14)
+        for n in (2, 3, 7, 8, 9, 16, 129, 513):
+            rows = rng.uniform(0.0, 1.0, size=(12, n)) * 10.0 ** rng.integers(-5, 6, size=(12, 1))
+            rows[0] = 0.0
+            rows[1, : n // 2] = rows[1, 0]
+            for row, got in zip(rows, _lp_norms(rows, p)):
+                peak = float(row.max())
+                if math.isinf(p) or peak == 0.0:
+                    want = peak
+                elif p == 1.0:
+                    want = float(np.sum(row))
+                else:
+                    want = peak * float(np.sum((row / peak) ** p)) ** (1.0 / p)
+                assert got.hex() == want.hex()
 
     def test_expected_social_cost_hand_sum(self):
         prof = LocationProfile([0.0, 1.0])

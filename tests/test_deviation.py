@@ -65,7 +65,7 @@ def reference_best_deviation(spec, profile, p, agent, cfg=SearchConfig()):
     if not 1 <= agent <= profile.n:
         raise IndexError(f"agent {agent} out of range for {profile.n} agents")
     x = float(profile.values[agent - 1])
-    others, atoms = _outcome_plan(spec, profile, p, agent)
+    others, atoms = _outcome_plan(spec, profile.values.tolist(), p, agent)
     truthful = _plan_at(others, atoms, x, x)
     candidates = reference_candidates(profile, agent, cfg)
     costs = _plan_costs(others, atoms, x, candidates)
@@ -228,7 +228,9 @@ def reference_plan_costs(others, atoms, x, reports):
         else:
             y = _optimum_rows([(others, reports)], q)[0]
         if mirrored:
-            y = reports + others[0] - y
+            # r + others[0] - y, or (r - y) + others[0] where that sum overflows
+            summed = reports + others[0] - y
+            y = np.where(np.isfinite(summed), summed, (reports - y) + others[0])
         total += w * np.abs(x - y)
     return total
 
@@ -261,7 +263,7 @@ class TestPlanCosts:
                 for p in (1.0, 1.5, 2.0, 3.0, 5.0, math.inf):
                     for agent in range(1, n + 1):
                         try:
-                            others, atoms = _outcome_plan(spec, profile, p, agent)
+                            others, atoms = _outcome_plan(spec, profile.values.tolist(), p, agent)
                         except mechanisms.ArityMismatch:
                             continue
                         x = float(values[agent - 1])
@@ -349,7 +351,7 @@ class TestDeviationCostCurve:
         x = float(prof.values[0])
         reports = rng.uniform(-3, 3, size=15)
         for p in (1.0, 1.5, 2.0, 3.0, float("inf")):
-            others, atoms = _outcome_plan(spec, prof, p, agent)
+            others, atoms = _outcome_plan(spec, prof.values.tolist(), p, agent)
             batch = deviation_cost_curve(spec, prof, p, agent, reports)
             for r, cost in zip(reports, batch):
                 scalar = _plan_at(others, atoms, float(r), x)
@@ -627,7 +629,7 @@ class TestPrunedScan:
         # lines of slope >= 0 followed by one solved optimum
         inf = math.inf
         profile = LocationProfile(np.random.default_rng(5).uniform(0.0, 1.0, size=5))
-        others, _ = _outcome_plan(Median(), profile, 3.0, 1)
+        others, _ = _outcome_plan(Median(), profile.values.tolist(), 3.0, 1)
         x, reports = float(profile.values[0]), misreport_candidates(profile, 1)
         optimum = lambda w, q: (w, 0.0, 0.0, -inf, inf, q, False)
         line = lambda w, slope, shift: (w, slope, shift, others[1], others[2], None, False)
@@ -659,7 +661,7 @@ class TestPrunedScan:
             agent = 1 + trial % n
             cfg = SearchConfig(scale_bound=0.0 if trial % 2 else 4.0)
             reports = np.sort(misreport_candidates(profile, agent, cfg))
-            others, _ = _outcome_plan(Optimal(), profile, p, agent)
+            others, _ = _outcome_plan(Optimal(), profile.values.tolist(), p, agent)
             (y,) = _optimum_rows([(others, reports)], p)
             delta = 1e-9 * (1.0 + abs(min(reports[0], others[0])) + abs(max(reports[-1], others[-1])))
             assert float((np.maximum.accumulate(y) - y).max()) <= delta, (n, scale, shift)
@@ -900,7 +902,7 @@ class TestPolishSlack:
                 values = np.round(values / scale * 2.0) / 2.0 * scale
             profile = LocationProfile(values)
             try:
-                others, atoms = _outcome_plan(spec, profile, p, agent)
+                others, atoms = _outcome_plan(spec, profile.values.tolist(), p, agent)
                 candidates = misreport_candidates(profile, agent, cfg)
             except (mechanisms.ArityMismatch, NonFiniteResult):
                 continue
@@ -934,7 +936,7 @@ class TestPolishSlack:
             for spec in specs:
                 for p in P_GRID + (1.1, 30.0):
                     try:
-                        others, atoms = _outcome_plan(spec, profile, p, 1)
+                        others, atoms = _outcome_plan(spec, profile.values.tolist(), p, 1)
                     except mechanisms.ArityMismatch:
                         continue
                     for r in reports:

@@ -19,6 +19,7 @@ from lpfacility import (
     OrderStatistic,
     Symmetrized,
     ThreePoint,
+    deviation_cost_curve,
     format_mechanism,
     lrm_distribution,
     median_location,
@@ -225,6 +226,21 @@ class TestMirrorAndSymmetrize:
                     a, b = locs[i], locs[m - 1 - i]
                     assert (b == t - a) or (a == t - b)
                     assert probs[i] == probs[m - 1 - i]
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, math.inf])
+    @pytest.mark.parametrize("spec", [Mirror(Optimal()), Mirror(Dictator(1)), Symmetrized(Optimal())])
+    def test_a_mirrored_atom_whose_sum_overflows_stays_finite(self, spec, p):
+        # r + others[0] overflows above half the largest double; (r - y) + others[0] does not
+        prof = LocationProfile([1e308, 1.5e308])
+        d = run(spec, prof, p)
+        assert np.all(np.isfinite(d.locations))
+        assert np.all((prof.low <= d.locations) & (d.locations <= prof.high))
+
+    def test_a_mirrored_cost_curve_whose_sum_overflows_stays_finite(self):
+        # the mirror of agent 1's own report is agent 2's, whatever agent 1 reports
+        prof = LocationProfile([1e308, 1.5e308])
+        curve = deviation_cost_curve(Mirror(Dictator(1)), prof, 3.0, 1, [1e308, 1.2e308, 1.7e308])
+        assert curve.tolist() == [0.5e308] * 3
 
 
 class TestRunValidation:
