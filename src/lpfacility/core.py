@@ -162,19 +162,22 @@ def _check_agent(agent: int, n: int) -> int:
     return int(agent)
 
 
-def _merged_atoms(locations: list, probabilities: list) -> list:
+def _merged_atoms(locations: list, probabilities: list, masses_checked: bool = False) -> list:
     """A finite distribution's atoms, validated as FacilityDistribution
     states: the (location, probability) pairs with positive mass, locations
-    ascending, equal ones merged and -0.0 made +0.0."""
+    ascending, equal ones merged and -0.0 made +0.0. A caller that has
+    already validated these probabilities passes `masses_checked`, which
+    skips their checks (the locations are always checked, and first)."""
     if not locations:
         raise ValueError("distribution needs at least one atom")
     if not all(map(math.isfinite, locations)):
         raise ValueError("atom locations must be finite")
-    if not all(math.isfinite(prob) and prob >= 0.0 for prob in probabilities):
-        raise ValueError("atom probabilities must be finite and nonnegative")
-    total = float(np.add.reduce(probabilities))
-    if abs(total - 1.0) > ATOM_MASS_TOL:
-        raise ValueError(f"atom probabilities sum to {total!r}, not 1")
+    if not masses_checked:
+        if not all(math.isfinite(prob) and prob >= 0.0 for prob in probabilities):
+            raise ValueError("atom probabilities must be finite and nonnegative")
+        total = float(np.add.reduce(probabilities))
+        if abs(total - 1.0) > ATOM_MASS_TOL:
+            raise ValueError(f"atom probabilities sum to {total!r}, not 1")
     # each location's mass is summed in input order; a dict merges the
     # few atoms of a rule faster than np.unique
     merged = {}
@@ -251,6 +254,16 @@ def expected_agent_cost(x: float, dist: FacilityDistribution) -> float:
     return float(np.abs(float(x) - dist.locations) @ dist.probabilities)
 
 
+def _sum_in_order(values) -> float:
+    """The floats summed left to right from 0.0, as builtin `sum` adds them
+    up to Python 3.11; from 3.12 on `sum` compensates its rounding, so its
+    bits would depend on the interpreter."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def _lp_norms(distances: np.ndarray, p: float) -> list:
     """L_p norm of each row of a nonnegative (m, n) array, each row
     max-factored for overflow safety; a row's norm does not depend on the
@@ -288,11 +301,9 @@ def expected_social_cost(
     equals social_cost exactly.
     """
     p = validate_pnorm(p)
-    return float(
-        sum(
-            w * social_cost(profile, y, p)
-            for y, w in zip(dist.locations.tolist(), dist.probabilities.tolist())
-        )
+    return _sum_in_order(
+        w * social_cost(profile, y, p)
+        for y, w in zip(dist.locations.tolist(), dist.probabilities.tolist())
     )
 
 

@@ -62,7 +62,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import LocationProfile, _check_tol, _rank_window, social_cost, validate_pnorm
+from .core import (
+    LocationProfile,
+    NonFiniteResult,
+    _check_tol,
+    _rank_window,
+    _sum_in_order,
+    social_cost,
+    validate_pnorm,
+)
 
 __all__ = [
     "OptResult",
@@ -111,11 +119,15 @@ def optimal_location(profile: LocationProfile, p: float) -> OptResult:
     Other finite p have a unique minimizer by strict convexity, found by the
     scaled, safeguarded Newton solve and certified to within
     1e-12 * span / 2 (a derivative sign change on either side). The result
-    always lies in [low, high].
+    always lies in [low, high]. An optimal cost past the largest double
+    (at p = 1, [-1e308, 1e308] costs 2e308) is refused with NonFiniteResult.
     """
     p = validate_pnorm(p)
     loc = _optimum(profile.sorted_values.tolist(), p)
-    return OptResult(loc, social_cost(profile, loc, p), _METHODS.get(p, "derivative_bisection"))
+    cost = social_cost(profile, loc, p)
+    if cost == math.inf:
+        raise NonFiniteResult(f"optimal cost overflows on {profile!r}")
+    return OptResult(loc, cost, _METHODS.get(p, "derivative_bisection"))
 
 
 def _optimum(row: list, p: float) -> float:
@@ -215,7 +227,7 @@ def _solve_row(points: list, p: float) -> float:
     g_exp = e - 1.0
     tol = BRACKET_TOL
     a, b = zlo, zhi
-    t = est = sum(zs) / len(zs)
+    t = est = _sum_in_order(zs) / len(zs)
     dx_old = b - a
     for _ in range(_MAX_NEWTON):
         m = max(t - zlo, zhi - t)
@@ -236,7 +248,7 @@ def _solve_row(points: list, p: float) -> float:
             f, df = s1, e * s0 / m
         except (OverflowError, ZeroDivisionError):
             # p < 2 with t on, or a subnormal away from, a data point: D' = inf
-            f, df = sum(math.copysign(abs((t - z) / m) ** e, t - z) for z in zs), math.inf
+            f, df = _sum_in_order(math.copysign(abs((t - z) / m) ** e, t - z) for z in zs), math.inf
         if f <= 0.0:
             a = t
         if f >= 0.0:

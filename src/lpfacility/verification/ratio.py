@@ -25,6 +25,9 @@ __all__ = ["RatioSearchConfig", "ratio", "worst_ratio_search", "four_block_profi
 
 # Below the smallest normal double a cost keeps fewer than 53 bits.
 _NORMAL_MIN = 2.0**-1022
+# The hill climb's speculative batches: the first size, and the cap its
+# doubling stops at.
+_CLIMB_FIRST_BATCH, _CLIMB_MAX_BATCH = 16, 1024
 
 
 @dataclass(frozen=True)
@@ -78,11 +81,12 @@ def _ratios(spec, rows: np.ndarray, p: float) -> list:
     1e-290 or more is priced again only for a weight below 4.5e-18.
 
     Errors are raised in row order: the first failing row raises what
-    `ratio` raises on it.
+    `ratio` raises on it. A row's results do not depend on the rest of its
+    batch.
     """
     inf = math.inf
     values = rows.tolist()
-    plans, ys, owners, error = [], [], [], None
+    plans, ys, owners, masses, error = [], [], [], None, None
     for i, row in enumerate(values):
         try:
             others, atoms = _outcome_plan(spec, row, p, 1)
@@ -92,7 +96,11 @@ def _ratios(spec, rows: np.ndarray, p: float) -> list:
             # order of equal zeros, which moves no distance): the row's
             # optimum, here a constant line
             atoms = [(a[0], 0.0, opt_y, -inf, inf, None, a[6]) if a[5] == p else a for a in atoms]
-            pairs = _merged_atoms(_plan_at(others, atoms, row[0]), [a[0] for a in atoms])
+            # a rule's masses do not move with the reports: validated on the
+            # first row, after its locations, and again only if they change
+            weights = [a[0] for a in atoms]
+            pairs = _merged_atoms(_plan_at(others, atoms, row[0]), weights, weights == masses)
+            masses = weights
         except Exception as exc:  # raised once the rows before it are priced
             error = exc
             break
@@ -163,9 +171,20 @@ def worst_ratio_search(
 
     Every profile known before the climb (the 0/1 splits, the four-block
     profiles and the `cfg.trials` random draws) is priced in one `_ratios`
-    call; the climb prices one proposal per step. Each profile's optimum is
-    still solved by the scalar one-row kernel, so every report equals what
-    `ratio` gives on its profile.
+    call. Step `it` of the climb proposes the current profile with agent
+    `it % n` moved by a uniform draw in [-1, 1] times a step that shrinks
+    from span / 2 toward span / 32, and keeps it if its ratio is larger. The
+    climb rarely accepts, so its proposals are priced speculatively, a batch
+    of consecutive steps from the current profile per `_ratios` call, and
+    walked in step order: the first accepted row becomes the current
+    profile, and the steps after it are proposed again from there. Batches
+    start at 16 rows, double after a batch that accepts nothing, up to 1024,
+    and restart at one row after an acceptance, so at most 2 * hill_iters +
+    16 rows are priced. A batch that raises is priced again one row at a
+    time, up to the first acceptance, so the search raises only what the
+    one-step-at-a-time climb raises. Each profile's optimum is still solved
+    by the scalar one-row kernel, and no row's report depends on its batch,
+    so every report equals what `ratio` gives on its profile.
 
     Degenerate profiles (zero optimal cost) are skipped: the worst case of
     interest is the supremum over profiles the optimum can actually price.
@@ -182,14 +201,29 @@ def worst_ratio_search(
     priced = _ratios(spec, rows, p)
     # the splits are never degenerate; max keeps the first of equal ratios, as sp_scan's does
     i = max((i for i, (_, o, _) in enumerate(priced) if o != 0.0), key=lambda i: priced[i][2])
-    current, (mech, opt, best) = rows[i], priced[i]
-    span = max(float(current.max()) - float(current.min()), 1.0)
-    for it in range(cfg.hill_iters):
-        idx = it % n
-        step = span * 0.5 ** (1.0 + 4.0 * it / max(cfg.hill_iters, 1))
-        proposal = current.copy()
-        proposal[idx] += step * float(rng.uniform(-1.0, 1.0))
-        ((m, o, value),) = _ratios(spec, proposal[None, :], p)
-        if o > 0.0 and value > best:
-            current, mech, opt, best = proposal, m, o, value
+    current, (mech, opt, best) = rows[i].tolist(), priced[i]
+    span = max(max(current) - min(current), 1.0)
+    hill = cfg.hill_iters
+    # one draw of hill_iters is the stream of hill_iters scalar draws
+    draws = rng.uniform(-1.0, 1.0, size=hill).tolist()
+    moves = [span * 0.5 ** (1.0 + 4.0 * it / max(hill, 1)) * u for it, u in enumerate(draws)]
+    it, size = 0, _CLIMB_FIRST_BATCH
+    while it < hill:
+        proposals = []
+        for step in range(it, min(it + size, hill)):
+            row = current.copy()
+            row[step % n] += moves[step]
+            proposals.append(row)
+        try:
+            priced = _ratios(spec, np.array(proposals), p)
+        except Exception:
+            # a row after an accepted one is not a step the climb takes:
+            # price again one row at a time, up to the first acceptance
+            priced = (_ratios(spec, np.array([row]), p)[0] for row in proposals)
+        size = min(2 * size, _CLIMB_MAX_BATCH)
+        for row, (m, o, value) in zip(proposals, priced):
+            it += 1
+            if o > 0.0 and value > best:
+                current, mech, opt, best, size = row, m, o, value, 1
+                break
     return RatioReport(spec, LocationProfile(current), p, mech, opt, best)

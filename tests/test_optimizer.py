@@ -1,6 +1,7 @@
 """Optimal locations and root finding."""
 
 import math
+import re
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from lpfacility import (
     LocationProfile,
     Median,
+    NonFiniteResult,
     NoRootFound,
     Optimal,
     adversarial_root,
@@ -137,6 +139,18 @@ class TestExtremeRows:
         res = optimal_location(LocationProfile(values), 3.0)
         assert res.location == 0.0
         assert math.isfinite(res.cost)
+
+    @pytest.mark.parametrize(
+        "values, p", [([-1e308, 1e308], 1.0), ([-1e308, -1e307, 1e307, 1e308], 1.0), ([-1e308] * 2 + [1e308] * 2, 2.0)]
+    )
+    def test_an_overflowing_optimal_cost_is_refused_by_name(self, values, p):
+        # the costs are 2e308, 2.2e308 and 2e308: optimal_location returned them as inf
+        prof = LocationProfile(values)
+        message = f"^{re.escape(f'optimal cost overflows on {prof!r}')}$"
+        with pytest.raises(NonFiniteResult, match=message):
+            optimal_location(prof, p)
+        with pytest.raises(NonFiniteResult, match=message):
+            optimal_cost(prof, p)
 
     @pytest.mark.parametrize("values", [[1e308, 1.5e308], [1.7e308] * 3, [-1.7e308, -1e308, 1e307]])
     def test_an_overflowing_p2_sum_still_gives_the_mean(self, values):

@@ -1,5 +1,7 @@
 """Approximation ratios against the cost-minimizing location."""
 
+import builtins
+import importlib
 import math
 import re
 
@@ -32,6 +34,9 @@ from lpfacility import (
 from lpfacility.core import NonFiniteResult
 from lpfacility.mechanisms import parse_mechanism
 from lpfacility.verification.ratio import _ratios, _report_for_distribution, four_block_profiles
+
+# the module itself: the package's `ratio` attribute is the function
+RATIO_MODULE = importlib.import_module("lpfacility.verification.ratio")
 
 
 def half_half(k: int) -> LocationProfile:
@@ -126,17 +131,18 @@ def reference_ratio(spec, prof, p):
     return RatioReport(spec, prof, p, mech, opt, value)
 
 
-def reference_worst_ratio_search(spec, p, n, cfg):
-    # a strict ">" loop over the same profiles in the same order, rng draws included
+def reference_worst_ratio_search(spec, p, n, cfg, price=reference_ratio):
+    # a strict ">" loop over the same profiles in the same order, rng draws
+    # included, the climb one proposal per step
     rng = np.random.default_rng(cfg.seed)
     best = None
     splits = [LocationProfile([0.0] * (n - m) + [1.0] * m) for m in range(1, n)]
     for prof in splits + four_block_profiles(n, p):
-        report = reference_ratio(spec, prof, p)
+        report = price(spec, prof, p)
         if report.opt_cost != 0.0 and (best is None or report.ratio > best.ratio):
             best = report
     for _ in range(cfg.trials):
-        report = reference_ratio(spec, LocationProfile(rng.uniform(0.0, 1.0, size=n)), p)
+        report = price(spec, LocationProfile(rng.uniform(0.0, 1.0, size=n)), p)
         if report.opt_cost != 0.0 and report.ratio > best.ratio:
             best = report
     current, span = best.profile.values.copy(), max(best.profile.span, 1.0)
@@ -144,29 +150,122 @@ def reference_worst_ratio_search(spec, p, n, cfg):
         proposal = current.copy()
         step = span * 0.5 ** (1.0 + 4.0 * it / max(cfg.hill_iters, 1))
         proposal[it % n] += step * float(rng.uniform(-1.0, 1.0))
-        report = reference_ratio(spec, LocationProfile(proposal), p)
+        report = price(spec, LocationProfile(proposal), p)
         if report.opt_cost > 0.0 and report.ratio > best.ratio:
             best, current = report, proposal
     return best
 
 
+# shapes whose climb accepts at the default config, with the steps of 200
+# it accepts: dictator:1 at 0 and 6, LRM at 28, and the dictator/optimum
+# mixture at 6, at 0 and 4, and at 12 and 136
+ACCEPTING = [
+    ("dictator:1", 2.0, 3),
+    ("lrm", 1.5, 2),
+    ("mixture:{dict:[0.5,0],order:[],opt:0.5,p:1.5}", 1.0, 2),
+    ("mixture:{dict:[0.5,0,0,0],order:[],opt:0.5,p:1.5}", 2.0, 4),
+    ("mixture:{dict:[0.5,0,0,0],order:[],opt:0.5,p:1.5}", 3.0, 4),
+]
+
+
+def search_shapes():
+    """(spec, p, n, hill_iters) cases: hill_iters None runs a small config,
+    15 trials and 15 hill steps at seed 3; a count runs the default trials
+    and seed with that many steps."""
+    small = [
+        (spec, p, n)
+        for spec in ("median", "dictator:1", "opt", "order:2")
+        for p, n in [(1.0, 2), (2.0, 3), (3.0, 4), (4.0, 6), (math.inf, 5)]
+    ]
+    small += [(spec, p, 2) for spec in ("lrm", "threepoint:0.2", "mirror(median)") for p in (1.0, 3.0, math.inf)]
+    # the ratio-search bench's shapes: the median and the half-median/half-optimum mixture
+    small += [("median", p, n) for p in (1.5, 5.0) for n in (7, 10)]
+    small += [("mixture:{dict:[],order:[0,0,0.5,0,0],opt:0.5}", p, 5) for p in (1.5, 5.0)]
+    cases = [pytest.param(spec, p, n, None, id=f"{spec}-{p}-{n}") for spec, p, n in small]
+    return cases + [
+        pytest.param(spec, p, n, hill, id=f"{spec}-{p}-{n}-hill{hill}")
+        for spec, p, n in ACCEPTING
+        for hill in (0, 1, 17, 200)
+    ]
+
+
 class TestWorstRatioSearch:
-    @pytest.mark.parametrize(
-        "spec, p, n",
-        [
-            (spec, p, n)
-            for spec in ("median", "dictator:1", "opt", "order:2")
-            for p, n in [(1.0, 2), (2.0, 3), (3.0, 4), (4.0, 6), (math.inf, 5)]
-        ]
-        + [(spec, p, 2) for spec in ("lrm", "threepoint:0.2", "mirror(median)") for p in (1.0, 3.0, math.inf)]
-        # the ratio-search bench's shapes: the median and the half-median/half-optimum mixture
-        + [("median", p, n) for p in (1.5, 5.0) for n in (7, 10)]
-        + [("mixture:{dict:[],order:[0,0,0.5,0,0],opt:0.5}", p, 5) for p in (1.5, 5.0)],
-    )
-    def test_matches_the_loop_reference(self, spec, p, n):
+    @pytest.mark.parametrize("spec, p, n, hill", search_shapes())
+    def test_matches_the_loop_reference(self, spec, p, n, hill):
+        cfg = RatioSearchConfig(trials=15, hill_iters=15, seed=3) if hill is None else RatioSearchConfig(hill_iters=hill)
         spec = parse_mechanism(spec)
-        cfg = RatioSearchConfig(trials=15, hill_iters=15, seed=3)
         assert worst_ratio_search(spec, p, n, cfg) == reference_worst_ratio_search(spec, p, n, cfg)
+
+    def test_climb_rows_priced_are_bounded(self, monkeypatch):
+        calls = []
+
+        def counted(spec, rows, p):
+            calls.append(len(rows))
+            return _ratios(spec, rows, p)
+
+        monkeypatch.setattr(RATIO_MODULE, "_ratios", counted)
+        for spec, p, n in ACCEPTING + [("median", 5.0, 10)]:
+            for hill in (1, 17, 200, 1500):
+                calls.clear()
+                worst_ratio_search(parse_mechanism(spec), p, n, RatioSearchConfig(hill_iters=hill))
+                # the first call prices the profiles known before the climb
+                assert hill <= sum(calls[1:]) <= 2 * hill + 16, (spec, p, n, hill, calls)
+        # the bench's 10-step climb is one call
+        calls.clear()
+        worst_ratio_search(Median(), 3.0, 6, RatioSearchConfig(trials=10, hill_iters=10))
+        assert len(calls) == 2 and calls[1] == 10
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 40])
+    def test_rows_stay_bounded_however_often_the_climb_accepts(self, monkeypatch, n):
+        # a pricer whose ratio is agent 1's report: the climb accepts each
+        # step that moves agent 1 right, about one step in 2n
+        def agent_one(spec, rows, p):
+            calls.append(len(rows))
+            return [(float(row[0]), 1.0, float(row[0])) for row in rows]
+
+        def priced(spec, prof, p):
+            value = float(prof.values[0])
+            return RatioReport(spec, prof, p, value, 1.0, value)
+
+        for hill in (1, 16, 17, 300):
+            calls = []
+            cfg = RatioSearchConfig(trials=5, hill_iters=hill, seed=n)
+            monkeypatch.setattr(RATIO_MODULE, "_ratios", agent_one)
+            got = worst_ratio_search(Median(), 2.0, n, cfg)
+            monkeypatch.undo()
+            assert got == reference_worst_ratio_search(Median(), 2.0, n, cfg, priced)
+            assert sum(calls[1:]) <= 2 * hill + 16, (hill, calls)
+
+    @pytest.mark.parametrize("spec, p, n", ACCEPTING[:2])
+    def test_a_batch_that_raises_is_priced_again_step_by_step(self, monkeypatch, spec, p, n):
+        spec, cfg = parse_mechanism(spec), RatioSearchConfig()
+        seen = []
+
+        def recorded(spec, prof, p):
+            seen.append(prof.values.tolist())
+            return reference_ratio(spec, prof, p)
+
+        want = reference_worst_ratio_search(spec, p, n, cfg, recorded)
+        raised = []
+
+        def failing(spec, rows, p, poisoned):
+            # raises on any row the one-step climb never prices: the rows of
+            # a speculative batch after its accepted step
+            for row in rows.tolist():
+                if poisoned(row):
+                    raised.append(row)
+                    raise NonFiniteResult(f"poisoned row {row!r}")
+            return _ratios(spec, rows, p)
+
+        monkeypatch.setattr(RATIO_MODULE, "_ratios", lambda s, r, q: failing(s, r, q, lambda row: row not in seen))
+        assert worst_ratio_search(spec, p, n, cfg) == want
+        assert raised
+        # a row the one-step climb reaches raises its own error
+        climb = seen[-cfg.hill_iters :]
+        poison = climb[len(climb) // 2]
+        monkeypatch.setattr(RATIO_MODULE, "_ratios", lambda s, r, q: failing(s, r, q, lambda row: row == poison))
+        with pytest.raises(NonFiniteResult, match=re.escape(f"poisoned row {poison!r}")):
+            worst_ratio_search(spec, p, n, cfg)
 
     def test_ties_keep_the_first_split(self):
         # at p = 1 the median is optimal, so every ratio ties at 1
@@ -281,6 +380,64 @@ class TestBatchedPricer:
             ratio(Optimal(3.0), LocationProfile([-1e308, 1e308]), 1.0)
         with pytest.raises(NonFiniteResult):
             ratio(Median(), LocationProfile([-1e308, -1e307, 1e307, 1e308]), 1.0)
+
+
+REAL_SUM = builtins.sum
+
+
+def compensated_sum(values, start=0):
+    """builtin `sum` as Python 3.12 and later add floats: Neumaier's
+    compensated sum; anything else goes to the real `sum`."""
+    items = list(values)
+    if type(start) is not int or not all(type(v) is float for v in items):
+        return REAL_SUM(items, start)
+    total, c = float(start), 0.0
+    for x in items:
+        t = total + x
+        c += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + c if c and math.isfinite(c) else total
+
+
+def left_sum(values):
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+class TestSumsDoNotDependOnTheInterpreter:
+    @pytest.mark.parametrize("p", [1.5, 3.0, 5.0, 7.3])
+    def test_a_compensated_builtin_sum_moves_no_bit(self, monkeypatch, p):
+        # rows where a compensated sum rounds differently: of the scaled
+        # points _solve_row starts its Newton solve from, or of the weighted
+        # costs expected_social_cost adds over a uniform dictatorship's n atoms
+        rng = np.random.default_rng(int(10 * p))
+        cases = []
+        for n in range(2, 13):
+            spec = Mixture(dictator_weights=(1.0 / n,) * n)
+            for _ in range(60):
+                prof = LocationProfile(rng.uniform(-1.0, 2.0, size=n))
+                dist = run(spec, prof, p)
+                lo, hi = prof.low, prof.high
+                zs = [(x - (0.5 * lo + 0.5 * hi)) / (0.5 * hi - 0.5 * lo) for x in prof.sorted_values.tolist()]
+                terms = [w * social_cost(prof, y, p) for y, w in dist.atoms()]
+                if any(compensated_sum(v) != left_sum(v) for v in (zs, terms)):
+                    cases.append((spec, prof, dist))
+
+        def outcomes():
+            out = []
+            for spec, prof, dist in cases:
+                opt = optimal_location(prof, p)
+                report = ratio(spec, prof, p)
+                out.append(hexed(opt.location, opt.cost, expected_social_cost(prof, dist, p)))
+                out.append(hexed(report.mechanism_cost, report.opt_cost, report.ratio))
+            return out
+
+        assert len(cases) > 300
+        want = outcomes()
+        monkeypatch.setattr(builtins, "sum", compensated_sum)
+        assert outcomes() == want
 
 
 class TestRatioSearchConfig:
