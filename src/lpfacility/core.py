@@ -41,6 +41,8 @@ __all__ = [
 
 # Total probability mass must match 1 this tightly at construction.
 ATOM_MASS_TOL = 1e-12
+# Below the smallest normal double a cost keeps fewer than 53 bits.
+_NORMAL_MIN = 2.0**-1022
 
 
 class NonFiniteResult(ValueError):
@@ -267,28 +269,29 @@ def _sum_in_order(values) -> float:
 def _lp_norms(distances: np.ndarray, p: float) -> list:
     """L_p norm of each row of a nonnegative (m, n) array, each row
     max-factored for overflow safety; a row's norm does not depend on the
-    rest of its batch. An overflowing p = 1 sum is inf, which callers
-    refuse by name, so numpy's warning is not raised."""
+    rest of its batch. A row holding inf, or whose p = 1 sum overflows, has
+    norm inf, which callers refuse by name, so numpy's warning is not
+    raised."""
     peaks = distances.max(axis=1)
     if math.isinf(p):
         return peaks.tolist()
-    if p == 1.0:
-        with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        if p == 1.0:
             return np.add.reduce(distances, axis=1).tolist()
-    # factor out the peak so every power stays in [0, 1]; a zero row stays zero
-    scaled = distances / np.where(peaks > 0.0, peaks, 1.0)[:, None]
-    sums = np.add.reduce(scaled**p, axis=1).tolist()
-    return [peak * total ** (1.0 / p) for peak, total in zip(peaks.tolist(), sums)]
+        # factor out the peak so every power stays in [0, 1]; a zero row
+        # stays zero, and a row peaking at inf (inf / inf is NaN) is inf
+        scaled = distances / np.where(peaks > 0.0, peaks, 1.0)[:, None]
+        sums = np.add.reduce(scaled**p, axis=1).tolist()
+    return [peak * total ** (1.0 / p) if peak < math.inf else peak for peak, total in zip(peaks.tolist(), sums)]
 
 
 def social_cost(profile: LocationProfile, y: float, p: float) -> float:
     """L_p norm of the agent distance vector to y (max distance at p=inf)."""
     p = validate_pnorm(p)
-    y = float(y)
-    # checked in Python floats, which overflow to inf without numpy's warning
-    if max(profile.high - y, y - profile.low) == math.inf:
-        return math.inf
-    return _lp_norms(np.abs(profile.values - y)[None, :], p)[0]
+    # a distance past the largest double is inf, and so is the norm
+    with np.errstate(over="ignore"):
+        distances = np.abs(profile.values - float(y))
+    return _lp_norms(distances[None, :], p)[0]
 
 
 def expected_social_cost(
@@ -297,14 +300,19 @@ def expected_social_cost(
     """Expectation over facility draws of the L_p social cost.
 
     Each atom's cost is computed in full and then averaged with the atom
-    weights (expectation of the norm). For a one-atom distribution this
-    equals social_cost exactly.
+    weights (expectation of the norm), left to right. For a one-atom
+    distribution this equals social_cost exactly. Where a positive cost's
+    weighted term would fall below the smallest normal double and lose
+    bits (0.5 * 5e-324 is 0), the costs are first scaled by the power of
+    two 2^k that brings the largest into [1, 2), and the sum by 2^-k.
     """
     p = validate_pnorm(p)
-    return _sum_in_order(
-        w * social_cost(profile, y, p)
-        for y, w in zip(dist.locations.tolist(), dist.probabilities.tolist())
-    )
+    weights = dist.probabilities.tolist()
+    costs = [social_cost(profile, y, p) for y in dist.locations.tolist()]
+    if not any(c > 0.0 and w * c < _NORMAL_MIN for w, c in zip(weights, costs)):
+        return _sum_in_order(w * c for w, c in zip(weights, costs))
+    k = 1 - math.frexp(max(costs))[1]
+    return math.ldexp(_sum_in_order(w * math.ldexp(c, k) for w, c in zip(weights, costs)), -k)
 
 
 def order_statistic(profile: LocationProfile, j: int) -> float:

@@ -30,7 +30,9 @@ reads the closed forms off each block's other reports in O(C), writes every
 block as columns of one (n, C) workspace buffer and solves them with one
 `_bisect_columns` call, where no column's result depends on the rest of its
 batch. `_bisect_rows` copies a (B, n) batch, such as the weighted rows of
-certificate residuals, into that buffer and solves it the same way.
+certificate residuals, into that buffer and solves it the same way. Only
+the kernel's (n, B) arrays live in the per-thread workspace, and its batch
+is cut to the pending rows once they fill half of it or less.
 
 Rank roots: for rank j among 2k agents and e = p - 1, the root a_j of
 
@@ -274,7 +276,9 @@ _WORKSPACE_BYTES = 1 << 22
 
 
 class _Workspace(threading.local):
-    """Named flat scratch buffers of `_bisect_rows`, one set per thread.
+    """Named flat buffers for the (n, B) arrays of `_bisect_rows`, one set
+    per thread: the columns `z`, the weights `w` and the two per-step
+    temporaries `d` and `g` of `_rows_slopes`.
 
     Each buffer grows to the largest request seen; `trim` frees the set
     once it holds more than _WORKSPACE_BYTES. Reuse matters because an
@@ -285,10 +289,10 @@ class _Workspace(threading.local):
     def __init__(self):
         self.buffers = {}
 
-    def flat(self, name: str, count: int, dtype=float) -> np.ndarray:
+    def flat(self, name: str, count: int) -> np.ndarray:
         buf = self.buffers.get(name)
         if buf is None or buf.size < count:
-            buf = self.buffers[name] = np.empty(count, dtype)
+            buf = self.buffers[name] = np.empty(count)
         return buf[:count]
 
     def trim(self) -> None:
@@ -299,19 +303,9 @@ class _Workspace(threading.local):
 _WORKSPACE = _Workspace()
 
 
-def _like(z: np.ndarray, name: str, dtype=float) -> np.ndarray:
+def _like(z: np.ndarray, name: str) -> np.ndarray:
     # workspace buffer `name` shaped like z
-    return _WORKSPACE.flat(name, z.size, dtype).reshape(z.shape)
-
-
-def _pack(x: np.ndarray, keep: np.ndarray, own: str, temp: str) -> np.ndarray:
-    # x[:, keep] in `own` (x's buffer), gathered through workspace buffer
-    # `temp`: np.take fills a C-contiguous out unbuffered under mode="clip"
-    gathered = _WORKSPACE.flat(temp, x.shape[0] * keep.size).reshape(x.shape[0], keep.size)
-    np.take(x, keep, axis=1, out=gathered, mode="clip")
-    packed = _like(gathered, own)
-    np.copyto(packed, gathered)
-    return packed
+    return _WORKSPACE.flat(name, z.size).reshape(z.shape)
 
 
 def _bisect_rows(points: np.ndarray, weights, p: float) -> np.ndarray:
@@ -323,7 +317,7 @@ def _bisect_rows(points: np.ndarray, weights, p: float) -> np.ndarray:
     within BRACKET_TOL half-spans of it, and it lies in [row min, row max].
     Rows still uncertified after _MAX_NEWTON steps keep their last estimate.
     The points are copied, transposed, into the workspace's column buffer
-    and solved by `_bisect_columns`.
+    `z` and solved by `_bisect_columns`.
     """
     # points run down the columns, so per-row reductions add contiguous vectors
     points = np.asarray(points, dtype=float)
@@ -336,13 +330,12 @@ def _bisect_columns(cols: np.ndarray, weights, p: float) -> np.ndarray:
     """`_bisect_rows` for the batch given as the columns of a C-ordered
     (n, B) array, which it overwrites; weights broadcasts against (B, n).
 
-    Every (n, B) array and every per-step B-length array is a view of the
-    calling thread's `_Workspace`, so a call allocates only a few B-length
-    arrays and index lists. Every (n, B) view is C-ordered with B >= 2
-    (numpy sums a lone column pairwise from n = 8 on, so a batch of one is
-    solved as two copies), so a column sum adds its n terms in order, and
-    every other step is elementwise: no column's result depends on the rest
-    of the batch. Between calls a thread keeps at most 4 MiB of workspace.
+    Only the (n, B) arrays are the calling thread's `_Workspace`; the
+    B-length state is plain arrays. Every (n, B) array is C-ordered with
+    B >= 2 (numpy sums a lone column pairwise from n = 8 on, so a batch of
+    one is solved as two copies), so a column sum adds its n terms in
+    order, and every other step is elementwise: no column's result depends
+    on the rest of the batch.
     """
     if cols.shape[1] == 1:
         return _bisect_columns(np.repeat(cols, 2, axis=1), weights, p)[:1]
@@ -355,7 +348,7 @@ def _bisect_columns(cols: np.ndarray, weights, p: float) -> np.ndarray:
         out = center.copy()
         w = None
         if weights is not None:
-            w = _WORKSPACE.flat("w", cols.size).reshape(cols.shape)
+            w = _like(cols, "w")
             np.copyto(w, np.broadcast_to(np.asarray(weights, dtype=float), cols.shape[::-1]).T)
         if not live.all():
             if live.any():
@@ -369,11 +362,10 @@ def _bisect_columns(cols: np.ndarray, weights, p: float) -> np.ndarray:
         _WORKSPACE.trim()
 
 
-def _rows_slopes(z, w, t, e, zlo, zhi, f, df):
-    # D(t) / m^e into f and D'(t) / m^e into df per scaled row (a column of
-    # z), m the peak distance
-    m = np.subtract(t, zlo, out=_WORKSPACE.flat("peak", t.size))
-    np.maximum(m, np.subtract(zhi, t, out=_WORKSPACE.flat("peak2", t.size)), out=m)
+def _rows_slopes(z, w, t, e, zlo, zhi):
+    # (D(t) / m^e, D'(t) / m^e) per scaled row (a column of z), m the peak
+    # distance
+    m = np.maximum(t - zlo, zhi - t)
     d = np.subtract(t, z, out=_like(z, "d"))
     d /= m
     g = np.abs(d, out=_like(z, "g"))
@@ -382,103 +374,69 @@ def _rows_slopes(z, w, t, e, zlo, zhi, f, df):
         d *= g
     if e < 1.0:
         # p < 2 on a data point: D' is infinite and the term of D is zero
-        np.copyto(d, 0.0, where=np.equal(g, np.inf, out=_like(z, "mask", bool)))
+        np.copyto(d, 0.0, where=g == np.inf)
     if w is not None:
         g *= w
         d *= w
-    d.sum(axis=0, out=f)
-    g.sum(axis=0, out=df)
-    df *= e
-    df /= m
+    return d.sum(axis=0), e * g.sum(axis=0) / m
 
 
 def _newton_rows(z: np.ndarray, w, e: float) -> np.ndarray:
-    # one block of B-length rows: the eight carried through compaction, then
-    # five per-step scratch rows, which also hold the compaction's gather
-    size = z.shape[1]
-    block = _WORKSPACE.flat("rows", 13 * size)
-    flags = _WORKSPACE.flat("flags", 4 * size, bool)
-    zlo, zhi, a, b, t, f, df, dx_old, est, step, trial, gap, probe = block.reshape(13, size)
-    pending, done, newton, test = flags.reshape(4, size)
+    # the scaled solve of `_bisect_columns` on the columns of z
     if w is None:
-        z.min(axis=0, out=zlo)
-        z.max(axis=0, out=zhi)
-        z.mean(axis=0, out=t)
+        zlo, zhi, t = z.min(axis=0), z.max(axis=0), z.mean(axis=0)
     else:
         # the peak and the bracket come from the points that carry weight
-        carried = np.greater(w, 0.0, out=_like(z, "mask", bool))
+        carried = w > 0.0
         spread = _like(z, "d")
         spread.fill(np.inf)
         np.copyto(spread, z, where=carried)
-        spread.min(axis=0, out=zlo)
+        zlo = spread.min(axis=0)
         spread.fill(-np.inf)
         np.copyto(spread, z, where=carried)
-        spread.max(axis=0, out=zhi)
-        np.multiply(z, w, out=spread).sum(axis=0, out=t)
-        t /= w.sum(axis=0, out=a)
+        zhi = spread.max(axis=0)
+        t = np.multiply(z, w, out=spread).sum(axis=0)
+        t /= w.sum(axis=0)
     tol = BRACKET_TOL
-    out = np.empty(size)
-    rows = np.arange(size)
-    pending.fill(True)
-    np.copyto(a, zlo)
-    np.copyto(b, zhi)
-    np.copyto(est, t)
-    np.subtract(b, a, out=dx_old)
-    _rows_slopes(z, w, t, e, zlo, zhi, f, df)
+    out = np.empty(t.size)
+    rows = np.arange(t.size)
+    pending = np.ones(t.size, dtype=bool)
+    a, b, est, dx_old = zlo, zhi, t, zhi - zlo
+    f, df = _rows_slopes(z, w, t, e, zlo, zhi)
     for _ in range(_MAX_NEWTON):
-        np.copyto(a, t, where=np.less_equal(f, 0.0, out=test))
-        np.copyto(b, t, where=np.greater_equal(f, 0.0, out=test))
-        np.less_equal(np.subtract(est, a, out=gap), tol, out=done)
-        done &= pending
-        done &= np.less_equal(np.subtract(b, est, out=gap), tol, out=test)
+        a = np.where(f <= 0.0, t, a)
+        b = np.where(f >= 0.0, t, b)
+        done = pending & (est - a <= tol) & (b - est <= tol)
         if done.any():
             out[rows[done]] = est[done]
-            pending ^= done  # done lies inside pending
+            pending &= ~done
             left = np.count_nonzero(pending)
             if not left:
                 return out
-            if 2 * left <= size and size >= 4:
-                # Shrink to the batch size halved until pending rows fill
-                # half of it, or to two columns (see `_bisect_columns`),
-                # pending rows first; certified filler rows iterate
-                # harmlessly and are never written again. Halving keeps the
-                # gathers to about log2(B) per call.
-                new = size // 2
-                while 2 * left <= new and new >= 4:
-                    new //= 2
-                keep = np.concatenate([np.flatnonzero(pending), np.flatnonzero(~pending)[: new - left]])
-                rows = rows[keep]
-                z = _pack(z, keep, "z", "d")
-                w = None if w is None else _pack(w, keep, "w", "g")
-                # 8 * new <= 4 * size: the gather fits in the scratch rows
-                gathered = block[8 * size : 8 * (size + new)].reshape(8, new)
-                np.take(block[: 8 * size].reshape(8, size), keep, axis=1, out=gathered, mode="clip")
-                np.copyto(block[: 8 * new], gathered.reshape(-1))
-                size = new
-                zlo, zhi, a, b, t, f, df, dx_old, est, step, trial, gap, probe = block[: 13 * size].reshape(13, size)
-                pending, done, newton, test = flags[: 4 * size].reshape(4, size)
-                pending[:left] = True
-                pending[left:] = False
+            if 2 * left <= pending.size and pending.size > 2:
+                # Cut the batch to its pending rows, padded with one
+                # certified row that iterates harmlessly when only one is
+                # left, so it stays two columns wide (see `_bisect_columns`).
+                # np.take keeps z and w C-ordered, like d and g, where
+                # z[:, keep] is F-ordered and every step would stride.
+                keep = np.flatnonzero(pending)
+                if left == 1:
+                    keep = np.append(keep, np.argmin(pending))
+                rows, zlo, zhi, a, b, t, f, df, dx_old = (x[keep] for x in (rows, zlo, zhi, a, b, t, f, df, dx_old))
+                z = np.take(z, keep, axis=1)
+                w = None if w is None else np.take(w, keep, axis=1)
+                pending = pending[keep]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            np.divide(f, df, out=step)
-            np.subtract(t, step, out=trial)
-            np.isfinite(df, out=newton)
-            newton &= np.greater_equal(trial, a, out=test)
-            newton &= np.less_equal(trial, b, out=test)
-            np.abs(np.multiply(2.0, f, out=gap), out=gap)
-            np.abs(np.multiply(dx_old, df, out=probe), out=probe)
-            newton &= np.less_equal(gap, probe, out=test)
+            step = f / df
+            trial = t - step
+            newton = np.isfinite(df) & (trial >= a) & (trial <= b) & (np.abs(2.0 * f) <= np.abs(dx_old * df))
         # dx, the step taken, becomes dx_old: the Newton step or half the bracket
-        np.multiply(np.subtract(b, a, out=dx_old), 0.5, out=dx_old)
-        np.add(a, dx_old, out=est)
-        np.copyto(est, trial, where=newton)
-        np.copyto(dx_old, step, where=newton)
+        dx_old = np.where(newton, step, (b - a) * 0.5)
+        est = np.where(newton, trial, a + dx_old)
         # converged rows probe the still-open side of their bracket
-        np.subtract(est, 0.5 * tol, out=probe)
-        np.add(est, 0.5 * tol, out=probe, where=np.greater(np.subtract(b, est, out=gap), tol, out=test))
-        np.copyto(t, est)
-        np.copyto(t, probe, where=np.less(np.abs(dx_old, out=gap), tol, out=test))
-        _rows_slopes(z, w, t, e, zlo, zhi, f, df)
+        probe = np.where(b - est > tol, est + 0.5 * tol, est - 0.5 * tol)
+        t = np.where(np.abs(dx_old) < tol, probe, est)
+        f, df = _rows_slopes(z, w, t, e, zlo, zhi)
     out[rows[pending]] = est[pending]
     return out
 

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core import (
+    _NORMAL_MIN,
     FacilityDistribution,
     LocationProfile,
     NonFiniteResult,
@@ -23,8 +24,6 @@ from .reports import RatioReport, _check_fields
 
 __all__ = ["RatioSearchConfig", "ratio", "worst_ratio_search", "four_block_profiles"]
 
-# Below the smallest normal double a cost keeps fewer than 53 bits.
-_NORMAL_MIN = 2.0**-1022
 # The hill climb's speculative batches: the first size, and the cap its
 # doubling stops at.
 _CLIMB_FIRST_BATCH, _CLIMB_MAX_BATCH = 16, 1024
@@ -108,8 +107,8 @@ def _ratios(spec, rows: np.ndarray, p: float) -> list:
         ys += [y for y, _ in pairs]
         ys.append(opt_y)
         owners += [i] * (len(pairs) + 1)
-    # a row whose distances overflow is priced inf below, as social_cost does
-    with np.errstate(over="ignore", invalid="ignore"):
+    # a row whose distances overflow is priced inf, as social_cost does
+    with np.errstate(over="ignore"):
         costs = iter(_lp_norms(np.abs(rows[owners] - np.reshape(ys, (-1, 1))), p) if ys else [])
     out = []
     for row, (low, high, pairs, opt_y) in zip(values, plans):
@@ -117,14 +116,10 @@ def _ratios(spec, rows: np.ndarray, p: float) -> list:
         # the sum expected_social_cost takes, in ascending location order
         for y, w in pairs:
             c = next(costs)
-            if max(high - y, y - low) == inf:
-                c = inf
             term = w * c
             tiny = tiny or (c > 0.0 and term < _NORMAL_MIN)
             mech += term
         opt = next(costs)
-        if max(high - opt_y, opt_y - low) == inf:
-            opt = inf
         span = high - low
         if (tiny or 0.0 < opt < _NORMAL_MIN) and span != 1.0:
             ((unit_mech, unit_opt, value),) = _ratios(spec, np.array([[(x - low) / span for x in row]]), p)

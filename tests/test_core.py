@@ -1,6 +1,7 @@
 """Profiles, distributions, and cost primitives."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from lpfacility import (
     validate_pnorm,
 )
 from lpfacility.core import _lp_norms
+from lpfacility.mechanisms import Optimal, Symmetrized, run
 
 
 class TestPNorm:
@@ -163,6 +165,18 @@ class TestCosts:
         prof = LocationProfile([-1e308, -1e307, 1e307, 1e308])
         assert social_cost(prof, 0.0, 1.0) == math.inf
 
+    def test_a_facility_past_the_largest_double_from_an_agent_costs_inf(self):
+        assert social_cost(LocationProfile([-1e308, 1e308]), 1e308, 3.0) == math.inf
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 3.0, math.inf])
+    def test_a_row_holding_inf_has_norm_inf_without_a_warning(self, p):
+        rows = np.array([[np.inf, 1.0, 0.0], [2.0, np.inf, np.inf], [3.0, 0.0, 4.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            norms = _lp_norms(rows, p)
+        assert norms[:2] == [math.inf, math.inf]
+        assert norms[2] == _lp_norms(rows[2:], p)[0] < math.inf
+
     @pytest.mark.parametrize("p", [1.0, 1.5, 3.0, 5.0, 7.3, math.inf])
     def test_row_norms_equal_the_one_dimensional_norm(self, p):
         # each row of a batch against the 1-D peak-factored norm, by float.hex
@@ -197,6 +211,24 @@ class TestCosts:
         # would cost only 1/sqrt(2)
         assert value == 1.0
         assert value > social_cost(prof, 0.5, 2.0)
+
+    def test_a_subnormal_expected_cost_keeps_its_bits(self):
+        # each atom costs 5e-324 with weight 0.5, and 0.5 * 5e-324 rounds to 0
+        prof = LocationProfile([5e-324, 1e-323])
+        lottery = run(Symmetrized(Optimal()), prof, 1.0)
+        assert expected_social_cost(prof, lottery, 1.0) == 5e-324
+
+    @pytest.mark.parametrize("p", [1.0, math.inf])
+    def test_a_subnormal_lottery_costs_its_power_of_two_image_rounded_once(self, p):
+        # at p in {1, inf} every subnormal cost is exact, so only the weighted
+        # sum rounds, and it rounds as the image's sum scaled back by 2^-1074
+        atoms = [(0.0, 0.25), (3.0, 0.5), (7.0, 0.125), (2.0, 0.125)]
+        for reports in ([1.0, 2.0, 5.0], [0.0, 7.0], [3.0, 3.0, 4.0, 9.0]):
+            image = expected_social_cost(LocationProfile(reports), FacilityDistribution(atoms), p)
+            tiny = FacilityDistribution([(math.ldexp(y, -1074), w) for y, w in atoms])
+            got = expected_social_cost(LocationProfile([math.ldexp(x, -1074) for x in reports]), tiny, p)
+            assert got.hex() == math.ldexp(image, -1074).hex()
+            assert got > 0.0
 
     def test_one_atom_expectation_equals_social_cost_exactly(self):
         rng = np.random.default_rng(11)

@@ -2,6 +2,7 @@
 
 import math
 import re
+import threading
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -26,7 +27,17 @@ from lpfacility import (
     smallest_positive_root,
     social_cost,
 )
-from lpfacility.optimizer import BRACKET_TOL, ROOT_TOL, _bisect_rows, _optimum, _optimum_rows, _powi, _solve_row
+from lpfacility.optimizer import (
+    _WORKSPACE,
+    _WORKSPACE_BYTES,
+    BRACKET_TOL,
+    ROOT_TOL,
+    _bisect_rows,
+    _optimum,
+    _optimum_rows,
+    _powi,
+    _solve_row,
+)
 
 
 def brute_force_cost_curve(values, grid, p):
@@ -584,3 +595,45 @@ class TestAdversarialRoots:
             adversarial_root(1, 2, 2)
         with pytest.raises(TypeError):
             adversarial_root(1.5, 2, 3)
+
+
+class TestWorkspace:
+    """The batched kernel keeps only its (n, B) arrays between steps."""
+
+    @staticmethod
+    def buffers_after(points, weights, p):
+        # the workspace of a fresh thread after one solve in it
+        seen = {}
+
+        def work():
+            _bisect_rows(points, weights, p)
+            seen.update((name, buf.nbytes) for name, buf in _WORKSPACE.buffers.items())
+
+        thread = threading.Thread(target=work)
+        thread.start()
+        thread.join(timeout=60.0)
+        assert not thread.is_alive()
+        return seen
+
+    @staticmethod
+    def certificate_batch(k, n):
+        # the residual rows of the certificate: k weighted rows, some
+        # weights zero, the points spread out around [0, 1]
+        rng = np.random.default_rng(k + n)
+        roots = rng.uniform(0.1, 5.0, size=(k, 1))
+        points = np.hstack([-roots, np.linspace(0.0, 1.0, n - 2) * np.ones((k, 1)), 1.0 + roots])
+        weights = rng.integers(0, 4, size=(k, n)).astype(float)
+        weights[:, [0, -1]] += 1.0
+        return points, weights
+
+    @pytest.mark.parametrize("p", [3.0, 8.0])
+    def test_a_certificate_batch_keeps_only_its_column_buffers(self, p):
+        points, weights = self.certificate_batch(10_000, 4)
+        seen = self.buffers_after(points, weights, p)
+        assert seen == {name: points.nbytes for name in ("z", "w", "d", "g")}
+        assert sum(seen.values()) <= _WORKSPACE_BYTES
+
+    def test_a_batch_past_the_limit_is_freed_after_the_call(self):
+        points, weights = self.certificate_batch(10_000, 16)
+        assert 4 * points.nbytes > _WORKSPACE_BYTES
+        assert self.buffers_after(points, weights, 3.0) == {}
