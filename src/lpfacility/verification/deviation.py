@@ -15,6 +15,10 @@ polish in pure Python, since numpy overhead dominates one-point evaluations.
 `sp_scan` keeps only its largest gain, so it polishes a profile's agents in
 decreasing order of scan gain and skips every agent whose gain, bounded by
 what the polish can add, stays below the largest found so far.
+A one-line plan (an order statistic or a dictator: Median, OrderStatistic,
+Dictator and mixtures with one nonzero weight) is not scanned at all: its
+best response is the truthful cost, proven over every real report, and the
+report the scan would pick is found in closed form (see `best_deviation`).
 """
 
 from __future__ import annotations
@@ -74,12 +78,13 @@ def misreport_candidates(
     """Candidate misreports for one agent, in a fixed deterministic order; the grid is
     linspace's arithmetic on a cached arange (linspace itself at a zero or non-finite step)."""
     _check_agent(agent, profile.n)
-    return _agent_candidates(_window_candidates(profile, cfg), profile, agent, cfg)
+    return _agent_candidates(_window_candidates(profile, cfg)[0], profile, agent, cfg)
 
 
 def _window_candidates(profile: LocationProfile, cfg: SearchConfig):
-    # the candidate array with the slots every agent shares filled in: the
-    # four extremes and the grid, its stop included; None if one is not finite
+    # the candidate array with the slots every agent shares filled in, the
+    # four extremes and the grid, its stop included, or None if one is not
+    # finite; and their least and greatest (min and max propagate NaN)
     n = profile.n
     lo, hi, span = profile.low, profile.high, profile.span
     unit, scales = _unit_arrays(cfg.grid_points, cfg.scale_bound, cfg.scale_steps_per_unit)
@@ -91,7 +96,8 @@ def _window_candidates(profile: LocationProfile, cfg: SearchConfig):
         linear = step != 0.0 and math.isfinite(step)
         shared[n + 3 : end] = unit * step + start if linear else np.linspace(start, stop, unit.size)
     shared[end - 1] = stop
-    return shared if np.isfinite(shared[n - 1 : end]).all() else None
+    hull = float(shared[n - 1 : end].min()), float(shared[n - 1 : end].max())
+    return (shared if math.isfinite(hull[0]) and math.isfinite(hull[1]) else None), hull
 
 
 def _agent_candidates(shared, profile: LocationProfile, agent: int, cfg: SearchConfig) -> np.ndarray:
@@ -100,14 +106,19 @@ def _agent_candidates(shared, profile: LocationProfile, agent: int, cfg: SearchC
     # so the scalings are finite exactly when scale_bound * x is
     xs, n = profile.values, profile.n
     x = float(xs[agent - 1])
-    if shared is None or not math.isfinite(cfg.scale_bound * x):
-        raise NonFiniteResult(f"the misreport window of {profile!r} overflows")
+    _check_window(shared, profile, x, cfg)
     scales = _unit_arrays(cfg.grid_points, cfg.scale_bound, cfg.scale_steps_per_unit)[1]
     candidates = shared.copy()
     candidates[: agent - 1], candidates[agent - 1 : n - 1] = xs[: agent - 1], xs[agent:]
     np.multiply(scales, x, out=candidates[-1 - scales.size : -1])
     candidates[-1] = x
     return candidates
+
+
+def _check_window(shared, profile: LocationProfile, x: float, cfg: SearchConfig) -> None:
+    # refuse the agent at x whose candidates are not all finite
+    if shared is None or not math.isfinite(cfg.scale_bound * x):
+        raise NonFiniteResult(f"the misreport window of {profile!r} overflows")
 
 
 def deviation_cost_curve(spec, profile, p, agent, reports) -> np.ndarray:
@@ -163,6 +174,51 @@ def best_deviation(
     (r, c) with one golden-section pass over [a, b], one grid cell either
     side of r; the polished point is kept only if strictly cheaper. On exact
     ties the first (assembly-order) candidate wins, so reruns are identical.
+
+    A one-line plan is priced in closed form (`_line_min`): the (report,
+    cost) the scan (`mechanisms._plan_min`) returns for the full candidate
+    array, to the bit, with no candidate array, no cost curve and no polish.
+    Its one atom has q None, is not mirrored, and has either slope 1 and
+    shift 0 (an order statistic, or the agent's own dictator: y(r) is r
+    clipped to [lo, hi]) or slope 0 (another agent's dictator). The rows of
+    Median, OrderStatistic, Dictator and of a Mixture with one nonzero
+    weight are such plans.
+    - Least cost is truthful. y(r) lies in [lo, hi] and x's own clip is the
+      point of [lo, hi] nearest x. x - y, |.| and w * (.) each round
+      monotonically, so fl(w |x - y(r)|) >= cost(x) = truthful for every
+      real r: the curve's least cost is exactly truthful, the gain is +0.0
+      over every real report, not just the grid, and no polished point can
+      be strictly cheaper, so skipping the polish keeps the bits.
+    - The report is the first candidate in assembly order (the others in
+      agent order, the extremes, the grid, the scalings, then x) priced at
+      truthful, as argmin picks it. If x <= lo or x >= hi, a finite window
+      end is an other's report (`core._rank_window`) and costs truthful, so
+      the report is the first other, in agent order, whose cost equals
+      truthful, priced by `_plan_at`: it prices a line as `_plan_costs`
+      does, to the bit (y may differ only in a zero's sign, which |x - y|
+      drops; 0 + w * t and 1 * t are w * t and t). If lo < x < hi,
+      truthful is 0, and a cost of 0 needs y(r) == x, so r == x: w is within
+      1e-12 of 1 (a mixture's weights sum to 1), so w * t > 0 for t > 0.
+      The report is then x, bit for bit, unless x is a zero; its sign is
+      then the first zero's among the others (only the agent's own
+      dictator, on the whole line, can have one), the extremes and the
+      grid, else that of scales[0] * x. If the slope is 0, 0 * r + shift is
+      shift up to a zero's sign, every candidate costs truthful, and the
+      report is the first other.
+    - Overflow. The scan reports cost inf if any candidate's cost
+      overflows. With both window ends finite, x and y(r) lie in [low,
+      high], so no cost exceeds w * span, which is finite: the extremes
+      low - span and high + span are finite only if span is at most about
+      2/3 of the largest double, and w <= 1 + 1e-12. With slope 0 every
+      cost is truthful, whose own check refuses an overflow. With lo = -inf
+      or hi = inf, the cost is unimodal in r (y(r) is monotone), so its
+      largest is at the least or the greatest candidate: the least or
+      greatest of the extremes and the grid (which `_window_candidates`
+      returns; the others and x lie between low - span and high + span) and
+      x's two end scalings. Priced there, an inf is returned as the cost,
+      and `_deviations` raises the same NonFiniteResult. A window that is
+      not finite is refused by the scan's own check (`_check_window`), at
+      the same agent.
 
     The polish is skipped where it provably cannot win, so the result keeps
     its bits: when c <= 0 (every cost is a sum of w * |x - y|, w >= 0), or
@@ -244,7 +300,8 @@ def _deviations(spec, profile: LocationProfile, p: float, agents, cfg: SearchCon
     """[best_deviation(spec, profile, p, a, cfg) for a in agents], bit for
     bit, less the agents whose gain provably stays below `floor`, with every
     agent's candidate scan in one `_plan_min` call, so the optimum rows of
-    all agents share its two kernel calls. The candidates' extremes and grid
+    all agents share its two kernel calls. One-line plans take the closed
+    form instead (see best_deviation), and are never polished. The candidates' extremes and grid
     are built once for the profile, and each agent's candidates copy them
     (`misreport_candidates` composes the same two parts); a window that is
     not finite is refused at the first agent whose plan is built, as the
@@ -264,30 +321,42 @@ def _deviations(spec, profile: LocationProfile, p: float, agents, cfg: SearchCon
     """
     p = validate_pnorm(p)
     plans, error = [], None
-    shared, values = _window_candidates(profile, cfg), profile.values.tolist()
+    (shared, hull), values = _window_candidates(profile, cfg), profile.values.tolist()
     for agent in agents:
         try:
             x = float(profile.values[_check_agent(agent, profile.n) - 1])
             others, atoms = _outcome_plan(spec, values, p, agent)
-            plans.append((others, atoms, x, _agent_candidates(shared, profile, agent, cfg)))
+            if _one_line(atoms):
+                _check_window(shared, profile, x, cfg)
+                plans.append((others, atoms, x, None))
+            else:
+                plans.append((others, atoms, x, _agent_candidates(shared, profile, agent, cfg)))
         except Exception as exc:
             error = exc
             break
+    scans = iter(_plan_min([plan for plan in plans if plan[3] is not None]))
+    scales = _unit_arrays(cfg.grid_points, cfg.scale_bound, cfg.scale_steps_per_unit)[1]
     scanned = []
-    for agent, (others, atoms, x, candidates), (i, best_c) in zip(agents, plans, _plan_min(plans)):
+    for agent, (others, atoms, x, candidates) in zip(agents, plans):
         truthful = _plan_at(others, atoms, x, x)
+        if candidates is None:
+            reports = values[: agent - 1] + values[agent:]
+            best_r, best_c = _line_min(others, atoms, x, truthful, reports, shared, hull, scales)
+        else:
+            i, best_c = next(scans)
+            best_r = float(candidates[i])
         if not (math.isfinite(truthful) and math.isfinite(best_c)):
             raise NonFiniteResult(f"misreport costs overflow on {profile!r}")
-        scanned.append((truthful - best_c, agent, others, atoms, x, float(candidates[i]), truthful, best_c))
+        scanned.append((truthful - best_c, agent, others, atoms, x, best_r, truthful, best_c, candidates is None))
     if error is not None:
         raise error
     window = profile.span * (1.0 + 2.0 * cfg.grid_pad) / (cfg.grid_points - 1)
     reach = 1.0 + abs(profile.low) + abs(profile.high)
     reports = [None] * len(scanned)
     for k in sorted(range(len(scanned)), key=lambda k: -scanned[k][0]):
-        _, agent, others, atoms, x, best_r, truthful, best_c = scanned[k]
+        _, agent, others, atoms, x, best_r, truthful, best_c, exact = scanned[k]
         a, b = best_r - window, best_r + window
-        polish = window > 0.0 and cfg.refine_iters > 0 and best_c > 0.0
+        polish = not exact and window > 0.0 and cfg.refine_iters > 0 and best_c > 0.0
         if polish and not _never_below_ends(others, atoms, x, a, b, best_c):
             if floor > -math.inf and math.isfinite(b - a):
                 if truthful - best_c + _polish_slack(atoms, best_r, window, reach, truthful, best_c) < floor:
@@ -305,6 +374,41 @@ def _deviations(spec, profile: LocationProfile, p: float, agents, cfg: SearchCon
             gain=truthful - best_c,
         )
     return [report for report in reports if report is not None]
+
+
+def _one_line(atoms) -> bool:
+    # one unmirrored clipped line: the identity (an order statistic or the
+    # agent's own dictator) or a constant (another agent's dictator)
+    if len(atoms) != 1:
+        return False
+    _, slope, shift, _, _, q, mirrored = atoms[0]
+    return q is None and not mirrored and (slope == 0.0 or (slope == 1.0 and shift == 0.0))
+
+
+def _line_min(others, atoms, x: float, truthful: float, reports: list, shared, hull, scales) -> tuple[float, float]:
+    # _plan_min's (report, cost) for the one-line plan (others, atoms, x)
+    # over the agent's candidates, without building them: `reports` the
+    # others' reports in agent order, `shared` and `hull` from
+    # _window_candidates, x's scalings `scales` * x (see best_deviation for
+    # the proof); _plan_at prices a line as _plan_costs does, to the bit
+    _, slope, _, lo, hi, _, _ = atoms[0]
+    cost = lambda r: _plan_at(others, atoms, r, x)
+    if slope == 0.0:
+        return reports[0], truthful
+    if not lo < x < hi:
+        report = next(r for r in reports if cost(r) == truthful)
+    elif x != 0.0:
+        report = x
+    else:
+        # the first zero in assembly order: an other, an extreme, a grid point or a scaling
+        slots = shared[len(reports) : shared.size - scales.size - 1]
+        report = ([r for r in reports if r == 0.0] + slots[slots == 0.0].tolist() + [float(scales[0]) * x])[0]
+    if lo == -math.inf or hi == math.inf:
+        # the cost is unimodal in r, so its largest is at the least or the greatest candidate
+        ends = float(scales[0]) * x, float(scales[-1]) * x
+        if not math.isfinite(max(cost(min(hull[0], *ends)), cost(max(hull[1], *ends)))):
+            return report, math.inf
+    return report, truthful
 
 
 def _polish_slack(atoms, best_r: float, window: float, reach: float, truthful: float, best_c: float) -> float:

@@ -3,13 +3,17 @@
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from lpfacility.cli import main
 from lpfacility.verification.reports import render_csv, render_json
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(capsys, argv):
@@ -346,11 +350,13 @@ class TestOutputBytes:
 
 class TestConsoleEntry:
     def test_module_invocation(self):
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "lpfacility.cli", "eval", "--spec", "median",
              "--profile", "0,1", "--p", "2"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["opt_location"] == 0.5

@@ -513,6 +513,106 @@ class TestPolishSkip:
         assert not deviation._never_below_ends([], constant, 0.0, -1e308, 1.7e308, 5.0)
 
 
+def one_line_specs(n):
+    """Rules whose every agent row is a one-line plan: an order statistic
+    or a dictator, alone or as a mixture's one nonzero weight."""
+    zeros = (0.0,) * (n - 1)
+    return [
+        Median(),
+        OrderStatistic(1),
+        OrderStatistic(n),
+        Dictator(1),
+        Dictator(n),
+        Mixture(order_weights=(1.0,) + zeros),
+        Mixture(dictator_weights=zeros + (1.0,)),
+    ]
+
+
+ONE_LINE_CONFIGS = (
+    SearchConfig(),
+    SearchConfig(grid_points=2),
+    SearchConfig(grid_pad=0),
+    SearchConfig(scale_bound=0),
+    SearchConfig(scale_bound=0.3, scale_steps_per_unit=7),
+)
+
+
+def reference_outcome(spec, profile, p, agent, cfg=SearchConfig()):
+    # the reference prices overflowing costs in plain numpy, which warns
+    with np.errstate(over="ignore"):
+        return outcome(reference_best_deviation, spec, profile, p, agent, cfg)
+
+
+class TestOneLinePlans:
+    """Order statistics and dictators are priced in closed form, to the bit
+    of the full candidate scan, and never polished."""
+
+    @given(
+        profile=edge_profiles(max_n=6),
+        pick=st.integers(0, 10**6),
+        rank=st.integers(1, 6),
+        cfg=st.sampled_from(ONE_LINE_CONFIGS),
+    )
+    def test_matches_the_full_scan(self, profile, pick, rank, cfg):
+        n = profile.n
+        specs = one_line_specs(n) + [OrderStatistic(min(rank, n)), Dictator(min(rank, n))]
+        spec = specs[pick % len(specs)]
+        for agent in range(1, n + 1):
+            assert deviation._one_line(_outcome_plan(spec, profile.values.tolist(), 2.0, agent)[1])
+            expect = reference_outcome(spec, profile, 2.0, agent, cfg)
+            assert outcome(best_deviation, spec, profile, 2.0, agent, cfg) == expect, (spec, agent)
+
+    @pytest.mark.parametrize(
+        "spec, values, agent, report",
+        [
+            # x is a zero inside its window: the report is the first zero in
+            # assembly order, here the grid's +0.0 or else the scaling -4.0 * x
+            (Median(), [-1.0, 0.0, 1.0], 2, 0.0),
+            (Median(), [-1.0, -0.0, 1.0], 2, 0.0),
+            (Median(), [-1.0, 0.0, 2.0], 2, -0.0),
+            # the agent's own dictator: an other's -0.0 comes first
+            (Dictator(1), [0.0, -0.0], 1, -0.0),
+            # x right, then left of its window [0, 1]: the first other in agent
+            # order priced at the truthful cost, which need not be the window end
+            (Median(), [1e20, 0.0, 1.0], 1, 0.0),
+            (Median(), [-1e20, 1.0, 0.0], 1, 1.0),
+            # tied others at the window ends: the first in agent order
+            (Median(), [-1.0, 0.0, -0.0, 0.0, 5.0], 1, 0.0),
+            (Median(), [-1.0, -0.0, 0.0, 0.0, 5.0], 1, -0.0),
+        ],
+    )
+    def test_pinned_reports(self, spec, values, agent, report):
+        profile = LocationProfile(values)
+        got = best_deviation(spec, profile, 2.0, agent)
+        assert got.best_misreport.hex() == report.hex()
+        assert got.gain.hex() == "0x0.0p+0" and got.deviated_cost == got.truthful_cost
+        assert outcome(best_deviation, spec, profile, 2.0, agent) == reference_outcome(spec, profile, 2.0, agent)
+
+    @pytest.mark.parametrize("spec", [Dictator(1), OrderStatistic(1)])
+    def test_an_overflowing_curve_is_refused_as_the_scan_refuses_it(self, spec):
+        # a finite window whose end scalings, -+5 x, cost more than the
+        # largest double for the agent whose facility follows its report
+        profile, cfg = LocationProfile([-3.4e307, 3.4e307]), SearchConfig(grid_pad=0.0, scale_bound=5.0)
+        outcomes = [outcome(best_deviation, spec, profile, 2.0, agent, cfg) for agent in (1, 2)]
+        assert outcomes == [reference_outcome(spec, profile, 2.0, agent, cfg) for agent in (1, 2)]
+        assert (NonFiniteResult, f"misreport costs overflow on {profile!r}") in outcomes
+        # the default window is refused before any cost is priced
+        refused = (NonFiniteResult, f"the misreport window of {profile!r} overflows")
+        assert outcome(best_deviation, spec, profile, 2.0, 1) == refused
+
+    def test_a_one_line_scan_prices_no_candidate_and_never_polishes(self, monkeypatch):
+        calls = []
+        count = lambda name, fn: lambda *args: calls.append(name) or fn(*args)
+        monkeypatch.setattr(mechanisms, "_plan_costs", count("costs", mechanisms._plan_costs))
+        monkeypatch.setattr(deviation, "_golden_min", count("polish", deviation._golden_min))
+        monkeypatch.setattr(deviation, "_never_below_ends", count("ends", deviation._never_below_ends))
+        for spec in one_line_specs(6):
+            assert sp_scan(spec, 3.0, n=6, trials=5, seed=42).gain == 0.0
+        assert calls == []
+        best_deviation(LRM(), LocationProfile([0.0, 1.0]), 2.0, agent=1)
+        assert "costs" in calls
+
+
 PRUNE_P = (1.1, 1.5, 1.9, 2.5, 3.0, 5.0, 8.0, 30.0)
 
 
