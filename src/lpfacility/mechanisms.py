@@ -226,7 +226,9 @@ def _outcome_plan(spec, values: list, p: float, agent: int):
     else the L_q optimum of others + [r]; when mirrored, it is reflected
     about the midpoint of the two reports (r + others[0] minus it, or
     (r - y) + others[0] where that sum overflows). Mixture components of
-    zero weight are left out.
+    zero weight are left out. The L_1 optimum is the median's line (it may
+    differ from `optimizer._optimum` in a zero's sign, which costs and merged
+    locations, `core._merged_atoms`, drop), so no atom has q = 1.
     """
     n = len(values)
     others = sorted(values[: agent - 1] + values[agent:])
@@ -244,6 +246,10 @@ def _outcome_plan(spec, values: list, p: float, agent: int):
             return (w, 1.0, 0.0, -inf, inf, None, False)
         return (w, 0.0, values[i - 1], -inf, inf, None, False)
 
+    def optimum(q, w):
+        q = p if q is None else q
+        return ranked((n + 1) // 2, w) if q == 1.0 else (w, 0.0, 0.0, -inf, inf, q, False)
+
     if isinstance(spec, Median):
         atoms = [ranked((n + 1) // 2, 1.0)]
     elif isinstance(spec, OrderStatistic):
@@ -251,7 +257,7 @@ def _outcome_plan(spec, values: list, p: float, agent: int):
     elif isinstance(spec, Dictator):
         atoms = [dictated(spec.agent, 1.0)]
     elif isinstance(spec, Optimal):
-        atoms = [(1.0, 0.0, 0.0, -inf, inf, p if spec.p is None else spec.p, False)]
+        atoms = [optimum(spec.p, 1.0)]
     elif isinstance(spec, (LRM, ThreePoint)):
         _require_two(n, "lrm" if isinstance(spec, LRM) else "threepoint")
         q, o = (0.25 if isinstance(spec, LRM) else spec.q_end), others[0]
@@ -267,7 +273,7 @@ def _outcome_plan(spec, values: list, p: float, agent: int):
         atoms = [dictated(i, w) for i, w in enumerate(spec.dictator_weights, 1) if w > 0.0]
         atoms += [ranked(j, w) for j, w in enumerate(spec.order_weights, 1) if w > 0.0]
         if spec.opt_weight > 0.0:
-            atoms.append((spec.opt_weight, 0.0, 0.0, -inf, inf, p if spec.p is None else spec.p, False))
+            atoms.append(optimum(spec.p, spec.opt_weight))
     elif isinstance(spec, (Mirror, Symmetrized)):
         _require_two(n, "mirror" if isinstance(spec, Mirror) else "symmetrize")
         inner = _outcome_plan(spec.inner, values, p, agent)[1]
@@ -339,7 +345,7 @@ def _plan_costs(others: list, atoms: list, x: float, reports: np.ndarray) -> np.
 # The pruned scan solves every _PRUNE_STRIDE-th sorted report first.
 _PRUNE_STRIDE = 64
 # Atom exponents that need no solve: clipped lines and closed-form optima.
-_UNSOLVED = (None, 1.0, 2.0, math.inf)
+_UNSOLVED = (None, 2.0, math.inf)
 
 
 def _plan_min(plans: list) -> list:
@@ -354,9 +360,7 @@ def _plan_min(plans: list) -> list:
     them in one kernel call per phase; `verification.deviation.best_deviation`
     gives the argument. The other plans take the full curve, one by one.
     """
-    # closed rules skip the shape guard, whose set-up slows their scans
-    solved = any(atom[5] not in _UNSOLVED for plan in plans for atom in plan[1])
-    found = _pruned_min(plans) if solved else [None] * len(plans)
+    found = _pruned_min(plans)
     with np.errstate(over="ignore", invalid="ignore"):
         for k, plan in enumerate(plans):
             if found[k] is None:

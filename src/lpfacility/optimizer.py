@@ -20,19 +20,20 @@ D' is not finite (p < 2 on a data point), or when it is more than half the
 previous step (the rtsafe rule). A point is returned only once it is
 certified: D changes sign within BRACKET_TOL half-spans on either side.
 
-The optimum has two kernels chosen by call shape, each holding the closed
+The optimum has two kernels chosen by call shape, each holding its closed
 forms once. `_optimum` is pure Python for one row (optimal_location, `run`,
 the ratio pricer and the deviation polish, where numpy's per-call overhead
 would dominate) and solves with `_solve_row`. `_optimum_rows` is numpy for
 blocks of rows that differ in one report (deviation curves; the misreport
 scan passes one block per agent of a profile, in one call per phase); it
-reads the closed forms off each block's other reports in O(C), writes every
-block as columns of one (n, C) workspace buffer and solves them with one
-`_bisect_columns` call, where no column's result depends on the rest of its
-batch. `_bisect_rows` copies a (B, n) batch, such as the weighted rows of
-certificate residuals, into that buffer and solves it the same way. Only
-the kernel's (n, B) arrays live in the per-thread workspace, and its batch
-is cut to the pending rows once they fill half of it or less.
+reads the closed forms at p in {2, inf} (p = 1 never reaches it) off each
+block's other reports in O(C), writes every other block as columns of one
+(n, C) workspace buffer and solves them with one `_bisect_columns` call,
+where no column's result depends on the rest of its batch. `_bisect_rows`
+copies a (B, n) batch, such as the weighted rows of certificate residuals,
+into that buffer and solves it the same way. Only the kernel's (n, B)
+arrays live in the per-thread workspace, and its batch is cut to the
+pending rows once they fill half of it or less.
 
 Rank roots: for rank j among 2k agents and e = p - 1, the root a_j of
 
@@ -68,7 +69,6 @@ from .core import (
     LocationProfile,
     NonFiniteResult,
     _check_tol,
-    _rank_window,
     _sum_in_order,
     social_cost,
     validate_pnorm,
@@ -183,14 +183,13 @@ def _midranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 def _optimum_rows(blocks: list, p: float) -> list:
     """The batched kernel: for each (others, reports) block, the minimizer
     of each row others + [r], r in reports, one array per block; every
-    block's others are sorted ascending and equally long. The closed forms
-    read each block's others' summary in O(C); other p write every block
-    straight into the workspace's (n, C) column buffer, C the total count of
-    reports, and solve them in one `_bisect_columns` call, where a column's
-    solve does not depend on the rest of its batch."""
+    block's others are sorted ascending and equally long, and p > 1 (the
+    outcome plan writes the L_1 optimum as the median's line). The closed
+    forms at p in {2, inf} read each block's others' summary in O(C); other
+    p write every block straight into the workspace's (n, C) column buffer,
+    C the total count of reports, and solve them in one `_bisect_columns`
+    call, where a column's solve does not depend on the rest of its batch."""
     n = len(blocks[0][0]) + 1
-    if p == 1.0:
-        return [np.clip(reports, *_rank_window(others, (n + 1) // 2)) for others, reports in blocks]
     if p == 2.0:
         return [_means(others, reports, n) for others, reports in blocks]
     if math.isinf(p):

@@ -16,9 +16,10 @@ polish in pure Python, since numpy overhead dominates one-point evaluations.
 decreasing order of scan gain and skips every agent whose gain, bounded by
 what the polish can add, stays below the largest found so far.
 A one-line plan (an order statistic or a dictator: Median, OrderStatistic,
-Dictator and mixtures with one nonzero weight) is not scanned at all: its
-best response is the truthful cost, proven over every real report, and the
-report the scan would pick is found in closed form (see `best_deviation`).
+Dictator, the L_1 optimum and mixtures with one nonzero weight) is not
+scanned at all: its best response is the truthful cost, proven over every
+real report, and the report the scan would pick is found in closed form
+(see `best_deviation`).
 """
 
 from __future__ import annotations
@@ -126,7 +127,8 @@ def deviation_cost_curve(spec, profile, p, agent, reports) -> np.ndarray:
     one entry per candidate misreport (other agents truthful).
 
     Raises IndexError (TypeError) unless agent is an integer in 1..n, and
-    NonFiniteResult for a NaN or infinite report."""
+    NonFiniteResult for a NaN or infinite report or for a cost that
+    overflows a double."""
     p = validate_pnorm(p)
     x = float(profile.values[_check_agent(agent, profile.n) - 1])
     reports = np.asarray(reports, dtype=float)
@@ -134,7 +136,11 @@ def deviation_cost_curve(spec, profile, p, agent, reports) -> np.ndarray:
     if not finite.all():
         raise NonFiniteResult(f"misreports must be finite, got {float(reports[~finite][0])!r}")
     others, atoms = _outcome_plan(spec, profile.values.tolist(), p, agent)
-    return _plan_costs(others, atoms, x, reports)
+    with np.errstate(over="ignore", invalid="ignore"):
+        costs = _plan_costs(others, atoms, x, reports)
+    if not np.isfinite(costs).all():
+        raise NonFiniteResult(f"misreport costs overflow on {profile!r}")
+    return costs
 
 
 def _golden_min(fn, a: float, b: float, iters: int) -> tuple[float, float]:
@@ -158,13 +164,6 @@ def _golden_min(fn, a: float, b: float, iters: int) -> tuple[float, float]:
     return best_x, best_f
 
 
-def _never_below_ends(others, atoms, x: float, a: float, b: float, best_c: float) -> bool:
-    if not math.isfinite(b - a) or any(q is not None or m or s < 0.0 for _, s, _, _, _, q, m in atoms):
-        return False
-    below = _plan_at(others, atoms, a, x) >= best_c and all(x <= y for y in _plan_at(others, atoms, a))
-    return below or (_plan_at(others, atoms, b, x) >= best_c and all(x >= y for y in _plan_at(others, atoms, b)))
-
-
 def best_deviation(
     spec, profile: LocationProfile, p: float, agent: int, cfg: SearchConfig = SearchConfig()
 ) -> DeviationReport:
@@ -181,7 +180,8 @@ def best_deviation(
     Its one atom has q None, is not mirrored, and has either slope 1 and
     shift 0 (an order statistic, or the agent's own dictator: y(r) is r
     clipped to [lo, hi]) or slope 0 (another agent's dictator). The rows of
-    Median, OrderStatistic, Dictator and of a Mixture with one nonzero
+    Median, OrderStatistic, Dictator, of the L_1 optimum (`_outcome_plan`
+    writes it as the median's line) and of a Mixture with one nonzero
     weight are such plans.
     - Least cost is truthful. y(r) lies in [lo, hi] and x's own clip is the
       point of [lo, hi] nearest x. x - y, |.| and w * (.) each round
@@ -220,15 +220,8 @@ def best_deviation(
       not finite is refused by the scan's own check (`_check_window`), at
       the same agent.
 
-    The polish is skipped where it provably cannot win, so the result keeps
-    its bits: when c <= 0 (every cost is a sum of w * |x - y|, w >= 0), or
-    when every atom has q None, slope >= 0 and is not mirrored, and either
-    cost(a) >= c and x <= y_k(a) for every atom k, or cost(b) >= c and
-    x >= y_k(b) for every k. Then fl(slope * r), + shift, the clip, x - y,
-    |.|, w * (.) and the atom sum all round monotonically, so the float cost
-    is monotone on [a, b] and never below the end value; with b - a finite
-    every golden point lies in [a, b], so c2 < c cannot hold. Mirrored
-    atoms, (r + o) - y, are not monotone and optimum atoms are not covered.
+    The polish is skipped when c <= 0, where it provably cannot win (every
+    cost is a sum of w * |x - y|, w >= 0), so the result keeps its bits.
 
     The candidate scan (`mechanisms._plan_min`) solves only the optimum rows
     that can win, and returns the same index and cost, bit for bit, as the
@@ -334,7 +327,8 @@ def _deviations(spec, profile: LocationProfile, p: float, agents, cfg: SearchCon
         except Exception as exc:
             error = exc
             break
-    scans = iter(_plan_min([plan for plan in plans if plan[3] is not None]))
+    to_scan = [plan for plan in plans if plan[3] is not None]
+    scans = iter(_plan_min(to_scan) if to_scan else [])
     scales = _unit_arrays(cfg.grid_points, cfg.scale_bound, cfg.scale_steps_per_unit)[1]
     scanned = []
     for agent, (others, atoms, x, candidates) in zip(agents, plans):
@@ -356,8 +350,7 @@ def _deviations(spec, profile: LocationProfile, p: float, agents, cfg: SearchCon
     for k in sorted(range(len(scanned)), key=lambda k: -scanned[k][0]):
         _, agent, others, atoms, x, best_r, truthful, best_c, exact = scanned[k]
         a, b = best_r - window, best_r + window
-        polish = not exact and window > 0.0 and cfg.refine_iters > 0 and best_c > 0.0
-        if polish and not _never_below_ends(others, atoms, x, a, b, best_c):
+        if not exact and window > 0.0 and cfg.refine_iters > 0 and best_c > 0.0:
             if floor > -math.inf and math.isfinite(b - a):
                 if truthful - best_c + _polish_slack(atoms, best_r, window, reach, truthful, best_c) < floor:
                     continue

@@ -27,6 +27,7 @@ from lpfacility import (
     lrm_distribution,
     misreport_candidates,
     point_mass,
+    ratio,
     run,
     sp_scan,
     symmetric_sp_margin,
@@ -370,6 +371,14 @@ class TestDeviationCostCurve:
         with pytest.raises(NonFiniteResult, match="misreports must be finite"):
             deviation_cost_curve(spec, LocationProfile([0.0, 1.0, 2.0]), 3.0, 1, [0.5, bad])
 
+    @pytest.mark.parametrize("spec", [Dictator(1), Median(), Optimal(1.0)])
+    def test_an_overflowing_cost_is_refused(self, spec):
+        # the facility follows agent 1's report to -1.7e308, past the largest
+        # double's reach from its true 1e308: numpy warned and priced it inf
+        profile = LocationProfile([1e308, 1.5e308])
+        with pytest.raises(NonFiniteResult, match=re.escape(f"misreport costs overflow on {profile!r}")):
+            deviation_cost_curve(spec, profile, 2.0, 1, [1.2e308, -1.7e308])
+
 
 class TestBestDeviation:
     def test_median_never_gains(self):
@@ -495,22 +504,9 @@ class TestPolishSkip:
         calls = self._count_polishes(monkeypatch)
         best_deviation(Optimal(), LocationProfile([0.0, 0.3, 1.0]), 2.0, agent=1)
         best_deviation(Mirror(LRM()), LocationProfile([0.0, 1.0]), 2.0, agent=1)
-        # an optimum atom, although here its location never reaches x
-        best_deviation(Optimal(), LocationProfile([0.0, 10.0, 11.0]), 1.0, agent=1)
+        # a solved optimum atom, although here its location never reaches x
+        best_deviation(Optimal(), LocationProfile([0.0, 10.0, 11.0]), 3.0, agent=1)
         assert len(calls) == 3
-
-    def test_an_end_cheaper_than_the_best_candidate_keeps_the_polish(self):
-        # the facility at the report itself: cost |x - r| is monotone on either
-        # side of x, yet a golden point near a cheaper end would beat best_c
-        atoms = [(1.0, 1.0, 0.0, -math.inf, math.inf, None, False)]
-        assert deviation._never_below_ends([], atoms, 0.0, 1.0, 2.0, 1.0)
-        assert not deviation._never_below_ends([], atoms, 0.0, 1.0, 2.0, 1.5)
-        assert deviation._never_below_ends([], atoms, 3.0, 1.0, 2.0, 1.0)
-        assert not deviation._never_below_ends([], atoms, 3.0, 1.0, 2.0, 1.5)
-        # past the largest double the golden points leave [a, b]: no claim
-        constant = [(1.0, 0.0, 5.0, -math.inf, math.inf, None, False)]
-        assert deviation._never_below_ends([], constant, 0.0, -1e307, 1e307, 5.0)
-        assert not deviation._never_below_ends([], constant, 0.0, -1e308, 1.7e308, 5.0)
 
 
 def one_line_specs(n):
@@ -605,12 +601,79 @@ class TestOneLinePlans:
         count = lambda name, fn: lambda *args: calls.append(name) or fn(*args)
         monkeypatch.setattr(mechanisms, "_plan_costs", count("costs", mechanisms._plan_costs))
         monkeypatch.setattr(deviation, "_golden_min", count("polish", deviation._golden_min))
-        monkeypatch.setattr(deviation, "_never_below_ends", count("ends", deviation._never_below_ends))
         for spec in one_line_specs(6):
             assert sp_scan(spec, 3.0, n=6, trials=5, seed=42).gain == 0.0
+        # the L_1 optimum is the median's line
+        assert sp_scan(Optimal(), 1.0, n=6, trials=5, seed=42).gain == 0.0
         assert calls == []
         best_deviation(LRM(), LocationProfile([0.0, 1.0]), 2.0, agent=1)
         assert "costs" in calls
+
+
+def l1_cases(n):
+    """(spec, p, the indices of the plan's atoms that are its L_1 optimum)
+    for rules with an L_1 optimum atom."""
+    median = [0.0] * n
+    median[(n - 1) // 2] = 0.5
+    mixture = Mixture(order_weights=tuple(median), opt_weight=0.5)
+    cases = [(Optimal(), 1.0, {0}), (Optimal(1.0), 2.0, {0}), (mixture, 1.0, {1})]
+    if n == 2:
+        cases += [(Mirror(Optimal()), 1.0, {0}), (Symmetrized(Optimal()), 1.0, {0, 1})]
+    return cases
+
+
+def l1_atom_reference(spec, optima, profile, p, agent, cfg=SearchConfig()):
+    """best_deviation with the L_1 optimum priced as a solved atom, (w, 0.0,
+    0.0, -inf, inf, 1.0, mirrored): `optimizer._optimum(sorted([*others, r]),
+    1.0)` per candidate, the first least cost, then the golden polish, which
+    always runs. `optima` are the indices of the L_1 optimum's atoms."""
+    x = float(profile.values[agent - 1])
+    others, atoms = _outcome_plan(spec, profile.values.tolist(), p, agent)
+    atoms = [(a[0], 0.0, 0.0, -math.inf, math.inf, 1.0, a[6]) if k in optima else a for k, a in enumerate(atoms)]
+    cost = lambda r: _plan_at(others, atoms, r, x)
+    truthful = cost(x)
+    candidates = reference_candidates(profile, agent, cfg).tolist()
+    costs = [cost(r) for r in candidates]
+    if not (math.isfinite(truthful) and all(map(math.isfinite, costs))):
+        raise NonFiniteResult(f"misreport costs overflow on {profile!r}")
+    best_c = min(costs)
+    best_r = candidates[costs.index(best_c)]
+    window = profile.span * (1.0 + 2.0 * cfg.grid_pad) / (cfg.grid_points - 1)
+    if window > 0.0 and cfg.refine_iters > 0:
+        r2, c2 = _golden_min(cost, best_r - window, best_r + window, cfg.refine_iters)
+        if c2 < best_c:
+            best_r, best_c = float(r2), float(c2)
+    return DeviationReport(agent, profile, best_r, truthful, best_c, truthful - best_c)
+
+
+class TestL1Optimum:
+    """The L_1 optimum is written as the median's line and priced in closed
+    form; every report matches the solved atom's scan and polish by float.hex."""
+
+    @given(profile=edge_profiles(), pick=st.integers(0, 10**6))
+    def test_matches_the_solved_atom(self, profile, pick):
+        cases = l1_cases(profile.n)
+        spec, p, optima = cases[pick % len(cases)]
+        for agent in range(1, profile.n + 1):
+            expect = outcome(l1_atom_reference, spec, optima, profile, p, agent)
+            assert outcome(best_deviation, spec, profile, p, agent) == expect, (spec, agent)
+
+    @pytest.mark.parametrize(
+        "values, location, misreports",
+        [
+            ([0.0, -0.0], 0.0, [-0.0, 0.0]),
+            ([-0.0, 0.0], 0.0, [0.0, -0.0]),
+            ([-0.0, -0.0, 0.0], 0.0, [-0.0] * 3),
+            ([0.0, 10.0, 11.0], 10.0, [10.0] * 3),
+        ],
+    )
+    def test_pinned_rows(self, values, location, misreports):
+        profile = LocationProfile(values)
+        assert [(loc.hex(), w) for loc, w in run(Optimal(), profile, 1.0).atoms()] == [(location.hex(), 1.0)]
+        assert ratio(Optimal(), profile, 1.0).ratio == 1.0
+        reports = [best_deviation(Optimal(), profile, 1.0, agent) for agent in range(1, profile.n + 1)]
+        assert [report.best_misreport.hex() for report in reports] == [r.hex() for r in misreports]
+        assert all(report.gain.hex() == "0x0.0p+0" for report in reports)
 
 
 PRUNE_P = (1.1, 1.5, 1.9, 2.5, 3.0, 5.0, 8.0, 30.0)
