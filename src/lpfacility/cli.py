@@ -10,9 +10,10 @@ Subcommands:
 
 Exit codes: 0 success, 1 internal error, 2 malformed input (also a NaN,
 infinite or negative --tol, a negative seed or count, a spec that does not
-fit the profile size, a cost that overflows a double, or a rank root past
-double precision), 3 a strategyproofness violation was found (spcheck
-only). Identical command lines produce byte-identical output.
+fit the profile size, a cost that overflows a double, a rank root past
+double precision, or an --out, --roots or --profile file that cannot be
+opened), 3 a strategyproofness violation was found (spcheck only).
+Identical command lines produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -270,7 +271,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (InputError, ArityMismatch, NoRootFound, NonFiniteResult) as exc:
+    except (InputError, ArityMismatch, NoRootFound, NonFiniteResult, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except Exception as exc:  # pragma: no cover - defensive

@@ -28,12 +28,12 @@ blocks of rows that differ in one report (deviation curves; the misreport
 scan passes one block per agent of a profile, in one call per phase); it
 reads the closed forms at p in {2, inf} (p = 1 never reaches it) off each
 block's other reports in O(C), writes every other block as columns of one
-(n, C) workspace buffer and solves them with one `_bisect_columns` call,
-where no column's result depends on the rest of its batch. `_bisect_rows`
-copies a (B, n) batch, such as the weighted rows of certificate residuals,
-into that buffer and solves it the same way. Only the kernel's (n, B)
-arrays live in the per-thread workspace, and its batch is cut to the
-pending rows once they fill half of it or less.
+(n, C) array and solves them with one `_bisect_columns` call, where no
+column's result depends on the rest of its batch. `_bisect_rows` copies a
+(B, n) batch, such as the weighted rows of certificate residuals, into such
+an array and solves it the same way. Each call owns its buffers: the Newton
+steps reuse two (n, B) temporaries allocated once per call, and the batch
+is cut to the pending rows once they fill half of it or less.
 
 Rank roots: for rank j among 2k agents and e = p - 1, the root a_j of
 
@@ -59,7 +59,6 @@ bracket and shrinks it with the same bracket bisection,
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -186,9 +185,9 @@ def _optimum_rows(blocks: list, p: float) -> list:
     block's others are sorted ascending and equally long, and p > 1 (the
     outcome plan writes the L_1 optimum as the median's line). The closed
     forms at p in {2, inf} read each block's others' summary in O(C); other
-    p write every block straight into the workspace's (n, C) column buffer,
-    C the total count of reports, and solve them in one `_bisect_columns`
-    call, where a column's solve does not depend on the rest of its batch."""
+    p write every block straight into one (n, C) column array, C the total
+    count of reports, and solve them in one `_bisect_columns` call, where a
+    column's solve does not depend on the rest of its batch."""
     n = len(blocks[0][0]) + 1
     if p == 2.0:
         return [_means(others, reports, n) for others, reports in blocks]
@@ -197,7 +196,7 @@ def _optimum_rows(blocks: list, p: float) -> list:
     ends = [0]
     for _, reports in blocks:
         ends.append(ends[-1] + reports.size)
-    cols = _WORKSPACE.flat("z", n * ends[-1]).reshape(n, ends[-1])
+    cols = np.empty((n, ends[-1]))
     for (others, reports), start, stop in zip(blocks, ends, ends[1:]):
         cols[:-1, start:stop] = np.reshape(others, (-1, 1))
         cols[-1, start:stop] = reports
@@ -270,43 +269,6 @@ def _solve_row(points: list, p: float) -> float:
     return min(max(center + half * est, lo), hi)
 
 
-# A thread keeps at most this many bytes of workspace between calls.
-_WORKSPACE_BYTES = 1 << 22
-
-
-class _Workspace(threading.local):
-    """Named flat buffers for the (n, B) arrays of `_bisect_rows`, one set
-    per thread: the columns `z`, the weights `w` and the two per-step
-    temporaries `d` and `g` of `_rows_slopes`.
-
-    Each buffer grows to the largest request seen; `trim` frees the set
-    once it holds more than _WORKSPACE_BYTES. Reuse matters because an
-    (n, B) temporary of a Newton step can exceed the allocator's mmap
-    threshold, and allocated afresh it faults its pages in again.
-    """
-
-    def __init__(self):
-        self.buffers = {}
-
-    def flat(self, name: str, count: int) -> np.ndarray:
-        buf = self.buffers.get(name)
-        if buf is None or buf.size < count:
-            buf = self.buffers[name] = np.empty(count)
-        return buf[:count]
-
-    def trim(self) -> None:
-        if sum(buf.nbytes for buf in self.buffers.values()) > _WORKSPACE_BYTES:
-            self.buffers.clear()
-
-
-_WORKSPACE = _Workspace()
-
-
-def _like(z: np.ndarray, name: str) -> np.ndarray:
-    # workspace buffer `name` shaped like z
-    return _WORKSPACE.flat(name, z.size).reshape(z.shape)
-
-
 def _bisect_rows(points: np.ndarray, weights, p: float) -> np.ndarray:
     """Row-wise minimizer of sum_j w_j |y - x_j|^p for 1 < p < inf.
 
@@ -315,13 +277,11 @@ def _bisect_rows(points: np.ndarray, weights, p: float) -> np.ndarray:
     points. Each returned point is certified: the derivative changes sign
     within BRACKET_TOL half-spans of it, and it lies in [row min, row max].
     Rows still uncertified after _MAX_NEWTON steps keep their last estimate.
-    The points are copied, transposed, into the workspace's column buffer
-    `z` and solved by `_bisect_columns`.
+    The points are copied, transposed, into a C-ordered (n, B) array and
+    solved by `_bisect_columns`.
     """
     # points run down the columns, so per-row reductions add contiguous vectors
-    points = np.asarray(points, dtype=float)
-    cols = _WORKSPACE.flat("z", points.size).reshape(points.shape[::-1])
-    np.copyto(cols, points.T)
+    cols = np.array(np.asarray(points, dtype=float).T, order="C")
     return _bisect_columns(cols, weights, p)
 
 
@@ -329,45 +289,40 @@ def _bisect_columns(cols: np.ndarray, weights, p: float) -> np.ndarray:
     """`_bisect_rows` for the batch given as the columns of a C-ordered
     (n, B) array, which it overwrites; weights broadcasts against (B, n).
 
-    Only the (n, B) arrays are the calling thread's `_Workspace`; the
-    B-length state is plain arrays. Every (n, B) array is C-ordered with
-    B >= 2 (numpy sums a lone column pairwise from n = 8 on, so a batch of
-    one is solved as two copies), so a column sum adds its n terms in
-    order, and every other step is elementwise: no column's result depends
-    on the rest of the batch.
+    Each call allocates its own arrays, so calls share no state. Every
+    (n, B) array is C-ordered with B >= 2 (numpy sums a lone column
+    pairwise from n = 8 on, so a batch of one is solved as two copies), so
+    a column sum adds its n terms in order, and every other step is
+    elementwise: no column's result depends on the rest of the batch.
     """
     if cols.shape[1] == 1:
         return _bisect_columns(np.repeat(cols, 2, axis=1), weights, p)[:1]
-    try:
-        lo = cols.min(axis=0)
-        hi = cols.max(axis=0)
-        center = 0.5 * lo + 0.5 * hi
-        half = 0.5 * hi - 0.5 * lo
-        live = half > 0.0
-        out = center.copy()
-        w = None
-        if weights is not None:
-            w = _like(cols, "w")
-            np.copyto(w, np.broadcast_to(np.asarray(weights, dtype=float), cols.shape[::-1]).T)
-        if not live.all():
-            if live.any():
-                out[live] = _bisect_rows(cols[:, live].T, None if w is None else w[:, live].T, p)
-            return np.clip(out, lo, hi)
-        cols -= center
-        cols /= half
-        t = _newton_rows(cols, w, p - 1.0)
-        return np.clip(center + half * t, lo, hi)
-    finally:
-        _WORKSPACE.trim()
+    lo = cols.min(axis=0)
+    hi = cols.max(axis=0)
+    center = 0.5 * lo + 0.5 * hi
+    half = 0.5 * hi - 0.5 * lo
+    live = half > 0.0
+    out = center.copy()
+    w = None
+    if weights is not None:
+        w = np.array(np.broadcast_to(np.asarray(weights, dtype=float), cols.shape[::-1]).T, order="C")
+    if not live.all():
+        if live.any():
+            out[live] = _bisect_rows(cols[:, live].T, None if w is None else w[:, live].T, p)
+        return np.clip(out, lo, hi)
+    cols -= center
+    cols /= half
+    t = _newton_rows(cols, w, p - 1.0)
+    return np.clip(center + half * t, lo, hi)
 
 
-def _rows_slopes(z, w, t, e, zlo, zhi):
+def _rows_slopes(z, w, t, e, zlo, zhi, d, g):
     # (D(t) / m^e, D'(t) / m^e) per scaled row (a column of z), m the peak
-    # distance
+    # distance; d and g are scratch arrays shaped like z
     m = np.maximum(t - zlo, zhi - t)
-    d = np.subtract(t, z, out=_like(z, "d"))
+    np.subtract(t, z, out=d)
     d /= m
-    g = np.abs(d, out=_like(z, "g"))
+    np.abs(d, out=g)
     with np.errstate(divide="ignore", invalid="ignore"):
         g **= e - 1.0
         d *= g
@@ -381,27 +336,29 @@ def _rows_slopes(z, w, t, e, zlo, zhi):
 
 
 def _newton_rows(z: np.ndarray, w, e: float) -> np.ndarray:
-    # the scaled solve of `_bisect_columns` on the columns of z
+    # the scaled solve of `_bisect_columns` on the columns of z; the two
+    # (n, B) temporaries of a step are views of buffers allocated once here
+    flat_d, flat_g = np.empty(z.size), np.empty(z.size)
+    d, g = flat_d.reshape(z.shape), flat_g.reshape(z.shape)
     if w is None:
         zlo, zhi, t = z.min(axis=0), z.max(axis=0), z.mean(axis=0)
     else:
         # the peak and the bracket come from the points that carry weight
         carried = w > 0.0
-        spread = _like(z, "d")
-        spread.fill(np.inf)
-        np.copyto(spread, z, where=carried)
-        zlo = spread.min(axis=0)
-        spread.fill(-np.inf)
-        np.copyto(spread, z, where=carried)
-        zhi = spread.max(axis=0)
-        t = np.multiply(z, w, out=spread).sum(axis=0)
+        d.fill(np.inf)
+        np.copyto(d, z, where=carried)
+        zlo = d.min(axis=0)
+        d.fill(-np.inf)
+        np.copyto(d, z, where=carried)
+        zhi = d.max(axis=0)
+        t = np.multiply(z, w, out=d).sum(axis=0)
         t /= w.sum(axis=0)
     tol = BRACKET_TOL
     out = np.empty(t.size)
     rows = np.arange(t.size)
     pending = np.ones(t.size, dtype=bool)
     a, b, est, dx_old = zlo, zhi, t, zhi - zlo
-    f, df = _rows_slopes(z, w, t, e, zlo, zhi)
+    f, df = _rows_slopes(z, w, t, e, zlo, zhi, d, g)
     for _ in range(_MAX_NEWTON):
         a = np.where(f <= 0.0, t, a)
         b = np.where(f >= 0.0, t, b)
@@ -416,8 +373,9 @@ def _newton_rows(z: np.ndarray, w, e: float) -> np.ndarray:
                 # Cut the batch to its pending rows, padded with one
                 # certified row that iterates harmlessly when only one is
                 # left, so it stays two columns wide (see `_bisect_columns`).
-                # np.take keeps z and w C-ordered, like d and g, where
-                # z[:, keep] is F-ordered and every step would stride.
+                # np.take keeps z and w C-ordered, where z[:, keep] is
+                # F-ordered and every step would stride; d and g view the
+                # heads of their buffers, C-ordered too.
                 keep = np.flatnonzero(pending)
                 if left == 1:
                     keep = np.append(keep, np.argmin(pending))
@@ -425,6 +383,7 @@ def _newton_rows(z: np.ndarray, w, e: float) -> np.ndarray:
                 z = np.take(z, keep, axis=1)
                 w = None if w is None else np.take(w, keep, axis=1)
                 pending = pending[keep]
+                d, g = (x[: z.size].reshape(z.shape) for x in (flat_d, flat_g))
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             step = f / df
             trial = t - step
@@ -435,7 +394,7 @@ def _newton_rows(z: np.ndarray, w, e: float) -> np.ndarray:
         # converged rows probe the still-open side of their bracket
         probe = np.where(b - est > tol, est + 0.5 * tol, est - 0.5 * tol)
         t = np.where(np.abs(dx_old) < tol, probe, est)
-        f, df = _rows_slopes(z, w, t, e, zlo, zhi)
+        f, df = _rows_slopes(z, w, t, e, zlo, zhi, d, g)
     out[rows[pending]] = est[pending]
     return out
 
@@ -551,7 +510,8 @@ def _rank_roots(js: np.ndarray, k: int, p: int, tol: float) -> np.ndarray:
 
     step = _rank_scan_step(k, p)
     with np.errstate(over="ignore", invalid="ignore"):
-        bound = np.full(js.shape, np.ldexp(float(k), e))
+        # 2^e * k is inf long before e reaches 2048, and ldexp takes a C long
+        bound = np.full(js.shape, np.ldexp(float(k), min(e, 2048)))
         # Bisect the grid index i, grid point min(i * step, bound), keeping
         # g(lo) < 0 and "g(hi) not negative". NaN (inf - inf past overflow)
         # counts as not negative, which keeps the predicate monotone; a cell

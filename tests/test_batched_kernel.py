@@ -1,11 +1,12 @@
 """The batched optimum kernel against its allocating reference.
 
-`_bisect_rows` solves in a reused per-thread workspace. The reference
-below is the same solve written with fresh numpy temporaries, as the kernel
-was before the workspace; every arithmetic step is the same, so the two must
-agree bit for bit. The reference adds each column's terms in row order, the
-order the kernel keeps in a batch of any size, so no column's result depends
-on the rest of its batch.
+`_bisect_rows` writes every Newton step into two scratch arrays that each
+call allocates once, and cuts its batch to the pending rows. The reference
+below is the same solve written with fresh numpy temporaries at every step
+and a batch cut of its own; every arithmetic step is the same, so the two
+must agree bit for bit. The reference adds each column's terms in row order,
+the order the kernel keeps in a batch of any size, so no column's result
+depends on the rest of its batch.
 """
 
 import sys

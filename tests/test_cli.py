@@ -283,6 +283,42 @@ class TestBadInput:
         assert code == 2
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--spec", "median", "--profile", "0,1", "--p", "2", "--out", "{missing}"],
+            ["thm3", "--p", "3", "--k", "2", "--roots", "{missing}"],
+            ["thm3", "--p", "3", "--k", "2", "--format", "json", "--out", "{missing}"],
+        ],
+        ids=["eval-out", "thm3-roots", "thm3-out"],
+    )
+    def test_a_file_that_cannot_be_opened_exits_two(self, capsys, tmp_path, argv):
+        missing = tmp_path / "missing" / "x.json"
+        code, out, err = run_cli(capsys, [arg.format(missing=missing) for arg in argv])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and str(missing) in err
+        assert not missing.parent.exists()
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["spcheck", "--spec", "median", "--n", "2", "--p", "1e19", "--trials", "1"], 0),
+            (["ratio", "--spec", "median", "--n", "2", "--p", "1e300", "--trials", "1", "--hill-iters", "1"], 0),
+            (["spcheck", "--spec", "median", "--n", "4", "--p", "1e19", "--trials", "1"], 2),
+            (["ratio", "--spec", "median", "--n", "4", "--p", "1e300", "--trials", "1", "--hill-iters", "1"], 2),
+        ],
+        ids=["spcheck-n2", "ratio-n2", "spcheck-n4", "ratio-n4"],
+    )
+    def test_an_integer_p_past_a_c_long_is_priced_or_refused_by_name(self, capsys, argv, code):
+        # the rank roots' exponent p - 1 does not fit a C long
+        got, out, err = run_cli(capsys, argv)
+        assert got == code
+        if code == 0:
+            assert err == "" and json.loads(out)
+        else:
+            assert out == "" and err.startswith("error: rank root")
+
     def test_unknown_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["bogus"])

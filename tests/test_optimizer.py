@@ -2,7 +2,6 @@
 
 import math
 import re
-import threading
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -28,8 +27,6 @@ from lpfacility import (
     social_cost,
 )
 from lpfacility.optimizer import (
-    _WORKSPACE,
-    _WORKSPACE_BYTES,
     BRACKET_TOL,
     ROOT_TOL,
     _bisect_rows,
@@ -584,6 +581,14 @@ class TestAdversarialRoots:
         assert root == pytest.approx(1.0 + math.sqrt(101.0), rel=1e-15)
         assert adversarial_roots(100, 3, tol=0.0)[1] == root
 
+    @pytest.mark.parametrize("p", [10**19, 10**300, 1e300], ids=["1e19", "10^300", "float-1e300"])
+    def test_an_exponent_past_a_c_long_is_solved_or_refused_by_name(self, p):
+        # p - 1 >= 2^63 overflows a C long, but the grid bound 2^(p-1) * k is inf long before
+        a = adversarial_root(1, 1, p)
+        assert abs(a - 1.0) <= ROOT_TOL * (1.0 + a)
+        with pytest.raises(NoRootFound):
+            adversarial_roots(2, p)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             adversarial_root(0, 2, 3)
@@ -595,45 +600,3 @@ class TestAdversarialRoots:
             adversarial_root(1, 2, 2)
         with pytest.raises(TypeError):
             adversarial_root(1.5, 2, 3)
-
-
-class TestWorkspace:
-    """The batched kernel keeps only its (n, B) arrays between steps."""
-
-    @staticmethod
-    def buffers_after(points, weights, p):
-        # the workspace of a fresh thread after one solve in it
-        seen = {}
-
-        def work():
-            _bisect_rows(points, weights, p)
-            seen.update((name, buf.nbytes) for name, buf in _WORKSPACE.buffers.items())
-
-        thread = threading.Thread(target=work)
-        thread.start()
-        thread.join(timeout=60.0)
-        assert not thread.is_alive()
-        return seen
-
-    @staticmethod
-    def certificate_batch(k, n):
-        # the residual rows of the certificate: k weighted rows, some
-        # weights zero, the points spread out around [0, 1]
-        rng = np.random.default_rng(k + n)
-        roots = rng.uniform(0.1, 5.0, size=(k, 1))
-        points = np.hstack([-roots, np.linspace(0.0, 1.0, n - 2) * np.ones((k, 1)), 1.0 + roots])
-        weights = rng.integers(0, 4, size=(k, n)).astype(float)
-        weights[:, [0, -1]] += 1.0
-        return points, weights
-
-    @pytest.mark.parametrize("p", [3.0, 8.0])
-    def test_a_certificate_batch_keeps_only_its_column_buffers(self, p):
-        points, weights = self.certificate_batch(10_000, 4)
-        seen = self.buffers_after(points, weights, p)
-        assert seen == {name: points.nbytes for name in ("z", "w", "d", "g")}
-        assert sum(seen.values()) <= _WORKSPACE_BYTES
-
-    def test_a_batch_past_the_limit_is_freed_after_the_call(self):
-        points, weights = self.certificate_batch(10_000, 16)
-        assert 4 * points.nbytes > _WORKSPACE_BYTES
-        assert self.buffers_after(points, weights, 3.0) == {}
