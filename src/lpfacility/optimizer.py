@@ -6,9 +6,9 @@ for p in {1, 2, inf} (lower median, mean, midrange; where a mean's or a
 midrange's sum overflows, it is taken at a smaller scale). Otherwise the
 minimizer is the root of the nondecreasing derivative
 
-    D(y) = sum_i w_i sign(y - x_i) |y - x_i|^(p-1),
+    D(y) = sum_i sign(y - x_i) |y - x_i|^(p-1),
 
-found by safeguarded Newton steps with D'(y) = (p-1) sum_i w_i |y - x_i|^(p-2).
+found by safeguarded Newton steps with D'(y) = (p-1) sum_i |y - x_i|^(p-2).
 Each row is first shifted to its midpoint and divided by its half-span, so
 every point lies in [-1, 1]; at each iterate the peak distance m is factored
 out of D and D' (the way core._lp_norms factors it out of the norm), so every
@@ -29,11 +29,10 @@ scan passes one block per agent of a profile, in one call per phase); it
 reads the closed forms at p in {2, inf} (p = 1 never reaches it) off each
 block's other reports in O(C), writes every other block as columns of one
 (n, C) array and solves them with one `_bisect_columns` call, where no
-column's result depends on the rest of its batch. `_bisect_rows` copies a
-(B, n) batch, such as the weighted rows of certificate residuals, into such
-an array and solves it the same way. Each call owns its buffers: the Newton
-steps reuse two (n, B) temporaries allocated once per call, and the batch
-is cut to the pending rows once they fill half of it or less.
+column's result depends on the rest of its batch. Each call owns its
+buffers: the Newton steps reuse two (n, B) temporaries allocated once per
+call, and the batch is cut to the pending rows once they fill half of it or
+less.
 
 Rank roots: for rank j among 2k agents and e = p - 1, the root a_j of
 
@@ -200,7 +199,7 @@ def _optimum_rows(blocks: list, p: float) -> list:
     for (others, reports), start, stop in zip(blocks, ends, ends[1:]):
         cols[:-1, start:stop] = np.reshape(others, (-1, 1))
         cols[-1, start:stop] = reports
-    y = _bisect_columns(cols, None, p)
+    y = _bisect_columns(cols, p)
     return [y[start:stop] for start, stop in zip(ends, ends[1:])]
 
 
@@ -210,10 +209,10 @@ def optimal_cost(profile: LocationProfile, p: float) -> float:
 
 
 def _solve_row(points: list, p: float) -> float:
-    """Minimizer of sum_j |y - x_j|^p over one unweighted row, 1 < p < inf.
+    """Minimizer of sum_j |y - x_j|^p over one row, 1 < p < inf.
 
     The pure-Python kernel of the solve in the module docstring; same steps
-    and certificate as `_bisect_rows`. At each iterate it takes D(t) / m^e
+    and certificate as `_bisect_columns`. At each iterate it takes D(t) / m^e
     and D'(t) / m^e, m the peak distance; at p = 3, |d| ** 1.0 is |d|.
     """
     lo, hi = min(points), max(points)
@@ -269,26 +268,14 @@ def _solve_row(points: list, p: float) -> float:
     return min(max(center + half * est, lo), hi)
 
 
-def _bisect_rows(points: np.ndarray, weights, p: float) -> np.ndarray:
-    """Row-wise minimizer of sum_j w_j |y - x_j|^p for 1 < p < inf.
+def _bisect_columns(cols: np.ndarray, p: float) -> np.ndarray:
+    """Minimizer of sum_j |y - x_j|^p, 1 < p < inf, for each column of a
+    C-ordered (n, B) array of rows, which it overwrites.
 
     The numpy kernel of the scaled, safeguarded Newton solve in the module
-    docstring, for a (B, n) batch; weights is None or broadcasts against
-    points. Each returned point is certified: the derivative changes sign
+    docstring. Each returned point is certified: the derivative changes sign
     within BRACKET_TOL half-spans of it, and it lies in [row min, row max].
     Rows still uncertified after _MAX_NEWTON steps keep their last estimate.
-    The points are copied, transposed, into a C-ordered (n, B) array and
-    solved by `_bisect_columns`.
-    """
-    # points run down the columns, so per-row reductions add contiguous vectors
-    cols = np.array(np.asarray(points, dtype=float).T, order="C")
-    return _bisect_columns(cols, weights, p)
-
-
-def _bisect_columns(cols: np.ndarray, weights, p: float) -> np.ndarray:
-    """`_bisect_rows` for the batch given as the columns of a C-ordered
-    (n, B) array, which it overwrites; weights broadcasts against (B, n).
-
     Each call allocates its own arrays, so calls share no state. Every
     (n, B) array is C-ordered with B >= 2 (numpy sums a lone column
     pairwise from n = 8 on, so a batch of one is solved as two copies), so
@@ -296,27 +283,24 @@ def _bisect_columns(cols: np.ndarray, weights, p: float) -> np.ndarray:
     elementwise: no column's result depends on the rest of the batch.
     """
     if cols.shape[1] == 1:
-        return _bisect_columns(np.repeat(cols, 2, axis=1), weights, p)[:1]
+        return _bisect_columns(np.repeat(cols, 2, axis=1), p)[:1]
     lo = cols.min(axis=0)
     hi = cols.max(axis=0)
     center = 0.5 * lo + 0.5 * hi
     half = 0.5 * hi - 0.5 * lo
     live = half > 0.0
     out = center.copy()
-    w = None
-    if weights is not None:
-        w = np.array(np.broadcast_to(np.asarray(weights, dtype=float), cols.shape[::-1]).T, order="C")
     if not live.all():
         if live.any():
-            out[live] = _bisect_rows(cols[:, live].T, None if w is None else w[:, live].T, p)
+            out[live] = _bisect_columns(np.take(cols, np.flatnonzero(live), axis=1), p)
         return np.clip(out, lo, hi)
     cols -= center
     cols /= half
-    t = _newton_rows(cols, w, p - 1.0)
+    t = _newton_rows(cols, p - 1.0)
     return np.clip(center + half * t, lo, hi)
 
 
-def _rows_slopes(z, w, t, e, zlo, zhi, d, g):
+def _rows_slopes(z, t, e, zlo, zhi, d, g):
     # (D(t) / m^e, D'(t) / m^e) per scaled row (a column of z), m the peak
     # distance; d and g are scratch arrays shaped like z
     m = np.maximum(t - zlo, zhi - t)
@@ -329,36 +313,21 @@ def _rows_slopes(z, w, t, e, zlo, zhi, d, g):
     if e < 1.0:
         # p < 2 on a data point: D' is infinite and the term of D is zero
         np.copyto(d, 0.0, where=g == np.inf)
-    if w is not None:
-        g *= w
-        d *= w
     return d.sum(axis=0), e * g.sum(axis=0) / m
 
 
-def _newton_rows(z: np.ndarray, w, e: float) -> np.ndarray:
+def _newton_rows(z: np.ndarray, e: float) -> np.ndarray:
     # the scaled solve of `_bisect_columns` on the columns of z; the two
     # (n, B) temporaries of a step are views of buffers allocated once here
     flat_d, flat_g = np.empty(z.size), np.empty(z.size)
     d, g = flat_d.reshape(z.shape), flat_g.reshape(z.shape)
-    if w is None:
-        zlo, zhi, t = z.min(axis=0), z.max(axis=0), z.mean(axis=0)
-    else:
-        # the peak and the bracket come from the points that carry weight
-        carried = w > 0.0
-        d.fill(np.inf)
-        np.copyto(d, z, where=carried)
-        zlo = d.min(axis=0)
-        d.fill(-np.inf)
-        np.copyto(d, z, where=carried)
-        zhi = d.max(axis=0)
-        t = np.multiply(z, w, out=d).sum(axis=0)
-        t /= w.sum(axis=0)
+    zlo, zhi, t = z.min(axis=0), z.max(axis=0), z.mean(axis=0)
     tol = BRACKET_TOL
     out = np.empty(t.size)
     rows = np.arange(t.size)
     pending = np.ones(t.size, dtype=bool)
     a, b, est, dx_old = zlo, zhi, t, zhi - zlo
-    f, df = _rows_slopes(z, w, t, e, zlo, zhi, d, g)
+    f, df = _rows_slopes(z, t, e, zlo, zhi, d, g)
     for _ in range(_MAX_NEWTON):
         a = np.where(f <= 0.0, t, a)
         b = np.where(f >= 0.0, t, b)
@@ -373,15 +342,14 @@ def _newton_rows(z: np.ndarray, w, e: float) -> np.ndarray:
                 # Cut the batch to its pending rows, padded with one
                 # certified row that iterates harmlessly when only one is
                 # left, so it stays two columns wide (see `_bisect_columns`).
-                # np.take keeps z and w C-ordered, where z[:, keep] is
-                # F-ordered and every step would stride; d and g view the
-                # heads of their buffers, C-ordered too.
+                # np.take keeps z C-ordered, where z[:, keep] is F-ordered
+                # and every step would stride; d and g view the heads of
+                # their buffers, C-ordered too.
                 keep = np.flatnonzero(pending)
                 if left == 1:
                     keep = np.append(keep, np.argmin(pending))
                 rows, zlo, zhi, a, b, t, f, df, dx_old = (x[keep] for x in (rows, zlo, zhi, a, b, t, f, df, dx_old))
                 z = np.take(z, keep, axis=1)
-                w = None if w is None else np.take(w, keep, axis=1)
                 pending = pending[keep]
                 d, g = (x[: z.size].reshape(z.shape) for x in (flat_d, flat_g))
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -394,7 +362,7 @@ def _newton_rows(z: np.ndarray, w, e: float) -> np.ndarray:
         # converged rows probe the still-open side of their bracket
         probe = np.where(b - est > tol, est + 0.5 * tol, est - 0.5 * tol)
         t = np.where(np.abs(dx_old) < tol, probe, est)
-        f, df = _rows_slopes(z, w, t, e, zlo, zhi, d, g)
+        f, df = _rows_slopes(z, t, e, zlo, zhi, d, g)
     out[rows[pending]] = est[pending]
     return out
 

@@ -8,7 +8,7 @@ import math
 import numpy as np
 
 from ..core import LocationProfile, _check_tol, point_mass, validate_pnorm
-from ..optimizer import _bisect_rows, _rank_scan_step, _validate_rank_query, adversarial_roots
+from ..optimizer import _powi, _rank_scan_step, _validate_rank_query, adversarial_roots
 from .ratio import _report_for_distribution
 from .reports import (
     AdversarialVerdict,
@@ -37,24 +37,46 @@ class OptMismatch(RuntimeError):
     """A certificate profile failed to place its optimum at zero."""
 
 
-def _opt_residuals(roots: np.ndarray, k: int, p: int) -> np.ndarray:
+def _certify_zero_optima(roots: np.ndarray, k: int, p: int, opt_tol: float) -> np.ndarray:
+    """Prove each rank's four-block optimum within opt_tol * (1 + a_j) of
+    zero, else raise OptMismatch; return the residuals |F(0) / F'(0)|, one
+    Newton step from zero.
+
+    Rank j's optimum is the zero of the increasing
+    F(y) = sum_i w_i sign(y - x_i) |y - x_i|^e, e = p - 1, on the row
+    x = (-a_j, 0, 1, 1 + a_j) with weights w = (j, k - j, k - j + 1, j - 1),
+    so F(-delta) < 0 < F(delta) proves |y*| < delta. delta is capped at the
+    hull's 1 + a_j, past which it proves nothing more and its powers overflow.
+    Each sign is decided against a rounding bound, as in Shewchuk's error
+    filters: a term carries 2e roundings (that of y - x_i to the e-th power,
+    e - 1 in `_powi`, the weight's) and the sum three more, so
+    |fl(F) - F| <= gamma(2e + 3) * S, S the sum of the terms' magnitudes,
+    gamma(m) = m u / (1 - m u), u = 2^-53. E = (2e + 3) * 2^-52 * fl(S)
+    covers that, the rounding of fl(S) and of E, and underflow:
+    fl(S) >= 2^-e, as |y - 1| + |y + a_j| >= 1.
+    """
     js = np.arange(1, k + 1, dtype=float)
-    points = np.column_stack(
-        [-roots, np.zeros(k), np.ones(k), 1.0 + roots]
-    )
-    weights = np.column_stack([js, k - js, k - js + 1.0, js - 1.0])
-    return np.abs(_bisect_rows(points, weights, float(p)))
+    points = np.array([-roots, np.zeros(k), np.ones(k), 1.0 + roots])
+    weights = np.array([js, k - js, k - js + 1.0, js - 1.0])
+    e = p - 1
 
+    def signed(y):
+        # fl(F(y)) and its rounding bound E, per rank
+        d = y - points
+        terms = weights * np.copysign(_powi(np.abs(d), e), d)
+        return terms.sum(axis=0), (2 * e + 3) * 2.0**-52 * np.abs(terms).sum(axis=0)
 
-def _verify_opt_residuals(residuals: np.ndarray, roots: np.ndarray, opt_tol: float) -> None:
-    limits = opt_tol * (1.0 + roots)
-    bad = np.nonzero(residuals > limits)[0]
+    delta = min(opt_tol, 1.0) * (1.0 + roots)
+    (below, below_err), (above, above_err) = signed(-delta), signed(delta)
+    residuals = np.abs(signed(0.0)[0]) / (e * (weights * _powi(np.abs(points), e - 1)).sum(axis=0))
+    bad = np.flatnonzero(~((below < -below_err) & (above > above_err)))
     if bad.size:
-        j = int(bad[0]) + 1
+        j = int(bad[0])
         raise OptMismatch(
-            f"rank {j} profile optimum sits {residuals[bad[0]]!r} from zero "
-            f"(tolerance {limits[bad[0]]!r})"
+            f"rank {j + 1} profile optimum is not proved within {float(delta[j])!r} of zero "
+            f"(Newton estimate {float(residuals[j])!r})"
         )
+    return residuals
 
 
 def mixture_bound_certificate(
@@ -63,8 +85,9 @@ def mixture_bound_certificate(
     """Certificate that optimum-chasing mixtures cannot beat a ratio floor.
 
     For 2k agents at integer exponent p in [3, 16]: computes every rank root
-    a_j, numerically re-verifies that each rank's four-block profile has its
-    optimum at zero (within opt_tol * (1 + a_j), else OptMismatch), forms
+    a_j, proves by two signs of the derivative that each rank's four-block
+    profile has its optimum within opt_tol * (1 + a_j) of zero (else
+    OptMismatch), with one Newton step from zero as its residual, forms
     the probability ceiling p_opt_bound = 1/(1 + sum_j 1/a_j), and converts
     it into ratio_lower_bound = 2^(1-1/p) - (2^(1-1/p) - 1) * p_opt_bound.
     Also records, for each rank j >= k^(1/(p-1)) + 1, the growth check
@@ -78,8 +101,7 @@ def mixture_bound_certificate(
     _check_tol("root_tol", root_tol)
     _check_tol("opt_tol", opt_tol)
     roots = adversarial_roots(k, p, tol=root_tol)
-    residuals = _opt_residuals(roots, k, p)
-    _verify_opt_residuals(residuals, roots, opt_tol)
+    residuals = _certify_zero_optima(roots, k, p, opt_tol)
     inverse_sum = float((1.0 / roots).sum())
     p_opt_bound = 1.0 / (1.0 + inverse_sum)
     half_half = 2.0 ** (1.0 - 1.0 / p)

@@ -75,9 +75,13 @@ def _ratios(spec, rows: np.ndarray, p: float) -> list:
     weighted cost term or the optimal cost falls below the smallest normal
     double and loses bits (0.5 * 5e-324 is 0). Ratios are scale-free, so
     such a row is priced again at unit span, on (x - low) / span, its ratio
-    taken there and its costs scaled back by the span. Every catalog atom
-    lies in [low, high], so each cost is at least span / 2: a row of span
-    1e-290 or more is priced again only for a weight below 4.5e-18.
+    taken there and its costs scaled back by the span. Those are the
+    unit-span lottery's costs; `run` rounds its atoms onto the subnormal
+    grid, so its lottery can cost a few ulps more or less: 6.4e-323 against
+    7e-323 for `Symmetrized(Optimal())` at p = 1.5 on [1.33e-322, 5e-323].
+    Every catalog atom lies in [low, high], so each cost is at least
+    span / 2: a row of span 1e-290 or more is priced again only for a weight
+    below 4.5e-18.
 
     Errors are raised in row order: the first failing row raises what
     `ratio` raises on it. A row's results do not depend on the rest of its
@@ -138,7 +142,9 @@ def ratio(spec, profile: LocationProfile, p: float) -> RatioReport:
     optimum is solved by the same scalar kernel as `optimal_location`.
 
     Convention for a degenerate profile (zero optimal cost): the ratio is 1
-    when the mechanism also pays zero, +inf otherwise.
+    when the mechanism also pays zero, +inf otherwise. A subnormal profile
+    priced at unit span reports that lottery's costs scaled back, which can
+    differ by subnormal ulps from those of the lottery `run` returns.
     """
     p = validate_pnorm(p)
     ((mech, opt, value),) = _ratios(spec, profile.values[None, :], p)

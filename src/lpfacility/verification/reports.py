@@ -175,7 +175,9 @@ class MixtureBoundCertificate:
 
     For 2k agents at integer exponent p, rank j's root a_j fixes a profile
     (j agents at -a_j, k-j at 0, k-j+1 at 1, j-1 at 1+a_j) whose optimal
-    location is zero; opt_residuals records |numeric optimum| per rank.
+    location is zero, proved within opt_tol * (1 + a_j) by two signs of the
+    derivative; opt_residuals records |numeric optimum| per rank, one Newton
+    step from zero.
     p_opt_bound = 1/(1 + sum_j 1/a_j) caps the probability such a mixture
     can put on the optimal location, and ratio_lower_bound converts that cap
     into a ratio floor 2^(1-1/p) - (2^(1-1/p) - 1) * p_opt_bound.

@@ -32,7 +32,7 @@ from lpfacility import (
     symmetric_sp_margin,
     violation_threshold,
 )
-from lpfacility.optimizer import _bisect_rows
+from lpfacility.optimizer import _bisect_columns
 
 N_GRID = range(2, 13)
 P_GRID = (1.0, 1.5, 2.0, 3.0, 5.0, 8.0, math.inf)
@@ -57,7 +57,7 @@ def _bulk_ratios(profiles: np.ndarray, p: float) -> np.ndarray:
         elif p == 2.0:
             opt_loc = xs.mean(axis=1)
         else:
-            opt_loc = _bisect_rows(xs, np.ones_like(xs), p)
+            opt_loc = _bisect_columns(np.array(xs.T, order="C"), p)
         mech = (np.abs(xs - med[:, None]) ** p).sum(axis=1) ** (1.0 / p)
         opt = (np.abs(xs - opt_loc[:, None]) ** p).sum(axis=1) ** (1.0 / p)
     return mech / opt

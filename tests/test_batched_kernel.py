@@ -1,7 +1,7 @@
 """The batched optimum kernel against its allocating reference.
 
-`_bisect_rows` writes every Newton step into two scratch arrays that each
-call allocates once, and cuts its batch to the pending rows. The reference
+`_bisect_columns` writes every Newton step into two scratch arrays that
+each call allocates once, and cuts its batch to the pending rows. The reference
 below is the same solve written with fresh numpy temporaries at every step
 and a batch cut of its own; every arithmetic step is the same, so the two
 must agree bit for bit. The reference adds each column's terms in row order,
@@ -15,10 +15,15 @@ import threading
 import numpy as np
 import pytest
 
-from lpfacility.optimizer import _MAX_NEWTON, BRACKET_TOL, _bisect_rows
+from lpfacility.optimizer import _MAX_NEWTON, BRACKET_TOL, _bisect_columns
 
 
-def reference_bisect_rows(points, weights, p):
+def solve(points, p):
+    # the kernel on a (B, n) batch: its rows become the columns it solves
+    return _bisect_columns(np.array(np.asarray(points, dtype=float).T, order="C"), p)
+
+
+def reference_bisect_rows(points, p):
     cols = np.array(np.asarray(points, dtype=float).T, order="C")
     lo = cols.min(axis=0)
     hi = cols.max(axis=0)
@@ -26,17 +31,13 @@ def reference_bisect_rows(points, weights, p):
     half = 0.5 * hi - 0.5 * lo
     live = half > 0.0
     out = center.copy()
-    w = None
-    if weights is not None:
-        w = np.ascontiguousarray(np.broadcast_to(np.asarray(weights, dtype=float), cols.T.shape).T)
     if not live.all():
         if live.any():
-            cols, w = cols[:, live], (None if w is None else w[:, live])
-            out[live] = reference_bisect_rows(cols.T, None if w is None else w.T, p)
+            out[live] = reference_bisect_rows(cols[:, live].T, p)
         return np.clip(out, lo, hi)
     cols -= center
     cols /= half
-    t = reference_newton_rows(cols, w, p - 1.0)
+    t = reference_newton_rows(cols, p - 1.0)
     return np.clip(center + half * t, lo, hi)
 
 
@@ -47,7 +48,7 @@ def column_sums(x):
     return total
 
 
-def reference_rows_slopes(z, w, t, e, zlo, zhi):
+def reference_rows_slopes(z, t, e, zlo, zhi):
     m = np.maximum(t - zlo, zhi - t)
     d = t - z
     d /= m
@@ -57,28 +58,19 @@ def reference_rows_slopes(z, w, t, e, zlo, zhi):
         d *= g
     if e < 1.0:
         d[g == np.inf] = 0.0
-    if w is not None:
-        g *= w
-        d *= w
     return column_sums(d), e * column_sums(g) / m
 
 
-def reference_newton_rows(z, w, e):
-    if w is None:
-        zlo, zhi = z.min(axis=0), z.max(axis=0)
-        t = column_sums(z) / z.shape[0]
-    else:
-        carried = w > 0.0
-        zlo = np.where(carried, z, np.inf).min(axis=0)
-        zhi = np.where(carried, z, -np.inf).max(axis=0)
-        t = column_sums(z * w) / column_sums(w)
+def reference_newton_rows(z, e):
+    zlo, zhi = z.min(axis=0), z.max(axis=0)
+    t = column_sums(z) / z.shape[0]
     tol = BRACKET_TOL
     out = np.empty(z.shape[1])
     rows = np.arange(z.shape[1])
     pending = np.ones(z.shape[1], dtype=bool)
     a, b, est = zlo, zhi, t
     dx_old = b - a
-    f, df = reference_rows_slopes(z, w, t, e, zlo, zhi)
+    f, df = reference_rows_slopes(z, t, e, zlo, zhi)
     for _ in range(_MAX_NEWTON):
         a = np.where(f <= 0.0, t, a)
         b = np.where(f >= 0.0, t, b)
@@ -95,7 +87,6 @@ def reference_newton_rows(z, w, e):
                     size //= 2
                 keep = np.concatenate([np.flatnonzero(pending), np.flatnonzero(~pending)[: size - left]])
                 rows, z, zlo, zhi = rows[keep], z[:, keep], zlo[keep], zhi[keep]
-                w = None if w is None else w[:, keep]
                 a, b, t, f, df, dx_old = a[keep], b[keep], t[keep], f[keep], df[keep], dx_old[keep]
                 pending = pending[keep]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -112,7 +103,7 @@ def reference_newton_rows(z, w, e):
         dx_old = dx
         probe = np.where(b - est > tol, est + 0.5 * tol, est - 0.5 * tol)
         t = np.where(np.abs(dx) < tol, probe, est)
-        f, df = reference_rows_slopes(z, w, t, e, zlo, zhi)
+        f, df = reference_rows_slopes(z, t, e, zlo, zhi)
     out[rows[pending]] = est[pending]
     return out
 
@@ -121,18 +112,13 @@ KERNEL_P = [1.1, 1.5, 1.9, 2.5, 3.0, 5.0, 8.0, 30.0]
 BATCHES = [1, 2, 3, 4060]
 
 
-def batch(rng, size, n, weighted):
+def batch(rng, size, n):
     """Rows over many scales, every fifth with zero span (the dead rows the
-    kernel sets aside), some with tied points; weights, when asked for, are
-    small integers with zeros, the first and last point always carried."""
+    kernel sets aside), some with tied points."""
     points = rng.uniform(-1.0, 1.0, size=(size, n)) * 10.0 ** rng.integers(-6, 6, size=(size, 1))
     points[4::5] = points[4::5, :1]
     points[1::7, 1] = points[1::7, 0]
-    if not weighted:
-        return points, None
-    weights = rng.integers(0, 4, size=(size, n)).astype(float)
-    weights[:, [0, -1]] += 1.0
-    return points, weights
+    return points
 
 
 def bits(x):
@@ -140,68 +126,57 @@ def bits(x):
 
 
 @pytest.mark.parametrize("p", KERNEL_P)
-@pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
-def test_the_workspace_kernel_matches_the_allocating_reference_bit_for_bit(p, weighted):
-    rng = np.random.default_rng(int(p * 10) + weighted)
+def test_the_workspace_kernel_matches_the_allocating_reference_bit_for_bit(p):
+    rng = np.random.default_rng(int(p * 10))
     for n in range(2, 13):
         for size in BATCHES:
-            points, weights = batch(rng, size, n, weighted)
-            got = _bisect_rows(points, weights, p)
-            want = reference_bisect_rows(points, weights, p)
+            points = batch(rng, size, n)
+            got = solve(points, p)
+            want = reference_bisect_rows(points, p)
             assert np.array_equal(bits(got), bits(want)), (n, size, np.flatnonzero(got != want)[:5])
 
 
 @pytest.mark.parametrize("p", KERNEL_P)
-@pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
-def test_a_column_of_a_batch_solves_as_it_does_alone(p, weighted):
+def test_a_column_of_a_batch_solves_as_it_does_alone(p):
     # every row of a 4,060-row batch keeps its bits in a batch of one or in
     # a smaller batch of other rows; all 4,060 alone would take minutes
-    rng = np.random.default_rng(int(p * 10) + weighted + 100)
+    rng = np.random.default_rng(int(p * 10) + 100)
     for n in range(2, 13):
-        points, weights = batch(rng, 4060, n, weighted)
-        whole = bits(_bisect_rows(points, weights, p))
+        points = batch(rng, 4060, n)
+        whole = bits(solve(points, p))
         order = rng.permutation(4060)
         cuts = np.cumsum(np.concatenate([np.ones(8, dtype=int), rng.integers(2, 1200, size=8)]))
         for rows in np.split(order, cuts[cuts < 4060]):
-            got = bits(_bisect_rows(points[rows], None if weights is None else weights[rows], p))
+            got = bits(solve(points[rows], p))
             assert np.array_equal(got, whole[rows]), (n, rows[got != whole[rows]][:5])
-
-
-@pytest.mark.parametrize("p", [1.5, 3.0])
-def test_broadcast_row_weights_match_the_reference(p):
-    # the certificate's shape: one weight row broadcast down the batch
-    rng = np.random.default_rng(7)
-    points, _ = batch(rng, 4060, 4, False)
-    weights = np.array([1.0, 0.0, 3.0, 2.0])
-    assert np.array_equal(bits(_bisect_rows(points, weights, p)), bits(reference_bisect_rows(points, weights, p)))
 
 
 def test_back_to_back_calls_of_other_shapes_do_not_leak_into_each_other():
     rng = np.random.default_rng(11)
-    small, _ = batch(rng, 3, 9, False)
-    large, large_w = batch(rng, 4060, 5, True)
-    wide, _ = batch(rng, 700, 12, False)
-    first = _bisect_rows(small, None, 3.0)
+    small = batch(rng, 3, 9)
+    large = batch(rng, 4060, 5)
+    wide = batch(rng, 700, 12)
+    first = solve(small, 3.0)
     kept = first.copy()
-    sequence = [(large, large_w, 1.5), (small, None, 3.0), (wide, None, 5.0), (large, large_w, 1.5)]
-    results = [_bisect_rows(points, weights, p) for points, weights, p in sequence]
+    sequence = [(large, 1.5), (small, 3.0), (wide, 5.0), (large, 1.5)]
+    results = [solve(points, p) for points, p in sequence]
     # a returned array is the caller's: later calls do not write into it
     assert np.array_equal(bits(first), bits(kept))
-    for (points, weights, p), got in zip(sequence, results):
-        assert np.array_equal(bits(got), bits(reference_bisect_rows(points, weights, p)))
+    for (points, p), got in zip(sequence, results):
+        assert np.array_equal(bits(got), bits(reference_bisect_rows(points, p)))
 
 
 def test_threads_keep_their_own_workspace():
     rng = np.random.default_rng(13)
-    jobs = [batch(rng, size, n, n % 2 == 0) + (p,) for size, n, p in [(2000, 5, 1.5), (900, 9, 3.0), (3000, 3, 5.0), (50, 12, 8.0)]]
-    wanted = [bits(reference_bisect_rows(points, weights, p)) for points, weights, p in jobs]
+    jobs = [(batch(rng, size, n), p) for size, n, p in [(2000, 5, 1.5), (900, 9, 3.0), (3000, 3, 5.0), (50, 12, 8.0)]]
+    wanted = [bits(reference_bisect_rows(points, p)) for points, p in jobs]
     mismatches = []
 
     def work(job, want):
         # a shared workspace shows as wrong bits or as a shape error mid-solve
         try:
             for _ in range(5):
-                if not np.array_equal(bits(_bisect_rows(*job)), want):
+                if not np.array_equal(bits(solve(*job)), want):
                     mismatches.append(job[0].shape)
         except Exception as exc:
             mismatches.append(repr(exc))

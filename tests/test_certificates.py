@@ -14,7 +14,8 @@ from lpfacility import (
     median_location,
     mixture_bound_certificate,
 )
-from lpfacility.verification.certificates import _opt_residuals, _verify_opt_residuals
+from lpfacility.optimizer import _solve_row
+from lpfacility.verification.certificates import _certify_zero_optima
 
 
 def cubic_roots(k: int) -> np.ndarray:
@@ -75,14 +76,33 @@ class TestMixtureBoundCertificate:
         assert float(cert.opt_residuals.max()) <= cert.opt_tol * (1.0 + float(cert.roots.max()))
         assert all(ok for _, ok in cert.bound_checks)
 
-    def test_residual_verification_catches_corrupted_roots(self):
-        cert = mixture_bound_certificate(3, 3)
-        good = _opt_residuals(cert.roots, 3, 3)
-        _verify_opt_residuals(good, cert.roots, 1e-6)
-        bad_roots = cert.roots * 1.5
-        bad = _opt_residuals(bad_roots, 3, 3)
-        with pytest.raises(OptMismatch):
-            _verify_opt_residuals(bad, bad_roots, 1e-6)
+    @pytest.mark.parametrize("k", [3, 100])
+    @pytest.mark.parametrize("p", range(3, 17))
+    def test_residual_verification_catches_corrupted_roots(self, p, k):
+        cert = mixture_bound_certificate(p, k)
+        good = _certify_zero_optima(cert.roots, k, p, 1e-6)
+        assert np.array_equal(good, cert.opt_residuals)
+        # stretched roots pull the optimum below zero and fail F(-delta) < 0;
+        # shrunk roots push it above and fail F(delta) > 0: each side is tested
+        for scale in (1.5, 2.0 / 3.0):
+            with pytest.raises(OptMismatch, match="^rank 1 profile optimum is not proved within "):
+                _certify_zero_optima(cert.roots * scale, k, p, 1e-6)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 10, 100])
+    @pytest.mark.parametrize("p", range(3, 17))
+    def test_residuals_match_the_solved_expanded_rows(self, p, k):
+        # integer weights act as repeated points: the solved optimum of the
+        # expanded row, certified to 1e-12 half-spans, is the residual
+        cert = mixture_bound_certificate(p, k)
+        for j, (a, residual) in enumerate(zip(cert.roots.tolist(), cert.opt_residuals.tolist()), start=1):
+            row = np.repeat([-a, 0.0, 1.0, 1.0 + a], [j, k - j, k - j + 1, j - 1]).tolist()
+            assert abs(residual - abs(_solve_row(row, float(p)))) <= 1e-12 * (1.0 + a), j
+
+    def test_a_huge_opt_tol_proves_at_the_hull_without_overflow(self):
+        # delta is capped at the hull's 1 + a_j: an uncapped bracket's powers
+        # overflow, and a zero weight times inf raises RuntimeWarning
+        cert = mixture_bound_certificate(8, 10, opt_tol=1e300)
+        assert np.array_equal(cert.opt_residuals, mixture_bound_certificate(8, 10).opt_residuals)
 
     def test_results_are_read_only(self):
         cert = mixture_bound_certificate(3, 4)

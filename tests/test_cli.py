@@ -369,7 +369,7 @@ class TestOutputBytes:
             (
                 ["thm3", "--p", "4", "--k", "3,10", "--format", "json"],
                 0,
-                "cc81ca62a3b37559c43776121bd2802b5c349695530fd9c9a207370af8e9ff6c",
+                "5a48bf3291e1ee61a58b2b836baea55ef91ea94442855f30815e66b77d0745f5",
             ),
             (
                 ["frontier", "--q-grid", "0,0.1,0.25,0.5", "--p", "3", "--format", "json"],

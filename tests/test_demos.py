@@ -2,11 +2,13 @@
 
 Each demo is run as its own process, as a reader would run it; the pin is
 the exit code and the sha256 of its stdout. `median_bound_sweep.py` also
-guards `worst_ratio_search` and `sp_scan` end to end.
+guards `worst_ratio_search` and `sp_scan` end to end. The README's library
+quick start is run too, and its printed lines are pinned.
 """
 
 import hashlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -38,3 +40,23 @@ def test_demo_stdout(name):
     )
     assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")
     assert hashlib.sha256(proc.stdout).hexdigest() == DEMOS[name]
+
+
+def test_readme_quick_start_prints_its_pinned_lines(capsys):
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Library quick start\n\n```python\n(.*?)```", text, re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    assert printed == [
+        "[(0.4, 1.0)]",
+        "1.0561177090573832",
+        "-1.0 0.5",
+        "0.09999999999999998",
+        "0.35754829169891866 1.3773768092948222",
+    ]
+    # a print's trailing comment opens with the line it prints
+    calls = [line for line in block.splitlines() if line.startswith("print(")]
+    assert len(calls) == len(printed)
+    for call, line in zip(calls, printed):
+        if "# " in call:
+            assert call.split("# ", 1)[1].startswith(line), call

@@ -835,9 +835,9 @@ class TestPrunedScan:
         rows = []
         solve = optimizer._bisect_columns
 
-        def counting(cols, weights, p):
+        def counting(cols, p):
             rows.append(cols.shape[1])
-            return solve(cols, weights, p)
+            return solve(cols, p)
 
         monkeypatch.setattr(optimizer, "_bisect_columns", counting)
         profile = LocationProfile(np.random.default_rng(3).uniform(0.0, 1.0, size=5))
@@ -892,9 +892,9 @@ class TestProfileBatch:
         calls = []
         solve = optimizer._bisect_columns
 
-        def counting(cols, weights, p):
+        def counting(cols, p):
             calls.append(cols.shape[1])
-            return solve(cols, weights, p)
+            return solve(cols, p)
 
         monkeypatch.setattr(optimizer, "_bisect_columns", counting)
         for seed in (1, 2, 3):

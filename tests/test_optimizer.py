@@ -29,7 +29,7 @@ from lpfacility import (
 from lpfacility.optimizer import (
     BRACKET_TOL,
     ROOT_TOL,
-    _bisect_rows,
+    _bisect_columns,
     _optimum,
     _optimum_rows,
     _powi,
@@ -264,7 +264,7 @@ class TestSolverCertificate:
         lo, hi = min(values), max(values)
         tol = BRACKET_TOL * (0.5 * hi - 0.5 * lo)
         scalar = _solve_row(values, p)
-        batched = float(_bisect_rows(np.array([values]), None, p)[0])
+        batched = float(_bisect_columns(np.array(values, dtype=float).reshape(-1, 1), p)[0])
         for y in (scalar, batched):
             assert lo <= y <= hi
             if tol > 0.0:
@@ -277,19 +277,10 @@ class TestSolverCertificate:
         rng = np.random.default_rng(24)
         rows = rng.uniform(-1.0, 1.0, size=(300, 6)) * 10.0 ** rng.integers(-12, 300, size=(300, 1))
         rows[::7, 1] = rows[::7, 0]
-        batched = _bisect_rows(rows, None, p)
+        batched = _bisect_columns(np.array(rows.T, order="C"), p)
         for row, y in zip(rows, batched):
             tol = BRACKET_TOL * (0.5 * row.max() - 0.5 * row.min())
             assert abs(_solve_row(row.tolist(), p) - y) <= tol
-
-    def test_weighted_rows_match_repeated_points(self):
-        # integer weights act as repeated points
-        points = np.array([[-1.5, 0.0, 1.0, 2.5], [0.0, 0.2, 0.9, 1e-3]])
-        weights = np.array([[2.0, 0.0, 3.0, 1.0], [1.0, 4.0, 1.0, 2.0]])
-        got = _bisect_rows(points, weights, 3.0)
-        for row, w, y in zip(points, weights, got):
-            expanded = np.repeat(row, w.astype(int)).tolist()
-            assert y == pytest.approx(_solve_row(expanded, 3.0), abs=1e-12)
 
 
 def reference_solve_row(points, p):

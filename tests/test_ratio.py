@@ -374,6 +374,19 @@ class TestBatchedPricer:
             tiny = ratio(Median(), LocationProfile([5e-324, 1e-323]), p)
             assert tiny.ratio == ratio(Median(), LocationProfile([0.0, 1.0]), p).ratio > 1.25
 
+    def test_a_subnormal_profile_reports_its_unit_span_costs_scaled_back(self):
+        # at unit span the lottery's atoms sit between the subnormal grid
+        # points that `run` rounds them onto, so the reported costs are the
+        # unit-span ones times the span, not the returned lottery's cost
+        profile = LocationProfile([1.33e-322, 5e-323])
+        spec = Symmetrized(Optimal())
+        report = ratio(spec, profile, 1.5)
+        unit = ratio(spec, LocationProfile([1.0, 0.0]), 1.5)
+        span = profile.high - profile.low
+        scaled = (unit.mechanism_cost * span, unit.opt_cost * span, unit.ratio)
+        assert (report.mechanism_cost, report.opt_cost, report.ratio) == scaled == (6.4e-323, 6.4e-323, 1.0)
+        assert expected_social_cost(profile, run(spec, profile, 1.5), 1.5) == 7e-323
+
     def test_an_overflowing_p1_sum_is_refused_without_a_warning(self):
         # the suite turns RuntimeWarning into an error, so numpy's overflow warning would fail here
         with pytest.raises(NonFiniteResult):
