@@ -5,8 +5,9 @@ The candidate misreports for one agent are the other agents' reports, the
 profile extremes shifted by +-span, a uniform grid over the doubled-span
 window, dyadic multiples of the agent's own report, and the truthful report
 itself (the grid's arange and the scalings are cached per config). The
-extremes and the grid are built once per profile and copied for each agent,
-who adds the others' reports and its own scalings. The best candidate is
+extremes and the grid are built once per profile, only if some agent's row
+scans, and copied for each agent, who adds the others' reports and its own
+scalings. The best candidate is
 polished by one golden-section pass unless that provably cannot win.
 Both read the rule's outcome plan (`mechanisms._outcome_plan`): the
 candidate scan evaluates it in numpy, one column per atom, solving only the
@@ -19,7 +20,12 @@ A one-line plan (an order statistic or a dictator: Median, OrderStatistic,
 Dictator, the L_1 optimum and mixtures with one nonzero weight) is not
 scanned at all: its best response is the truthful cost, proven over every
 real report, and the report the scan would pick is found in closed form
-(see `best_deviation`).
+(see `best_deviation`). Nor is a plan whose one atom is an unmirrored L_q
+optimum, q > 1 (`Optimal` at p > 1, and mixtures whose one nonzero weight is
+the optimum), wherever the inverse map certifies itself: the report that
+puts the optimum on x is a formula, priced forward once, and its gain is
+within 1e-9 * (1 + span) of the truthful cost, which bounds every report's
+gain.
 """
 
 from __future__ import annotations
@@ -78,14 +84,29 @@ def misreport_candidates(
 ) -> np.ndarray:
     """Candidate misreports for one agent, in a fixed deterministic order; the grid is
     linspace's arithmetic on a cached arange (linspace itself at a zero or non-finite step)."""
-    _check_agent(agent, profile.n)
-    return _agent_candidates(_window_candidates(profile, cfg)[0], profile, agent, cfg)
+    x = float(profile.values[_check_agent(agent, profile.n) - 1])
+    _check_window(_window_hull(profile, cfg), profile, x, cfg)
+    return _agent_candidates(_window_candidates(profile, cfg), profile, agent, cfg)
 
 
-def _window_candidates(profile: LocationProfile, cfg: SearchConfig):
-    # the candidate array with the slots every agent shares filled in, the
-    # four extremes and the grid, its stop included, or None if one is not
-    # finite; and their least and greatest (min and max propagate NaN)
+def _window_hull(profile: LocationProfile, cfg: SearchConfig):
+    # the least and greatest of _window_candidates' shared slots, from their
+    # scalar ends, or None if a slot is not finite: the grid runs from start
+    # to stop in nondecreasing steps, so it is finite exactly when its ends
+    # and their difference are (linspace meets an infinite step with NaN),
+    # and its least and greatest are start and stop, up to a zero's sign,
+    # which no cost reads
+    lo, hi, span = profile.low, profile.high, profile.span
+    start, stop = lo - cfg.grid_pad * span, hi + cfg.grid_pad * span
+    extremes = lo - span, lo + span, hi - span, hi + span
+    if not all(math.isfinite(v) for v in (*extremes, start, stop, stop - start)):
+        return None
+    return min(*extremes, start), max(*extremes, stop)
+
+
+def _window_candidates(profile: LocationProfile, cfg: SearchConfig) -> np.ndarray:
+    # the candidate array with the slots every agent shares filled in: the
+    # four extremes and the grid, its stop included
     n = profile.n
     lo, hi, span = profile.low, profile.high, profile.span
     unit, scales = _unit_arrays(cfg.grid_points, cfg.scale_bound, cfg.scale_steps_per_unit)
@@ -97,17 +118,14 @@ def _window_candidates(profile: LocationProfile, cfg: SearchConfig):
         linear = step != 0.0 and math.isfinite(step)
         shared[n + 3 : end] = unit * step + start if linear else np.linspace(start, stop, unit.size)
     shared[end - 1] = stop
-    hull = float(shared[n - 1 : end].min()), float(shared[n - 1 : end].max())
-    return (shared if math.isfinite(hull[0]) and math.isfinite(hull[1]) else None), hull
+    return shared
 
 
 def _agent_candidates(shared, profile: LocationProfile, agent: int, cfg: SearchConfig) -> np.ndarray:
-    # the shared slots plus the others' reports, the scalings of x and x; the
-    # others and x are finite, and linspace's ends are exactly -+scale_bound,
-    # so the scalings are finite exactly when scale_bound * x is
+    # the shared slots plus the others' reports, the scalings of x and x, for
+    # an agent `_check_window` passed
     xs, n = profile.values, profile.n
     x = float(xs[agent - 1])
-    _check_window(shared, profile, x, cfg)
     scales = _unit_arrays(cfg.grid_points, cfg.scale_bound, cfg.scale_steps_per_unit)[1]
     candidates = shared.copy()
     candidates[: agent - 1], candidates[agent - 1 : n - 1] = xs[: agent - 1], xs[agent:]
@@ -116,9 +134,11 @@ def _agent_candidates(shared, profile: LocationProfile, agent: int, cfg: SearchC
     return candidates
 
 
-def _check_window(shared, profile: LocationProfile, x: float, cfg: SearchConfig) -> None:
-    # refuse the agent at x whose candidates are not all finite
-    if shared is None or not math.isfinite(cfg.scale_bound * x):
+def _check_window(hull, profile: LocationProfile, x: float, cfg: SearchConfig) -> None:
+    # refuse the agent at x whose candidates are not all finite: the others
+    # and x are finite, and linspace's ends are exactly -+scale_bound, so the
+    # scalings are finite exactly when scale_bound * x is
+    if hull is None or not math.isfinite(cfg.scale_bound * x):
         raise NonFiniteResult(f"the misreport window of {profile!r} overflows")
 
 
@@ -174,6 +194,28 @@ def best_deviation(
     side of r; the polished point is kept only if strictly cheaper. On exact
     ties the first (assembly-order) candidate wins, so reruns are identical.
 
+    A plan of one unmirrored L_q optimum, q > 1, takes the inverse map
+    (`_optimum_min`): the optimum y of others + [r] is the root of
+    sign(r - y) |r - y|^(q-1) = D(y), D(y) = sum over the others of
+    sign(y - o) |y - o|^(q-1), so the report that puts it on x is
+    r = x + sign(S) M |S|^(1/(q-1)), M = max |x - o| and S the fsum of
+    sign(x - o) (|x - o| / M)^(q-1) (factoring out the peak keeps large q from
+    underflowing; at q = 2 this is n x minus the others' sum); at q = inf it
+    is 2 x - max(others) when x is at most the others' midrange, else
+    2 x - min(others); r = x when M = 0. The row prices r forward with
+    `_plan_at`, as `run` prices the rule, and reports (r, c) only where r is
+    finite and c <= 1e-9 * (1 + span): as every cost is >= 0, no report gains
+    more than the truthful cost, so the reported gain is within that bound of
+    the best over every real report, where the scan searches a bounded window
+    (at p = 1.5 on [0, 0, 0, 1, 1] it stops at 4.0025, and r = 10 gains twice
+    as much). Such a row builds no candidates and is not polished; it still
+    passes `_check_window` first, so a window the scan refuses is refused at
+    the same agent. Every other row scans, bit for bit as before: r or c not
+    finite, the power overflowing as q nears 1 (its OverflowError is caught),
+    or a forward cost above the bound, where the solve's tolerance, relative
+    to a row stretched by a far report, is too coarse. Mirror and
+    Symmetrized of the optimum, two-agent rules, scan too.
+
     A one-line plan is priced in closed form (`_line_min`): the (report,
     cost) the scan (`mechanisms._plan_min`) returns for the full candidate
     array, to the bit, with no candidate array, no cost curve and no polish.
@@ -213,8 +255,8 @@ def best_deviation(
       cost is truthful, whose own check refuses an overflow. With lo = -inf
       or hi = inf, the cost is unimodal in r (y(r) is monotone), so its
       largest is at the least or the greatest candidate: the least or
-      greatest of the extremes and the grid (which `_window_candidates`
-      returns; the others and x lie between low - span and high + span) and
+      greatest of the extremes and the grid (which `_window_hull` reads off
+      their scalar ends; the others and x lie between low - span and high + span) and
       x's two end scalings. Priced there, an inf is returned as the cost,
       and `_deviations` raises the same NonFiniteResult. A window that is
       not finite is refused by the scan's own check (`_check_window`), at
@@ -293,15 +335,17 @@ def _deviations(spec, profile: LocationProfile, p: float, agents, cfg: SearchCon
     """[best_deviation(spec, profile, p, a, cfg) for a in agents], bit for
     bit, less the agents whose gain provably stays below `floor`, with every
     agent's candidate scan in one `_plan_min` call, so the optimum rows of
-    all agents share its two kernel calls. One-line plans take the closed
-    form instead (see best_deviation), and are never polished. The candidates' extremes and grid
-    are built once for the profile, and each agent's candidates copy them
-    (`misreport_candidates` composes the same two parts); a window that is
-    not finite is refused at the first agent whose plan is built, as the
-    per-agent loop refuses it. Plans are built up to the first agent that
+    all agents share its two kernel calls. One-line plans and certified
+    optimum plans take their closed forms instead (see best_deviation), and
+    are never polished. The candidates' extremes and grid are built once for
+    the profile, only if some row scans, and each scanning agent's
+    candidates copy them (`misreport_candidates` composes the same two
+    parts); a window that is not finite, as read off its scalar ends
+    (`_window_hull`), is refused at the first agent whose plan is built, as
+    the per-agent loop refuses it. Plans are built up to the first agent that
     raises; the costs of the agents before it are checked in order, and only
-    then is its error raised: as neither `_plan_min` nor the polish raises,
-    it is the error the per-agent loop raises first.
+    then is its error raised: as neither the closed forms, `_plan_min` nor
+    the polish raises, it is the error the per-agent loop raises first.
 
     The agents are then polished in decreasing order of their scan gain, and
     the floor rises to each gain found. An agent whose polish would run but
@@ -313,35 +357,40 @@ def _deviations(spec, profile: LocationProfile, p: float, agents, cfg: SearchCon
     nothing, since no comparison with NaN holds.
     """
     p = validate_pnorm(p)
-    plans, error = [], None
-    (shared, hull), values = _window_candidates(profile, cfg), profile.values.tolist()
+    rows, error = [], None
+    hull, values = _window_hull(profile, cfg), profile.values.tolist()
+    scales = _unit_arrays(cfg.grid_points, cfg.scale_bound, cfg.scale_steps_per_unit)[1]
+    slots = lambda: _window_candidates(profile, cfg)[profile.n - 1 : -scales.size - 1]
     for agent in agents:
         try:
             x = float(profile.values[_check_agent(agent, profile.n) - 1])
             others, atoms = _outcome_plan(spec, values, p, agent)
-            if _one_line(atoms):
-                _check_window(shared, profile, x, cfg)
-                plans.append((others, atoms, x, None))
-            else:
-                plans.append((others, atoms, x, _agent_candidates(shared, profile, agent, cfg)))
+            _check_window(hull, profile, x, cfg)
         except Exception as exc:
             error = exc
             break
-    to_scan = [plan for plan in plans if plan[3] is not None]
-    scans = iter(_plan_min(to_scan) if to_scan else [])
-    scales = _unit_arrays(cfg.grid_points, cfg.scale_bound, cfg.scale_steps_per_unit)[1]
-    scanned = []
-    for agent, (others, atoms, x, candidates) in zip(agents, plans):
-        truthful = _plan_at(others, atoms, x, x)
-        if candidates is None:
+        truthful, best = _plan_at(others, atoms, x, x), None
+        if _one_line(atoms):
             reports = values[: agent - 1] + values[agent:]
-            best_r, best_c = _line_min(others, atoms, x, truthful, reports, shared, hull, scales)
+            best = _line_min(others, atoms, x, truthful, reports, hull, slots, scales)
+        elif _one_optimum(atoms):
+            best = _optimum_min(others, atoms, x, profile.span)
+        rows.append((agent, others, atoms, x, truthful, best))
+    to_scan = [row for row in rows if row[5] is None]
+    if to_scan:
+        shared = _window_candidates(profile, cfg)
+        candidates = [_agent_candidates(shared, profile, row[0], cfg) for row in to_scan]
+        found = iter(zip(_plan_min([(*row[1:4], c) for row, c in zip(to_scan, candidates)]), candidates))
+    scanned = []
+    for agent, others, atoms, x, truthful, best in rows:
+        if best is None:
+            (i, best_c), c = next(found)
+            best_r = float(c[i])
         else:
-            i, best_c = next(scans)
-            best_r = float(candidates[i])
+            best_r, best_c = best
         if not (math.isfinite(truthful) and math.isfinite(best_c)):
             raise NonFiniteResult(f"misreport costs overflow on {profile!r}")
-        scanned.append((truthful - best_c, agent, others, atoms, x, best_r, truthful, best_c, candidates is None))
+        scanned.append((truthful - best_c, agent, others, atoms, x, best_r, truthful, best_c, best is not None))
     if error is not None:
         raise error
     window = profile.span * (1.0 + 2.0 * cfg.grid_pad) / (cfg.grid_points - 1)
@@ -378,12 +427,13 @@ def _one_line(atoms) -> bool:
     return q is None and not mirrored and (slope == 0.0 or (slope == 1.0 and shift == 0.0))
 
 
-def _line_min(others, atoms, x: float, truthful: float, reports: list, shared, hull, scales) -> tuple[float, float]:
+def _line_min(others, atoms, x: float, truthful: float, reports: list, hull, slots, scales) -> tuple[float, float]:
     # _plan_min's (report, cost) for the one-line plan (others, atoms, x)
     # over the agent's candidates, without building them: `reports` the
-    # others' reports in agent order, `shared` and `hull` from
-    # _window_candidates, x's scalings `scales` * x (see best_deviation for
-    # the proof); _plan_at prices a line as _plan_costs does, to the bit
+    # others' reports in agent order, `hull` from _window_hull, `slots()` the
+    # extremes and the grid, built only when read, x's scalings `scales` * x
+    # (see best_deviation for the proof); _plan_at prices a line as
+    # _plan_costs does, to the bit
     _, slope, _, lo, hi, _, _ = atoms[0]
     cost = lambda r: _plan_at(others, atoms, r, x)
     if slope == 0.0:
@@ -394,14 +444,40 @@ def _line_min(others, atoms, x: float, truthful: float, reports: list, shared, h
         report = x
     else:
         # the first zero in assembly order: an other, an extreme, a grid point or a scaling
-        slots = shared[len(reports) : shared.size - scales.size - 1]
-        report = ([r for r in reports if r == 0.0] + slots[slots == 0.0].tolist() + [float(scales[0]) * x])[0]
+        grid = slots()
+        report = ([r for r in reports if r == 0.0] + grid[grid == 0.0].tolist() + [float(scales[0]) * x])[0]
     if lo == -math.inf or hi == math.inf:
         # the cost is unimodal in r, so its largest is at the least or the greatest candidate
         ends = float(scales[0]) * x, float(scales[-1]) * x
         if not math.isfinite(max(cost(min(hull[0], *ends)), cost(max(hull[1], *ends)))):
             return report, math.inf
     return report, truthful
+
+
+def _one_optimum(atoms) -> bool:
+    # one unmirrored L_q optimum; q > 1, as the outcome plan writes the L_1 optimum as a line
+    return len(atoms) == 1 and atoms[0][5] is not None and not atoms[0][6]
+
+
+def _optimum_min(others, atoms, x: float, span: float):
+    # the report r that puts the plan's optimum on x, by the inverse map, and
+    # its cost priced forward; None unless r is finite and the cost at most
+    # 1e-9 * (1 + span) (see best_deviation)
+    q = atoms[0][5]
+    if q == math.inf:
+        r = 2.0 * x - (others[-1] if x <= 0.5 * others[0] + 0.5 * others[-1] else others[0])
+    else:
+        peak, r = max(x - others[0], others[-1] - x), x
+        if peak > 0.0:
+            total = math.fsum(math.copysign((abs(x - o) / peak) ** (q - 1.0), x - o) for o in others)
+            try:
+                r = x + math.copysign(peak * abs(total) ** (1.0 / (q - 1.0)), total)
+            except OverflowError:
+                return None
+    if not math.isfinite(r):
+        return None
+    c = _plan_at(others, atoms, r, x)
+    return (r, c) if c <= 1e-9 * (1.0 + span) else None
 
 
 def _polish_slack(atoms, best_r: float, window: float, reach: float, truthful: float, best_c: float) -> float:

@@ -348,17 +348,17 @@ class TestOutputBytes:
                 0,
                 "6a40479aa7c5eef43c5da25b75a82d78b46f796ebdf2b9308d5c81c6d23d23a4",
             ),
-            # the optimum rows of the deviation curve at a non-closed p; n = 9
-            # prunes past 8 agents, as the scan does at every n
+            # the optimum's best response by the inverse map at a non-closed p:
+            # report 10 on [0, 0, 0, 1, 1], past the scan's window
             (
                 ["spcheck", "--spec", "opt", "--n", "5", "--p", "1.5", "--trials", "3", "--format", "csv"],
                 3,
-                "3da7fcf71541ca207701e850ffef7193837a32cd86682a85a2a808c33029e40b",
+                "44bf5e2efa97488a9d171aa52271dc6f5b802de38e1bfe00235f1d8520ac6aa1",
             ),
             (
                 ["spcheck", "--spec", "opt", "--n", "9", "--p", "5", "--trials", "2", "--format", "csv"],
                 3,
-                "f435a6fb4f5302f24a5102a2848123ac338322a43a896f6c192e2c3728e55b6a",
+                "a3572b8a5bfac12b238998a971588c1e4a9db1622dd1987599ac2ba6f4e48544",
             ),
             (
                 ["ratio", "--spec", "median", "--p", "3", "--n", "6", "--trials", "20", "--hill-iters", "20",

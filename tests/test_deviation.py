@@ -83,6 +83,36 @@ def reference_best_deviation(spec, profile, p, agent, cfg=SearchConfig()):
     return DeviationReport(agent, profile, best_r, truthful, best_c, truthful - best_c)
 
 
+def inverse_map_row(spec, profile, p, agent):
+    """The (report, cost) best_deviation takes in closed form for a row whose
+    plan is one optimum (`deviation._optimum_min`), or None where it scans."""
+    try:
+        others, atoms = _outcome_plan(spec, profile.values.tolist(), validate_pnorm(p), agent)
+    except Exception:
+        return None
+    if not deviation._one_optimum(atoms):
+        return None
+    return deviation._optimum_min(others, atoms, float(profile.values[agent - 1]), profile.span)
+
+
+def assert_scan_or_certified(spec, profile, p, agent):
+    """best_deviation equals `reference_best_deviation` by float.hex, errors
+    included, on every row that scans. A row the inverse map certifies
+    reports the closed form instead: a deviated cost of at most 1e-9 * (1 +
+    span), the reference's truthful cost, and a gain of at least the
+    reference's, less 1e-12 * (1 + span)."""
+    expect = outcome(reference_best_deviation, spec, profile, p, agent)
+    got = outcome(best_deviation, spec, profile, p, agent)
+    closed = inverse_map_row(spec, profile, p, agent)
+    if closed is None or not isinstance(expect[0], int):
+        assert got == expect, (spec, p, agent)
+        return
+    report, truthful, cost, gain = map(float.fromhex, got[2:])
+    tol = 1.0 + profile.span
+    assert (report, cost) == closed and cost <= 1e-9 * tol, (spec, p, agent)
+    assert truthful == float.fromhex(expect[3]) and gain >= float.fromhex(expect[5]) - 1e-12 * tol, (spec, p, agent)
+
+
 def outcome(fn, *args):
     """fn's value, with a DeviationReport's floats as float.hex, or the
     type and message of the error it raises."""
@@ -177,6 +207,11 @@ class TestCandidates:
         cfg = SearchConfig(grid_points=grid_points, grid_pad=grid_pad, scale_bound=scale_bound)
         expect = outcome(lambda: reference_candidates(profile, agent, cfg).tobytes())
         assert outcome(lambda: misreport_candidates(profile, agent, cfg).tobytes()) == expect
+        # the window's hull, read off its scalar ends, is the built slots' (a zero's sign aside)
+        slots = deviation._window_candidates(profile, cfg)[profile.n - 1 : profile.n + 3 + grid_points]
+        hull = deviation._window_hull(profile, cfg)
+        finite = bool(np.isfinite(slots).all())
+        assert (hull is not None) == finite and (not finite or hull == (slots.min(), slots.max()))
 
     @pytest.mark.parametrize("agent, error", [(0, IndexError), (3, IndexError), (-1, IndexError), (1.0, TypeError)])
     def test_agent_out_of_range(self, agent, error):
@@ -458,16 +493,15 @@ class TestBestDeviation:
 
 
 class TestPolishSkip:
-    """The skipped polish changes no bit: every field matches a reference that
-    always polishes, and every refusal matches by type and message."""
+    """The skipped polish changes no bit: every field of a row that scans
+    matches a reference that always polishes, and every refusal matches by
+    type and message (rows the inverse map certifies are never polished)."""
 
     @given(profile=edge_profiles(), pick=st.integers(0, 10**6), p=st.sampled_from(P_GRID), agent=st.integers(1, 5))
     def test_matches_the_always_polishing_reference(self, profile, pick, p, agent):
         specs = catalog(profile.n)
         spec = specs[pick % len(specs)]
-        agent = min(agent, profile.n)
-        expect = outcome(reference_best_deviation, spec, profile, p, agent)
-        assert outcome(best_deviation, spec, profile, p, agent) == expect
+        assert_scan_or_certified(spec, profile, p, min(agent, profile.n))
 
     @pytest.mark.parametrize(
         "values",
@@ -487,8 +521,7 @@ class TestPolishSkip:
         for spec in catalog(profile.n):
             for p in P_GRID:
                 for agent in range(1, profile.n + 1):
-                    expect = outcome(reference_best_deviation, spec, profile, p, agent)
-                    assert outcome(best_deviation, spec, profile, p, agent) == expect, (spec, p, agent)
+                    assert_scan_or_certified(spec, profile, p, agent)
 
     def _count_polishes(self, monkeypatch):
         calls = []
@@ -502,10 +535,10 @@ class TestPolishSkip:
 
     def test_rules_the_proof_does_not_cover_still_polish(self, monkeypatch):
         calls = self._count_polishes(monkeypatch)
-        best_deviation(Optimal(), LocationProfile([0.0, 0.3, 1.0]), 2.0, agent=1)
+        best_deviation(median_optimum(3, 0.5), LocationProfile([0.0, 0.3, 1.0]), 2.0, agent=1)
         best_deviation(Mirror(LRM()), LocationProfile([0.0, 1.0]), 2.0, agent=1)
         # a solved optimum atom, although here its location never reaches x
-        best_deviation(Optimal(), LocationProfile([0.0, 10.0, 11.0]), 3.0, agent=1)
+        best_deviation(median_optimum(3, 0.9), LocationProfile([0.0, 10.0, 11.0]), 3.0, agent=1)
         assert len(calls) == 3
 
 
@@ -676,22 +709,130 @@ class TestL1Optimum:
         assert all(report.gain.hex() == "0x0.0p+0" for report in reports)
 
 
+# exponents where the inverse map certifies every row of the sweeps below
+INVERSE_P = (1.2, 1.5, 2.0, 3.0, 5.0, 8.0, 30.0, 1e6, math.inf)
+
+
+def inverse_map_rows(ps, trials=1, seed=11):
+    """(p, profile, agent) over n = 2..8: the half-half split and `trials`
+    uniform profiles per shape, every agent."""
+    rng = np.random.default_rng(seed)
+    for p in ps:
+        for n in range(2, 9):
+            profiles = [LocationProfile([0.0] * (n - n // 2) + [1.0] * (n // 2))]
+            profiles += [LocationProfile(rng.uniform(0.0, 1.0, n)) for _ in range(trials)]
+            for profile in profiles:
+                for agent in range(1, n + 1):
+                    yield p, profile, agent
+
+
+class TestInverseMap:
+    """A plan whose one atom is an unmirrored L_q optimum, q > 1, takes the
+    report that puts the optimum on x, priced forward. Where that cost is
+    finite and at most 1e-9 * (1 + span) the row reports it, unpolished;
+    every other row keeps the scan's bits."""
+
+    @given(
+        profile=edge_profiles(max_n=8),
+        spec=st.sampled_from([Optimal(), Optimal(1.5), Optimal(3.0), Mixture(opt_weight=1.0)]),
+        p=st.sampled_from(INVERSE_P),
+        agent=st.integers(1, 8),
+    )
+    def test_certified_rows_beat_the_scan(self, profile, spec, p, agent):
+        assert_scan_or_certified(spec, profile, p, min(agent, profile.n))
+
+    def test_every_row_of_the_sweep_is_certified(self):
+        for p, profile, agent in inverse_map_rows(INVERSE_P):
+            report, closed = best_deviation(Optimal(), profile, p, agent), inverse_map_row(Optimal(), profile, p, agent)
+            assert closed == (report.best_misreport, report.deviated_cost), (p, profile, agent)
+            assert report.deviated_cost <= 1e-9 * (1.0 + profile.span), (p, profile, agent)
+        # the reference's full curve is slow at p = 1e6, so it prices the splits only
+        for p, profile, agent in inverse_map_rows(INVERSE_P, trials=0):
+            assert_scan_or_certified(Optimal(), profile, p, agent)
+
+    @pytest.mark.parametrize("p", [1.0 + 1e-12, 1.01, 1.1])
+    def test_near_one_the_uncertified_rows_keep_the_scan(self, p):
+        # 1 / (q - 1) is huge, so |S|^(1 / (q - 1)) overflows (the row scans)
+        # or underflows to a report next to x, certified only where the
+        # optimum of the others and x lies on x
+        certified = rows = 0
+        for _, profile, agent in inverse_map_rows([p]):
+            assert_scan_or_certified(Optimal(), profile, p, agent)
+            certified += inverse_map_row(Optimal(), profile, p, agent) is not None
+            rows += 1
+        assert 0 < certified < rows
+
+    def test_an_overflowing_power_is_caught(self):
+        # S = 3 here, and 3 ** 1e12 overflows a double
+        profile, p = LocationProfile([0.0, 0.0, 0.0, 1.0, 1.0]), 1.0 + 1e-12
+        assert inverse_map_row(Optimal(), profile, p, 4) is None
+        assert_scan_or_certified(Optimal(), profile, p, 4)
+
+    @pytest.mark.parametrize(
+        "values, p, agent, report, gain",
+        [
+            # D(1) = 3, so r = 1 + 3^2; the scan's window ends at 4.0025
+            ([0.0, 0.0, 0.0, 1.0, 1.0], 1.5, 4, 10.0, 0.6923076923068414),
+            # n x minus the others' sum, and 2 x minus the far end
+            ([0.0, 1.0], 2.0, 1, -1.0, 0.5),
+            ([0.0, 0.25, 1.0], math.inf, 2, -0.5, 0.25),
+            # every other report is x: the truthful report, at gain 0
+            ([0.25, 0.25, 0.25], 3.0, 2, 0.25, 0.0),
+        ],
+    )
+    def test_pinned_rows(self, values, p, agent, report, gain):
+        got = best_deviation(Optimal(), LocationProfile(values), p, agent)
+        assert (got.best_misreport, got.gain) == (report, gain)
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, math.inf])
+    def test_an_optimum_scan_builds_no_candidate_and_never_polishes(self, p, monkeypatch):
+        # counts calls, not seconds: a row sent back to the scan fails
+        calls = []
+        count = lambda name, fn: lambda *args: calls.append(name) or fn(*args)
+        monkeypatch.setattr(deviation, "_plan_min", count("scan", deviation._plan_min))
+        monkeypatch.setattr(deviation, "_window_candidates", count("window", deviation._window_candidates))
+        monkeypatch.setattr(mechanisms, "_optimum_rows", count("kernel", mechanisms._optimum_rows))
+        monkeypatch.setattr(deviation, "_golden_min", count("polish", deviation._golden_min))
+        for n in range(2, 9):
+            assert sp_scan(Optimal(), p, n, 3, 1).gain > 0.0
+        assert calls == []
+        sp_scan(median_optimum(5, 0.5), p, 5, 3, 1)
+        assert {"scan", "window", "kernel"} <= set(calls)
+
+
 PRUNE_P = (1.1, 1.5, 1.9, 2.5, 3.0, 5.0, 8.0, 30.0)
 
 
+def median_optimum(n, opt_weight, q=None):
+    """The lower median mixed with the L_q optimum (q None: the rule's p),
+    a plan that still scans."""
+    order = [0.0] * n
+    order[(n - 1) // 2] = 1.0 - opt_weight
+    return Mixture(order_weights=tuple(order), opt_weight=opt_weight, p=q)
+
+
 def optimum_specs(n, p):
-    """Plans with a solved optimum atom: alone, at its own exponent, and
-    mixed with the lower median or a dictator."""
-    median = [0.0] * n
-    median[(n - 1) // 2] = 0.5
+    """Plans with a solved optimum atom that still scan: the optimum nearly
+    alone, at its own exponent, and mixed with the lower median or a
+    dictator. A plan of the optimum alone takes the inverse map."""
     dictator = [0.0] * n
     dictator[n - 1] = 0.3
     return [
-        Optimal(),
-        Optimal(3.0 if p != 3.0 else 1.5),
-        Mixture(order_weights=tuple(median), opt_weight=0.5),
+        median_optimum(n, 0.9),
+        median_optimum(n, 0.5, 3.0 if p != 3.0 else 1.5),
+        median_optimum(n, 0.5),
         Mixture(dictator_weights=tuple(dictator), opt_weight=0.7),
     ]
+
+
+def assert_plan_min_is_the_full_curve(spec, profile, p, agent):
+    """`mechanisms._plan_min` on the row's plan and candidates returns the
+    full curve's first least (index, cost), by float.hex."""
+    others, atoms = _outcome_plan(spec, profile.values.tolist(), p, agent)
+    x, reports = float(profile.values[agent - 1]), misreport_candidates(profile, agent)
+    ((i, cost),) = mechanisms._plan_min([(others, atoms, x, reports)])
+    costs = _plan_costs(others, atoms, x, reports)
+    assert (i, cost.hex()) == (int(costs.argmin()), float(costs.min()).hex()), (spec, agent)
 
 
 def per_agent_loop(spec, profile, p):
@@ -744,7 +885,11 @@ class TestPrunedScan:
             profile, agent = LocationProfile(values), 1 + k % n
             expect = outcome(reference_best_deviation, spec, profile, p, agent)
             assert outcome(best_deviation, spec, profile, p, agent) == expect, (spec, agent)
-        assert len(pruned_calls) == 8 and None not in pruned_calls
+        # the optimum alone scans only where the inverse map is not certified
+        alone = (Optimal(), Optimal(3.0 if p != 3.0 else 1.5))
+        for k, (values, spec) in enumerate((v, s) for v in profiles for s in alone):
+            assert_plan_min_is_the_full_curve(spec, LocationProfile(values), p, 1 + k % n)
+        assert len(pruned_calls) == 12 and None not in pruned_calls
 
     @pytest.mark.parametrize("span", [1e300, 1e306, 1.5e307])
     def test_huge_spans_match_the_full_curve(self, span, pruned_calls):
@@ -753,7 +898,10 @@ class TestPrunedScan:
             for agent in (1, 3):
                 expect = outcome(reference_best_deviation, spec, profile, 3.0, agent)
                 assert outcome(best_deviation, spec, profile, 3.0, agent) == expect, (spec, agent)
-        assert len(pruned_calls) == 8 and None not in pruned_calls
+        for spec in (Optimal(), Optimal(1.5)):
+            for agent in (1, 3):
+                assert_plan_min_is_the_full_curve(spec, profile, 3.0, agent)
+        assert len(pruned_calls) == 12 and None not in pruned_calls
 
     def test_an_overflowing_cost_cap_takes_the_full_curve_and_its_refusal(self, pruned_calls):
         # every candidate is finite, but agent 3's own dictator atom puts the
@@ -772,7 +920,7 @@ class TestPrunedScan:
         # agent 3's misreports reach -1.6e308, so its cost cap overflows and it
         # takes the full curve, while agents 1 and 2 prune in the same batch
         profile = LocationProfile([1e307, 1.1e307, 4e307])
-        for spec in (Optimal(), Mixture(order_weights=(0.0, 0.5, 0.0), opt_weight=0.5)):
+        for spec in (median_optimum(3, 0.9), median_optimum(3, 0.5)):
             expect = per_agent_loop(spec, profile, 3.0)
             pruned_calls.clear()
             assert profile_batch(spec, profile, 3.0) == expect, spec
@@ -829,7 +977,7 @@ class TestPrunedScan:
             delta = 1e-9 * (1.0 + abs(min(reports[0], others[0])) + abs(max(reports[-1], others[-1])))
             assert float((np.maximum.accumulate(y) - y).max()) <= delta, (n, scale, shift)
 
-    @pytest.mark.parametrize("spec", [Optimal(), Mixture(order_weights=(0.0, 0.0, 0.5, 0.0, 0.0), opt_weight=0.5)])
+    @pytest.mark.parametrize("spec", [median_optimum(5, 0.75), median_optimum(5, 0.5)])
     def test_the_sp_opt_shape_solves_few_rows(self, spec, monkeypatch):
         # counts rows, not seconds: a silent fall-back to the full curve fails
         rows = []
@@ -859,7 +1007,7 @@ class TestProfileBatch:
         values = np.random.default_rng(int(10 * p) + n).uniform(0.0, 1.0, size=n)
         for values in (np.round(values * 3.0) / 3.0, 1e6 * values - 3e5):
             profile = LocationProfile(values)
-            for spec in optimum_specs(n, p):
+            for spec in optimum_specs(n, p) + [Optimal()]:
                 expect = per_agent_loop(spec, profile, p)
                 assert isinstance(expect, list)
                 assert profile_batch(spec, profile, p) == expect, spec
@@ -886,7 +1034,7 @@ class TestProfileBatch:
         expect = (NonFiniteResult, f"the misreport window of {profile!r} overflows")
         assert per_agent_loop(spec, profile, 3.0) == profile_batch(spec, profile, 3.0) == expect
 
-    @pytest.mark.parametrize("spec", [Optimal(), Mixture(order_weights=(0.0, 0.0, 0.5, 0.0, 0.0), opt_weight=0.5)])
+    @pytest.mark.parametrize("spec", [median_optimum(5, 0.75), median_optimum(5, 0.5)])
     def test_a_profile_makes_at_most_two_kernel_calls(self, spec, monkeypatch):
         # counts kernel calls, not seconds: one per agent and row kind makes 10
         calls = []
@@ -944,7 +1092,7 @@ class TestScanFloor:
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_equals_the_always_polishing_reduction(self, n):
-        specs = [Optimal(), Median(), catalog(n)[8]] + (optimum_rules_at_two() if n == 2 else [LRM()])
+        specs = [median_optimum(n, 0.5), Median(), catalog(n)[8]] + (optimum_rules_at_two() if n == 2 else [LRM()])
         for k, (spec, p) in enumerate((spec, p) for spec in specs for p in (1.5, 2.0, 3.0, math.inf)):
             args = (spec, p, n, 3, k, k % 2 == 1)
             assert scan_outcome(*args) == reference_scan(*args, best=reference_best_deviation), (spec, p)
@@ -982,7 +1130,7 @@ class TestScanFloor:
                     differing.append(LocationProfile(values))
                     break
         monkeypatch.setattr(deviation, "four_block_profiles", lambda n, p: differing)
-        for spec in (Optimal(), Optimal(2.0), catalog(5)[8]):
+        for spec in (median_optimum(5, 0.5), median_optimum(5, 0.9, 2.0), catalog(5)[8]):
             for seed in (0, 1):
                 args = (spec, 2.0, 5, 3, seed)
                 assert scan_outcome(*args) == reference_scan(*args), spec
@@ -1029,13 +1177,13 @@ class TestScanFloor:
         # counts polishes, not seconds: 21 profiles of 5 agents are 105 rows
         calls = []
         monkeypatch.setattr(deviation, "_golden_min", lambda *args: calls.append(args) or _golden_min(*args))
-        sp_scan(Optimal(), 3.0, n=5, trials=20, seed=1)
+        sp_scan(median_optimum(5, 0.5), 3.0, n=5, trials=20, seed=1)
         assert 0 < len(calls) <= 10
         calls.clear()
         sp_scan(Median(), 3.0, n=5, trials=20, seed=1)
         assert calls == []
 
-    @pytest.mark.parametrize("spec", [Optimal(), Mixture(order_weights=(0.0, 0.0, 0.5, 0.0, 0.0), opt_weight=0.5)])
+    @pytest.mark.parametrize("spec", [median_optimum(5, 0.75), median_optimum(5, 0.5)])
     def test_a_lone_profile_polishes_only_its_top_agent(self, spec, monkeypatch):
         # the agent of largest scan gain is polished first and lifts the floor
         # past every other agent's bound
