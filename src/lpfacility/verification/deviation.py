@@ -20,16 +20,20 @@ A one-line plan (an order statistic or a dictator: Median, OrderStatistic,
 Dictator, the L_1 optimum and mixtures with one nonzero weight) is not
 scanned at all: its best response is the truthful cost, proven over every
 real report, and the report the scan would pick is found in closed form
-(see `best_deviation`). Nor is a plan whose one atom is an unmirrored L_q
-optimum, q > 1 (`Optimal` at p > 1, and mixtures whose one nonzero weight is
-the optimum), wherever the inverse map certifies itself: the report that
-puts the optimum on x is a formula, priced forward once, and its gain is
-within 1e-9 * (1 + span) of the truthful cost, which bounds every report's
-gain.
+(see `best_deviation`). Nor is a plan of such lines and then one
+unmirrored L_q optimum, q > 1 (`Optimal` at p > 1, and the median/optimum,
+order/optimum and dictator/optimum mixtures at finite q), wherever it
+certifies itself. The report r* that puts the optimum on x (the inverse
+map, a formula) and x bracket a least-cost report; the lines' ends cut the
+bracket into pieces, on most of which the least cost sits at an end, and a
+branch and bound over the optimum's location covers the rest. A handful of
+reports are priced forward, and the cheapest is reported only if it is
+within 1e-9 * (1 + span) of a lower bound proven over every real report.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from functools import lru_cache
 
@@ -56,6 +60,8 @@ __all__ = [
 DEFAULT_VIOLATION_TOL = 1e-7
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# machine epsilon, twice the unit roundoff
+_EPS = 2.0**-52
 
 
 class UnsupportedSupport(ValueError):
@@ -194,27 +200,102 @@ def best_deviation(
     side of r; the polished point is kept only if strictly cheaper. On exact
     ties the first (assembly-order) candidate wins, so reruns are identical.
 
-    A plan of one unmirrored L_q optimum, q > 1, takes the inverse map
-    (`_optimum_min`): the optimum y of others + [r] is the root of
-    sign(r - y) |r - y|^(q-1) = D(y), D(y) = sum over the others of
-    sign(y - o) |y - o|^(q-1), so the report that puts it on x is
-    r = x + sign(S) M |S|^(1/(q-1)), M = max |x - o| and S the fsum of
-    sign(x - o) (|x - o| / M)^(q-1) (factoring out the peak keeps large q from
-    underflowing; at q = 2 this is n x minus the others' sum); at q = inf it
-    is 2 x - max(others) when x is at most the others' midrange, else
-    2 x - min(others); r = x when M = 0. The row prices r forward with
-    `_plan_at`, as `run` prices the rule, and reports (r, c) only where r is
-    finite and c <= 1e-9 * (1 + span): as every cost is >= 0, no report gains
-    more than the truthful cost, so the reported gain is within that bound of
-    the best over every real report, where the scan searches a bounded window
-    (at p = 1.5 on [0, 0, 0, 1, 1] it stops at 4.0025, and r = 10 gains twice
-    as much). Such a row builds no candidates and is not polished; it still
-    passes `_check_window` first, so a window the scan refuses is refused at
-    the same agent. Every other row scans, bit for bit as before: r or c not
-    finite, the power overflowing as q nears 1 (its OverflowError is caught),
-    or a forward cost above the bound, where the solve's tolerance, relative
-    to a row stretched by a far report, is too coarse. Mirror and
-    Symmetrized of the optimum, two-agent rules, scan too.
+    A plan of unmirrored clipped lines of slope 0, or of slope 1 and shift
+    0, and then one unmirrored L_q optimum of weight w, q > 1 and finite when
+    a line is present, takes an exact best response (`_inverse_min`): the
+    rows of `Optimal` at p > 1 and of the median/optimum, order/optimum and
+    dictator/optimum mixtures. u is the unit roundoff and eps = 2u.
+    - Inverse map. The optimum y of others + [r] is the root of
+      sign(r - y) |r - y|^(q-1) = D(y), D(y) = sum over the others of
+      sign(y - o) |y - o|^(q-1), so the report that puts it on y is
+      R(y) = y + sign(D) |D|^(1/(q-1)), computed as y + sign(S) M |S|^(1/(q-1)),
+      M = max |y - o| and S the fsum of sign(y - o) (|y - o| / M)^(q-1)
+      (factoring out the peak keeps large q from underflowing; at q = 2 this
+      is n y minus the others' sum); at q = inf it is 2 y - max(others) when
+      y is at most the others' midrange, else 2 y - min(others); R = y when
+      M = 0. D increases, so R does, and r -> y(r) is its inverse. r* = R(x).
+    - Rounding of R (`_inverse_report`). Each term of S carries a relative
+      error of about 3 q u (|y - o| and the division round, then the power
+      raises them to q - 1 and rounds), and fsum rounds once, so
+      |S~ - S| <= e = 8 q eps A, A the fsum of the terms' magnitudes. Where
+      4 k e < |S~|, k = max(1, 1/(q-1)), the power |S|^(1/(q-1)) is within a
+      relative 2 k e / |S~| of the computed one, and with the roundings of
+      M, the power, the product and the sum, |R~ - R| <= |R~ - y| (2 k e /
+      |S~| + 8 eps) + 2 eps |R~|. Elsewhere R lies within
+      M (|S~| + e)^(1/(q-1)) (1 + 8 eps) of y, which with |R~ - y| bounds it.
+    - Bracket. Below min(x, r*) every line term w |x - l(r)| (a slope-1 line
+      is r clipped) and the optimum's w |x - y(r)| (y(r) <= x there) is
+      nonincreasing in r, and above max(x, r*) nondecreasing, so a least-cost
+      report lies between x and r*, and its optimum between the truthful
+      optimum and x, inside the profile's hull, however far r* lies.
+    - Pieces. The finite ends of the slope-1 lines strictly between x and r*
+      cut the bracket into pieces. On each, with sigma = sign(r* - x) and s
+      the sum of the weights of the slope-1 lines unclipped there, the cost
+      as a function of the optimum's location is C(y) = K + sigma (s R(y) -
+      w y), so C'(y) = sigma (s R'(y) - w), where
+      R'(y) = 1 + |D|^((2-q)/(q-1)) * sum |y - o|^(q-2).
+    - Lemma: R' >= 1, and R' >= 2 for q >= 2. R - y = sign(D) |D|^(1/(q-1))
+      increases. For q >= 2, with a = |y - o|: |D| <= sum a^(q-1) and
+      (2-q)/(q-1) <= 0, so R' - 1 >= sum a^(q-2) / (sum a^(q-1))^((q-2)/(q-1))
+      = (||a||_(q-2) / ||a||_(q-1))^(q-2) >= 1, as the (q-2)-norm is at least
+      the (q-1)-norm (at q = 2, R' - 1 counts the others).
+    - Ends. On a piece with s = 0, C' = -sigma w, and the least is at the end
+      toward r*; with s * least >= w, least the lemma's 1 or 2, C' has the
+      sign of sigma, and the least is at the end toward x. That test is
+      exact: fsum rounds correctly, so the fsum of the weights less
+      w / least has the exact sum's sign. Only where 0 < s < w / least can
+      C' change sign: for a median/optimum mixture, w > 1/2 (q < 2) or
+      w > 2/3 (q >= 2).
+    - Other pieces (`_inverse_cells`), by branch and bound over y (Piyavskii
+      1972; Shubert 1972). The piece's y-range runs between its ends'
+      optima, each widened by the forward solve's error, 1e-12 (hi - lo) +
+      4e-15 (|lo| + |hi|) over the row's hull [lo, hi] (BRACKET_TOL
+      half-spans, plus a few ulps of the row from its shift, scaling and
+      back-transform), and is cut first at the others' reports. On a cell
+      with no other report inside, D increases and each |y - o|^(q-2) is
+      monotone, so the factors of R' are enclosed by their values at the
+      cell's two ends: D with its rounding bound, 8 q eps times the sum of
+      its terms' magnitudes at a common scale, and the enclosure of R'
+      widened by a relative 4 (2 q + n + |2 - q| / (q - 1) + 8) eps for the
+      powers and sums. So C' lies in [g1, g2] on the cell, and with Ca and
+      Cb bounds of the cost at its ends a and b, the cost on it is at least
+      max(Ca + g1 (y - a), Cb - g2 (b - y)), whose least is (g2 Ca - g1 Cb +
+      g1 g2 (b - a)) / (g2 - g1) (Ca if g1 >= 0, Cb if g2 <= 0), less its
+      rounding, 8 eps (Ca + Cb + min(-g1, g2) (b - a)). The cell of least
+      bound is halved until no bound is below the least point cost found by
+      more than 1e-13 (1 + span); past 256 points, or at a cell too narrow
+      to halve, the row scans. The least point's report is a candidate.
+    - Cost bounds. A report in [R~ - d, R~ + d] whose optimum lies in
+      [ya, yb] costs at least the sum of w_k dist(x, l_k([R~ - d, R~ + d]))
+      over the lines (each is monotone) and w dist(x, [ya, yb]), times
+      1 - (K + 3) eps for the roundings of the sum of K atoms. At a piece's
+      end the report is exact and its optimum is the forward solve's, within
+      the error above, or y = x exactly at r*, whose report is R~(x) +- its
+      bound.
+    - Certify or scan. The candidates (x at its truthful cost, then the ends
+      and points the pieces chose) are priced forward with `_plan_at`, as
+      `run` prices the rule, and the first strictly cheapest is reported,
+      only if its cost is at most LB + 1e-9 (1 + span), LB the least of the
+      pieces' bounds, below which no report costs; r* is finite (the power's
+      OverflowError as q nears 1 is caught); no line's end lies within r*'s
+      rounding bound of r*, which would leave the pieces unknown; and, when a
+      line is present, `_pruned_min`'s window cap is finite (bounded above
+      from the window's ends, as each line is monotone), so a row whose scan
+      would refuse overflowing costs still scans and refuses at the same
+      agent. Where |r* - x| is within r*'s bound the bracket cannot be
+      oriented: one bound covers it whole, and r* is a candidate. With no
+      line, the one piece ends at r*, where the bound is 0, so the row is
+      reported where the forward cost is at most 1e-9 (1 + span), and r*
+      wins a tie with x, as it did before the mixtures took this path.
+    Such a row builds no candidates and is not polished; it still passes
+    `_check_window` first, so a window the scan refuses is refused at the
+    same agent. Every other row scans, bit for bit as before, as do Mirror
+    and Symmetrized of the optimum, two-agent rules, and mixtures with the
+    L_inf optimum. The scan searches a bounded window: on [0, 0, 0, 1, 1] at
+    p = 1.5 the optimum's row stops at 4.0025, where r = 10 gains twice as
+    much, and Mixture(order_weights=(0, 0.3, 0, 0), opt_weight=0.7) on
+    [0, 0, 1, 1] at p = 1.5 stops at 4.0025 with gain 0.319, where r = 5
+    gains 0.35.
 
     A one-line plan is priced in closed form (`_line_min`): the (report,
     cost) the scan (`mechanisms._plan_min`) returns for the full candidate
@@ -335,12 +416,12 @@ def _deviations(spec, profile: LocationProfile, p: float, agents, cfg: SearchCon
     """[best_deviation(spec, profile, p, a, cfg) for a in agents], bit for
     bit, less the agents whose gain provably stays below `floor`, with every
     agent's candidate scan in one `_plan_min` call, so the optimum rows of
-    all agents share its two kernel calls. One-line plans and certified
-    optimum plans take their closed forms instead (see best_deviation), and
-    are never polished. The candidates' extremes and grid are built once for
-    the profile, only if some row scans, and each scanning agent's
-    candidates copy them (`misreport_candidates` composes the same two
-    parts); a window that is not finite, as read off its scalar ends
+    all agents share its two kernel calls. One-line plans and the certified
+    plans of lines and one optimum take their exact forms instead (see
+    best_deviation), and are never polished. The candidates' extremes and
+    grid are built once for the profile, only if some row scans, and each
+    scanning agent's candidates copy them (`misreport_candidates` composes
+    the same two parts); a window that is not finite, as read off its scalar ends
     (`_window_hull`), is refused at the first agent whose plan is built, as
     the per-agent loop refuses it. Plans are built up to the first agent that
     raises; the costs of the agents before it are checked in order, and only
@@ -373,8 +454,8 @@ def _deviations(spec, profile: LocationProfile, p: float, agents, cfg: SearchCon
         if _one_line(atoms):
             reports = values[: agent - 1] + values[agent:]
             best = _line_min(others, atoms, x, truthful, reports, hull, slots, scales)
-        elif _one_optimum(atoms):
-            best = _optimum_min(others, atoms, x, profile.span)
+        else:
+            best = _inverse_min(others, atoms, x, truthful, profile.span, hull, scales)
         rows.append((agent, others, atoms, x, truthful, best))
     to_scan = [row for row in rows if row[5] is None]
     if to_scan:
@@ -454,30 +535,211 @@ def _line_min(others, atoms, x: float, truthful: float, reports: list, hull, slo
     return report, truthful
 
 
-def _one_optimum(atoms) -> bool:
-    # one unmirrored L_q optimum; q > 1, as the outcome plan writes the L_1 optimum as a line
-    return len(atoms) == 1 and atoms[0][5] is not None and not atoms[0][6]
-
-
-def _optimum_min(others, atoms, x: float, span: float):
-    # the report r that puts the plan's optimum on x, by the inverse map, and
-    # its cost priced forward; None unless r is finite and the cost at most
-    # 1e-9 * (1 + span) (see best_deviation)
-    q = atoms[0][5]
+def _inverse_report(others, y: float, q: float):
+    # the report R(y) that puts the L_q optimum of others + [R] on y, by the
+    # inverse map, and a bound on its rounding error (see best_deviation);
+    # OverflowError where R is not finite (the power overflows as q nears 1)
     if q == math.inf:
-        r = 2.0 * x - (others[-1] if x <= 0.5 * others[0] + 0.5 * others[-1] else others[0])
+        r, err = 2.0 * y - (others[-1] if y <= 0.5 * others[0] + 0.5 * others[-1] else others[0]), 0.0
     else:
-        peak, r = max(x - others[0], others[-1] - x), x
-        if peak > 0.0:
-            total = math.fsum(math.copysign((abs(x - o) / peak) ** (q - 1.0), x - o) for o in others)
-            try:
-                r = x + math.copysign(peak * abs(total) ** (1.0 / (q - 1.0)), total)
-            except OverflowError:
-                return None
+        peak = max(y - others[0], others[-1] - y)
+        if not peak > 0.0:
+            return y, 0.0
+        terms = [(abs(y - o) / peak) ** (q - 1.0) for o in others]
+        total = math.fsum(math.copysign(t, y - o) for t, o in zip(terms, others))
+        alpha = 1.0 / (q - 1.0)
+        r = y + math.copysign(peak * abs(total) ** alpha, total)
+        # |total - S| <= slack, S the exact sum
+        slack, k = 8.0 * q * _EPS * math.fsum(terms), max(1.0, alpha)
+        if 4.0 * k * slack < abs(total):
+            err = abs(r - y) * (2.0 * k * slack / abs(total) + 8.0 * _EPS) + 2.0 * _EPS * abs(r)
+        else:
+            err = abs(r - y) + peak * (abs(total) + slack) ** alpha * (1.0 + 8.0 * _EPS) + 2.0 * _EPS * abs(r)
     if not math.isfinite(r):
+        raise OverflowError("the report that puts the optimum on y overflows")
+    return r, err
+
+
+def _inverse_min(others, atoms, x: float, truthful: float, span: float, hull, scales):
+    # (report, cost) of a least-cost report, priced forward, for a plan of
+    # unmirrored clipped lines of slope 0, or of slope 1 and shift 0, and then
+    # one unmirrored L_q optimum, q > 1 and finite when a line is present; None
+    # for any other plan and for a row that does not certify itself (see
+    # best_deviation); `hull` and `scales` as in _line_min
+    *lines, (w, _, _, _, _, q, mirrored) = atoms
+    if q is None or mirrored:
         return None
-    c = _plan_at(others, atoms, r, x)
-    return (r, c) if c <= 1e-9 * (1.0 + span) else None
+    if not lines:
+        # _inverse_search's one piece, which ends at r*, where its bound is 0;
+        # on a tie r* wins, the report the inverse map alone always gave
+        try:
+            r = _inverse_report(others, x, q)[0]
+        except OverflowError:
+            return None
+        c = _plan_at(others, atoms, r, x)
+        best_r, best_c = (r, c) if c <= truthful else (x, truthful)
+        return (best_r, best_c) if best_c <= 1e-9 * (1.0 + span) else None
+    if q == math.inf or any(a[5] is not None or a[6] or not (a[1] == 0.0 or (a[1] == 1.0 and a[2] == 0.0)) for a in lines):
+        return None
+    clip = lambda a, r: min(max(r, a[3]), a[4]) if a[1] else a[2]
+    # _pruned_min's cost cap, bounded above: each line is monotone in r
+    scaled = float(scales[0]) * x, float(scales[-1]) * x
+    ends = min(hull[0], *scaled), max(hull[1], *scaled)
+    cap = w * max(abs(x - ends[0]), abs(x - ends[1]))
+    for a in lines:
+        cap += a[0] * max(abs(x - clip(a, ends[0])), abs(x - clip(a, ends[1])))
+    if not math.isfinite(cap):
+        return None
+    try:
+        return _inverse_search(others, lines, atoms, x, truthful, span, clip)
+    except OverflowError:
+        return None
+
+
+def _inverse_search(others, lines, atoms, x, truthful, span, clip):
+    # _inverse_min past its plan and cap checks
+    w, q = atoms[-1][0], atoms[-1][5]
+    r_star, err_star = _inverse_report(others, x, q)
+    kinks = {b for a in lines if a[1] for b in a[3:5] if math.isfinite(b)}
+    sigma, degenerate = (1.0 if r_star > x else -1.0), abs(r_star - x) <= err_star
+    if not degenerate and any(abs(b - r_star) <= err_star for b in kinks):
+        return None
+    inside = [] if degenerate else [b for b in kinks if min(x, r_star) < b < max(x, r_star)]
+    pts = [x] + sorted(inside, reverse=sigma < 0) + [r_star]
+    memo, bounds, candidates = {}, [], []
+
+    def price(r):
+        # the forward cost at report r, summed as _plan_at sums it, and the optimum there
+        if r not in memo:
+            locs, c = _plan_at(others, atoms, r), 0.0
+            for atom, y in zip(atoms, locs):
+                c += atom[0] * abs(x - y)
+            memo[r] = c, locs[-1]
+        return memo[r]
+
+    def ylim(i):
+        # the y-interval of point i: exactly x at r*, else the forward solve's
+        if i == len(pts) - 1:
+            return x, x
+        r, y = pts[i], price(pts[i])[1]
+        lo, hi = min(r, others[0]), max(r, others[-1])
+        tol = 1e-12 * (hi - lo) + 4e-15 * (abs(lo) + abs(hi))
+        return y - tol, y + tol
+
+    def bound(ya, yb, ra, rb):
+        # a lower bound on the cost of every report in [ra, rb] whose optimum lies in [ya, yb]
+        total = 0.0
+        for a in lines:
+            total += a[0] * max(clip(a, ra) - x, x - clip(a, rb), 0.0)
+        return (total + w * max(ya - x, x - yb, 0.0)) * (1.0 - (len(atoms) + 3) * _EPS)
+
+    def end(i):
+        # the cost bound at point i
+        err = err_star if i == len(pts) - 1 else 0.0
+        return bound(*ylim(i), pts[i] - err, pts[i] + err)
+
+    least = 2.0 if q >= 2.0 else 1.0
+    if degenerate:
+        # r* too close to x to orient the bracket: one bound over all of it
+        ya, yb = ylim(0)
+        bounds.append(bound(min(ya, x), max(yb, x), min(x, r_star) - err_star, max(x, r_star) + err_star))
+        candidates.append(r_star)
+    for j in range(0 if degenerate else len(pts) - 1):
+        a, b = pts[j], pts[j + 1]
+        free = [line[0] for line in lines if line[1] and line[3] <= min(a, b) and max(a, b) <= line[4]]
+        s = math.fsum(free)
+        i_lo, i_hi = (j, j + 1) if a < b else (j + 1, j)
+        # fsum rounds correctly, so its sign is the exact sum's: s r' >= least s >= w
+        if s == 0.0 or math.fsum(free + [-w / least]) >= 0.0:
+            # one sign of C' on the whole piece: its least is at one end
+            i = i_hi if sigma * (1.0 if s else -1.0) < 0.0 else i_lo
+            bounds.append(end(i))
+            candidates.append(pts[i])
+        else:
+            ends = [(ylim(i)[k], end(i), pts[i]) for i, k in ((i_lo, 0), (i_hi, 1))]
+            found = _inverse_cells(others, q, w, s, sigma, least, *ends, span, bound)
+            if found is None:
+                return None
+            bounds.append(found[0])
+            candidates.append(found[1])
+    best_r, best_c = x, truthful
+    for r in candidates:
+        c = price(r)[0]
+        if c < best_c:
+            best_r, best_c = r, c
+    return (best_r, best_c) if best_c <= min(bounds) + 1e-9 * (1.0 + span) else None
+
+
+def _inverse_cells(others, q, w, s, sigma, least, lower, upper, span, bound):
+    # a piece of the bracket where C' may change sign, by branch and bound over
+    # y-cells split first at the others' reports (see best_deviation); `lower`
+    # and `upper` are the piece's ends as (y, cost bound, report), y widened to
+    # hold the true end; (a lower bound on the piece's cost, the report of its
+    # least bounded point), or None past the evaluation budget
+    (ya, _, _), (yb, _, _) = lower, upper
+    mu = max(abs(ya - others[0]), abs(ya - others[-1]), abs(yb - others[0]), abs(yb - others[-1]))
+    if not (ya < yb and 0.0 < mu < math.inf):
+        return None
+    ex, tau = (2.0 - q) / (q - 1.0), 1e-13 * (1.0 + span)
+    eta = 4.0 * (2.0 * q + len(others) + abs(ex) + 8.0) * _EPS
+    terms, points = {}, {ya: lower[1:], yb: upper[1:]}
+
+    def at(y):
+        # D(y) / mu^(q-1) with its rounding bound, and each |y - o|^(q-2) / mu^(q-2)
+        if y not in terms:
+            t = [abs(y - o) / mu for o in others]
+            powers = [v ** (q - 1.0) for v in t]
+            d = math.fsum(math.copysign(v, y - o) for v, o in zip(powers, others))
+            err = 8.0 * q * _EPS * math.fsum(powers) + 1e-300
+            terms[y] = d, err, [v ** (q - 2.0) if v or q >= 2.0 else math.inf for v in t]
+        return terms[y]
+
+    def point(y):
+        # the cost bound at y and the report that puts the optimum there
+        if y not in points:
+            r, err = _inverse_report(others, y, q)
+            points[y] = bound(y, y, r - err, r + err), r
+        return points[y][0]
+
+    def floor(a, b):
+        # a lower bound on the cost over [a, b] from its ends' bounds and the
+        # endpoint enclosure of C' = sigma (s r'(y) - w) there (Piyavskii)
+        (da, ea, ta), (db, eb, tb) = at(a), at(b)
+        lo, hi = da - ea, db + eb
+        small, big = (0.0 if lo <= 0.0 <= hi else min(abs(lo), abs(hi))), max(abs(lo), abs(hi))
+        if ex > 0.0:
+            pl, pu = small**ex, big**ex
+        elif ex < 0.0:
+            pl, pu = (big**ex if big else math.inf), (small**ex if small else math.inf)
+        else:
+            pl = pu = 1.0
+        tl, tu = math.fsum(map(min, ta, tb)), math.fsum(map(max, ta, tb))
+        low = max(least, (1.0 + (pl * tl if pl and tl else 0.0)) * (1.0 - eta))
+        high = math.inf if math.inf in (pu, tu) else (1.0 + pu * tu) * (1.0 + eta)
+        g1, g2 = sorted((sigma * (s * low - w), sigma * (s * high - w)))
+        ca, cb = points[a][0], points[b][0]
+        if g1 >= 0.0:
+            return ca
+        if g2 <= 0.0:
+            return cb
+        if g1 == -math.inf or g2 == math.inf:
+            return ca + g1 * (b - a) if g2 == math.inf else cb - g2 * (b - a)
+        slack = 8.0 * _EPS * (ca + cb + min(-g1, g2) * (b - a))
+        return (g2 * ca - g1 * cb + g1 * g2 * (b - a)) / (g2 - g1) - slack
+
+    cuts = sorted({ya, yb, *(o for o in others if ya < o < yb)})
+    best = min(point(y) for y in cuts)
+    heap = [(floor(a, b), a, b) for a, b in zip(cuts, cuts[1:])]
+    heapq.heapify(heap)
+    while heap[0][0] < best - tau:
+        _, a, b = heapq.heappop(heap)
+        m = 0.5 * a + 0.5 * b
+        if not a < m < b or len(points) > 256:
+            return None
+        best = min(best, point(m))
+        heapq.heappush(heap, (floor(a, m), a, m))
+        heapq.heappush(heap, (floor(m, b), m, b))
+    return heap[0][0], min(points.values())[1]
 
 
 def _polish_slack(atoms, best_r: float, window: float, reach: float, truthful: float, best_c: float) -> float:

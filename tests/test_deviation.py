@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from lpfacility import (
@@ -85,22 +85,26 @@ def reference_best_deviation(spec, profile, p, agent, cfg=SearchConfig()):
 
 def inverse_map_row(spec, profile, p, agent):
     """The (report, cost) best_deviation takes in closed form for a row whose
-    plan is one optimum (`deviation._optimum_min`), or None where it scans."""
+    plan is lines and one optimum (`deviation._inverse_min`), or None where
+    it scans."""
+    cfg = SearchConfig()
     try:
         others, atoms = _outcome_plan(spec, profile.values.tolist(), validate_pnorm(p), agent)
     except Exception:
         return None
-    if not deviation._one_optimum(atoms):
+    hull, x = deviation._window_hull(profile, cfg), float(profile.values[agent - 1])
+    if hull is None or deviation._one_line(atoms):
         return None
-    return deviation._optimum_min(others, atoms, float(profile.values[agent - 1]), profile.span)
+    scales = deviation._unit_arrays(cfg.grid_points, cfg.scale_bound, cfg.scale_steps_per_unit)[1]
+    return deviation._inverse_min(others, atoms, x, _plan_at(others, atoms, x, x), profile.span, hull, scales)
 
 
 def assert_scan_or_certified(spec, profile, p, agent):
     """best_deviation equals `reference_best_deviation` by float.hex, errors
-    included, on every row that scans. A row the inverse map certifies
-    reports the closed form instead: a deviated cost of at most 1e-9 * (1 +
-    span), the reference's truthful cost, and a gain of at least the
-    reference's, less 1e-12 * (1 + span)."""
+    included, on every row that scans. A row `_inverse_min` certifies
+    reports its closed form instead: the reference's truthful cost and a gain
+    of at least the reference's, less 1e-12 * (1 + span); where the plan's
+    one atom is the optimum, a deviated cost of at most 1e-9 * (1 + span)."""
     expect = outcome(reference_best_deviation, spec, profile, p, agent)
     got = outcome(best_deviation, spec, profile, p, agent)
     closed = inverse_map_row(spec, profile, p, agent)
@@ -109,7 +113,8 @@ def assert_scan_or_certified(spec, profile, p, agent):
         return
     report, truthful, cost, gain = map(float.fromhex, got[2:])
     tol = 1.0 + profile.span
-    assert (report, cost) == closed and cost <= 1e-9 * tol, (spec, p, agent)
+    alone = len(_outcome_plan(spec, profile.values.tolist(), validate_pnorm(p), agent)[1]) == 1
+    assert (report, cost) == closed and (cost <= 1e-9 * tol or not alone), (spec, p, agent)
     assert truthful == float.fromhex(expect[3]) and gain >= float.fromhex(expect[5]) - 1e-12 * tol, (spec, p, agent)
 
 
@@ -534,11 +539,12 @@ class TestPolishSkip:
         assert calls == []
 
     def test_rules_the_proof_does_not_cover_still_polish(self, monkeypatch):
+        # the mixtures' rows scan at NEAR_ONE, where the inverse map is not certified
         calls = self._count_polishes(monkeypatch)
-        best_deviation(median_optimum(3, 0.5), LocationProfile([0.0, 0.3, 1.0]), 2.0, agent=1)
+        best_deviation(median_optimum(3, 0.5), LocationProfile([0.0, 0.3, 1.0]), NEAR_ONE, agent=1)
         best_deviation(Mirror(LRM()), LocationProfile([0.0, 1.0]), 2.0, agent=1)
         # a solved optimum atom, although here its location never reaches x
-        best_deviation(median_optimum(3, 0.9), LocationProfile([0.0, 10.0, 11.0]), 3.0, agent=1)
+        best_deviation(median_optimum(3, 0.9), LocationProfile([0.0, 10.0, 11.0]), NEAR_ONE, agent=1)
         assert len(calls) == 3
 
 
@@ -796,25 +802,28 @@ class TestInverseMap:
         for n in range(2, 9):
             assert sp_scan(Optimal(), p, n, 3, 1).gain > 0.0
         assert calls == []
-        sp_scan(median_optimum(5, 0.5), p, 5, 3, 1)
+        # a mixture with the L_inf optimum still scans
+        sp_scan(median_optimum(5, 0.5, math.inf), p, 5, 3, 1)
         assert {"scan", "window", "kernel"} <= set(calls)
 
 
 PRUNE_P = (1.1, 1.5, 1.9, 2.5, 3.0, 5.0, 8.0, 30.0)
+# an exponent where |S|^(1 / (q - 1)) overflows, so most mixture rows are not
+# certified and scan
+NEAR_ONE = 1.0 + 1e-12
 
 
 def median_optimum(n, opt_weight, q=None):
-    """The lower median mixed with the L_q optimum (q None: the rule's p),
-    a plan that still scans."""
+    """The lower median mixed with the L_q optimum (q None: the rule's p)."""
     order = [0.0] * n
     order[(n - 1) // 2] = 1.0 - opt_weight
     return Mixture(order_weights=tuple(order), opt_weight=opt_weight, p=q)
 
 
 def optimum_specs(n, p):
-    """Plans with a solved optimum atom that still scan: the optimum nearly
-    alone, at its own exponent, and mixed with the lower median or a
-    dictator. A plan of the optimum alone takes the inverse map."""
+    """Plans with a solved optimum atom: the optimum nearly alone, at its own
+    exponent, and mixed with the lower median or a dictator. Their rows scan
+    where the exact best response does not certify them."""
     dictator = [0.0] * n
     dictator[n - 1] = 0.3
     return [
@@ -823,6 +832,164 @@ def optimum_specs(n, p):
         median_optimum(n, 0.5),
         Mixture(dictator_weights=tuple(dictator), opt_weight=0.7),
     ]
+
+
+# exponents of the mixture tests: q < 2, the closed-form mean and q > 2
+MIXTURE_P = (1.2, 1.5, 2.0, 3.0, 5.0, 8.0)
+
+
+def mixture_specs(n, p):
+    """Plans of lines and one optimum that the inverse map prices: the lower
+    median mixed with the optimum at five weights, agent 1's and agent n's
+    dictator (one agent's own, every other agent's another's), two order
+    statistics, and the optimum at its own exponent."""
+    dictator = lambda i: tuple(0.3 if k == i else 0.0 for k in range(n))
+    orders = [0.0] * n
+    orders[0], orders[-1] = 0.2, 0.3
+    return [median_optimum(n, w) for w in (0.05, 0.3, 0.5, 0.7, 0.95)] + [
+        Mixture(dictator_weights=dictator(0), opt_weight=0.7),
+        Mixture(dictator_weights=dictator(n - 1), opt_weight=0.7),
+        Mixture(order_weights=tuple(orders), opt_weight=0.5),
+        median_optimum(n, 0.5, 3.0 if p != 3.0 else 1.5),
+    ]
+
+
+def assert_no_cheaper_report(spec, profile, p, agent):
+    """An independent dense oracle: no report among 20,001 across
+    [min(x, r*) - span, max(x, r*) + span], priced by the batched curve,
+    costs more than 1e-9 * (1 + span) less than best_deviation's; r* puts
+    the optimum on x, by the inverse map written out in numpy."""
+    got = best_deviation(spec, profile, p, agent)
+    x, atoms = float(profile.values[agent - 1]), _outcome_plan(spec, profile.values.tolist(), p, agent)[1]
+    q = atoms[-1][5]
+    d = x - np.delete(profile.values, agent - 1)
+    total = float(np.sum(np.sign(d) * np.abs(d) ** (q - 1.0)))
+    r_star = x + math.copysign(abs(total) ** (1.0 / (q - 1.0)), total)
+    span = profile.span
+    reports = np.linspace(min(x, r_star) - span, max(x, r_star) + span, 20001)
+    costs = deviation_cost_curve(spec, profile, p, agent, reports)
+    assert float(costs.min()) >= got.deviated_cost - 1e-9 * (1.0 + span), (spec, p, agent)
+
+
+class TestOptimumMixtures:
+    """A plan of clipped lines of slope 0 or 1 and one unmirrored L_q
+    optimum, 1 < q < inf, takes an exact best response where it certifies
+    itself: its gain is at least the scan's, less 1e-12 * (1 + span), and no
+    report of a dense oracle is more than 1e-9 * (1 + span) cheaper. Every
+    other row keeps the scan's bits."""
+
+    @given(
+        profile=edge_profiles(max_n=7),
+        pick=st.integers(0, 10**6),
+        p=st.sampled_from(MIXTURE_P),
+        agent=st.integers(1, 7),
+    )
+    def test_edge_rows_beat_the_scan(self, profile, pick, p, agent):
+        specs = mixture_specs(profile.n, p)
+        assert_scan_or_certified(specs[pick % len(specs)], profile, p, min(agent, profile.n))
+
+    @given(
+        values=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=7),
+        pick=st.integers(0, 10**6),
+        p=st.sampled_from(MIXTURE_P),
+        agent=st.integers(1, 7),
+    )
+    def test_no_report_of_the_oracle_is_cheaper(self, values, pick, p, agent):
+        profile = LocationProfile(values)
+        specs, agent = mixture_specs(profile.n, p), min(agent, profile.n)
+        assert_no_cheaper_report(specs[pick % len(specs)], profile, p, agent)
+
+    def test_every_row_of_the_sweep_is_certified(self):
+        # one uniform profile per shape, every agent, the specs in turn
+        rng = np.random.default_rng(24)
+        for p in MIXTURE_P:
+            for n in range(2, 8):
+                profile = LocationProfile(rng.uniform(0.0, 1.0, n))
+                specs = mixture_specs(n, p)
+                for agent in range(1, n + 1):
+                    spec = specs[(n + agent) % len(specs)]
+                    assert inverse_map_row(spec, profile, p, agent) is not None, (spec, p, agent)
+                    assert_scan_or_certified(spec, profile, p, agent)
+                    assert_no_cheaper_report(spec, profile, p, agent)
+
+    @pytest.mark.parametrize("p", [1.01, 1.1])
+    def test_near_one_the_uncertified_rows_keep_the_scan(self, p):
+        # a far r* stretches the forward solve's row, and a report priced
+        # there without the certificate costs more than the scan's best
+        certified = rows = 0
+        for _, profile, agent in inverse_map_rows([p]):
+            specs = mixture_specs(profile.n, p)
+            spec = specs[(profile.n + agent) % len(specs)]
+            assert_scan_or_certified(spec, profile, p, agent)
+            certified += inverse_map_row(spec, profile, p, agent) is not None
+            rows += 1
+        assert 0 < certified < rows
+
+    @given(
+        others=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=6),
+        y=st.floats(-1.0, 1.0),
+        q=st.sampled_from([1.1, 1.5, 1.9, 2.0, 2.5, 3.0, 5.0, 8.0]),
+    )
+    def test_r_prime_is_at_least_one_and_two_from_q_two(self, others, y, q):
+        # r'(y) = 1 + |D|^((2 - q) / (q - 1)) * sum |y - o|^(q - 2): at least 2
+        # for q >= 2, as the (q - 2)-norm is at least the (q - 1)-norm, and 1
+        # below; checked on the formula and on the library's map, with its
+        # error bounds, over a step of 1e-6
+        a = np.abs(y - np.array(others))
+        d = float(np.sum(np.sign(y - np.array(others)) * a ** (q - 1.0)))
+        assume(d != 0.0 and a.min() > 1e-3)
+        least = 2.0 if q >= 2.0 else 1.0
+        slope = 1.0 + abs(d) ** ((2.0 - q) / (q - 1.0)) * float(np.sum(a ** (q - 2.0)))
+        assert slope >= least * (1.0 - 1e-12)
+        step, others = 1e-6, sorted(others)
+        (r0, e0), (r1, e1) = (deviation._inverse_report(others, v, q) for v in (y, y + step))
+        assert r1 - r0 + e0 + e1 >= least * step * (1.0 - 1e-9)
+
+    @pytest.mark.parametrize(
+        "agent, report, scanned",
+        [
+            # D(1) = 2 over the others 0, 0, 1, so r = 1 + 2^2; the order
+            # statistic is stuck at 0, so the optimum alone moves
+            (4, 5.0, (4.0025, 0.3191)),
+            (1, -4.0, (-2.0025, 0.2477)),
+        ],
+    )
+    def test_pinned_rows(self, agent, report, scanned):
+        # `scanned` is the window scan's (report, gain), stopped at its window's end
+        spec = Mixture(order_weights=(0.0, 0.3, 0.0, 0.0), opt_weight=0.7)
+        got = best_deviation(spec, LocationProfile([0.0, 0.0, 1.0, 1.0]), 1.5, agent)
+        assert got.best_misreport == report and got.gain == pytest.approx(0.35, abs=1e-9)
+        assert got.gain > scanned[1] + 0.03
+
+    def test_an_interior_least_where_r_prime_is_below_two(self):
+        # at q = 1.5 the median's weight 0.4 is at least half the optimum's 0.6
+        # but below it, so only the lemma's r' >= 1 (not 2) leaves the piece
+        # open: the least lies inside it, where r'(y) = 0.6 / 0.4, and the
+        # golden polish of the scan lands within 3e-15 of its cost
+        got = best_deviation(median_optimum(3, 0.6), LocationProfile([0.0, 1.0, 0.4]), 1.5, 3)
+        assert got.best_misreport == pytest.approx(0.3797958971132713, abs=1e-9)
+        assert got.gain == pytest.approx(7.203689082493e-4, abs=1e-15)
+
+    def test_the_optimum_alone_keeps_r_star_on_a_tie(self):
+        # the no-line case: r* = 2 * (1/3) - 2/3 = 0 puts the midrange on x,
+        # as x itself does; r* wins the tie, as it did before mixtures took
+        # this path, so `Optimal` rows keep their bits
+        got = best_deviation(Optimal(), LocationProfile([1.0 / 3.0, 0.0, 2.0 / 3.0]), math.inf, 1)
+        assert (got.best_misreport, got.deviated_cost, got.gain) == (0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 5.0])
+    def test_a_mixture_scan_builds_no_candidate_and_never_polishes(self, p, monkeypatch):
+        # counts calls, not seconds: a row sent back to the scan fails
+        calls = []
+        count = lambda name, fn: lambda *args: calls.append(name) or fn(*args)
+        monkeypatch.setattr(deviation, "_plan_min", count("scan", deviation._plan_min))
+        monkeypatch.setattr(deviation, "_window_candidates", count("window", deviation._window_candidates))
+        monkeypatch.setattr(mechanisms, "_optimum_rows", count("kernel", mechanisms._optimum_rows))
+        monkeypatch.setattr(deviation, "_golden_min", count("polish", deviation._golden_min))
+        for n in range(2, 8):
+            for spec in mixture_specs(n, p):
+                sp_scan(spec, p, n, 3, 1)
+        assert calls == []
 
 
 def assert_plan_min_is_the_full_curve(spec, profile, p, agent):
@@ -881,13 +1048,15 @@ class TestPrunedScan:
         values = rng.uniform(0.0, 1.0, size=n)
         # thirds tie and duplicate reports; the second profile is far from 0
         profiles = [np.round(values * 3.0) / 3.0, 1e6 * values - 3e5]
-        for k, (values, spec) in enumerate((v, s) for v in profiles for s in optimum_specs(n, p)):
-            profile, agent = LocationProfile(values), 1 + k % n
-            expect = outcome(reference_best_deviation, spec, profile, p, agent)
-            assert outcome(best_deviation, spec, profile, p, agent) == expect, (spec, agent)
-        # the optimum alone scans only where the inverse map is not certified
+        rows = [(v, s) for v in profiles for s in optimum_specs(n, p)]
+        for k, (values, spec) in enumerate(rows):
+            assert_scan_or_certified(spec, LocationProfile(values), p, 1 + k % n)
+        # the rows scan only where the inverse map is not certified, so the
+        # scan meets every plan directly, the optimum alone included
+        pruned_calls.clear()
         alone = (Optimal(), Optimal(3.0 if p != 3.0 else 1.5))
-        for k, (values, spec) in enumerate((v, s) for v in profiles for s in alone):
+        rows += [(v, s) for v in profiles for s in alone]
+        for k, (values, spec) in enumerate(rows):
             assert_plan_min_is_the_full_curve(spec, LocationProfile(values), p, 1 + k % n)
         assert len(pruned_calls) == 12 and None not in pruned_calls
 
@@ -896,9 +1065,9 @@ class TestPrunedScan:
         profile = LocationProfile([-span, 0.25 * span, span])
         for spec in optimum_specs(3, 3.0):
             for agent in (1, 3):
-                expect = outcome(reference_best_deviation, spec, profile, 3.0, agent)
-                assert outcome(best_deviation, spec, profile, 3.0, agent) == expect, (spec, agent)
-        for spec in (Optimal(), Optimal(1.5)):
+                assert_scan_or_certified(spec, profile, 3.0, agent)
+        pruned_calls.clear()
+        for spec in optimum_specs(3, 3.0) + [Optimal(), Optimal(1.5)]:
             for agent in (1, 3):
                 assert_plan_min_is_the_full_curve(spec, profile, 3.0, agent)
         assert len(pruned_calls) == 12 and None not in pruned_calls
@@ -918,13 +1087,15 @@ class TestPrunedScan:
 
     def test_a_batch_where_only_some_agents_prune(self, pruned_calls):
         # agent 3's misreports reach -1.6e308, so its cost cap overflows and it
-        # takes the full curve, while agents 1 and 2 prune in the same batch
+        # takes the full curve, while agent 1 prunes in the same batch; at
+        # NEAR_ONE the inverse map overflows for both, and agent 2, the median,
+        # is certified, as its truthful cost is within 1e-9 * (1 + span) of 0
         profile = LocationProfile([1e307, 1.1e307, 4e307])
         for spec in (median_optimum(3, 0.9), median_optimum(3, 0.5)):
-            expect = per_agent_loop(spec, profile, 3.0)
+            expect = per_agent_loop(spec, profile, NEAR_ONE)
             pruned_calls.clear()
-            assert profile_batch(spec, profile, 3.0) == expect, spec
-            assert [found is None for found in pruned_calls] == [False, False, True]
+            assert profile_batch(spec, profile, NEAR_ONE) == expect, spec
+            assert [found is None for found in pruned_calls] == [False, True]
 
     def test_mirrored_plans_take_the_full_curve(self, pruned_calls):
         profile = LocationProfile([0.2, 0.9])
@@ -988,11 +1159,14 @@ class TestPrunedScan:
             return solve(cols, p)
 
         monkeypatch.setattr(optimizer, "_bisect_columns", counting)
+        # the rows take the inverse map, so the scan is called on their plans
         profile = LocationProfile(np.random.default_rng(3).uniform(0.0, 1.0, size=5))
         candidates = 0
         for agent in range(1, 6):
-            best_deviation(spec, profile, 3.0, agent, SearchConfig(refine_iters=0))
-            candidates += misreport_candidates(profile, agent).size
+            others, atoms = _outcome_plan(spec, profile.values.tolist(), 3.0, agent)
+            reports = misreport_candidates(profile, agent)
+            mechanisms._plan_min([(others, atoms, float(profile.values[agent - 1]), reports)])
+            candidates += reports.size
         assert 0 < sum(rows) <= 0.15 * candidates
 
 
@@ -1045,9 +1219,10 @@ class TestProfileBatch:
             return solve(cols, p)
 
         monkeypatch.setattr(optimizer, "_bisect_columns", counting)
+        # at NEAR_ONE every agent of the profile scans
         for seed in (1, 2, 3):
             calls.clear()
-            sp_scan(spec, 3.0, n=5, trials=1, seed=seed, include_structured=False)
+            sp_scan(spec, NEAR_ONE, n=5, trials=1, seed=seed, include_structured=False)
             assert 1 <= len(calls) <= 2, seed
 
 
@@ -1068,6 +1243,18 @@ def reference_scan(spec, p, n, trials, seed, include_structured=True, best=best_
                 return got
             reports.append(best(spec, profile, p, agent))
     return outcome(lambda: max(reports, key=lambda r: (r.gain, tuple(r.true_profile.values.tolist()))))
+
+
+def closed_or_polished(spec, profile, p, agent):
+    """The closed form's report where `_inverse_min` certifies the row, else
+    `reference_best_deviation`'s, whose polish always runs."""
+    closed = inverse_map_row(spec, profile, p, agent)
+    if closed is None:
+        return reference_best_deviation(spec, profile, p, agent)
+    x = float(profile.values[agent - 1])
+    others, atoms = _outcome_plan(spec, profile.values.tolist(), validate_pnorm(p), agent)
+    truthful = _plan_at(others, atoms, x, x)
+    return DeviationReport(agent, profile, closed[0], truthful, closed[1], truthful - closed[1])
 
 
 def scan_outcome(spec, p, n, trials, seed, include_structured=True):
@@ -1095,7 +1282,7 @@ class TestScanFloor:
         specs = [median_optimum(n, 0.5), Median(), catalog(n)[8]] + (optimum_rules_at_two() if n == 2 else [LRM()])
         for k, (spec, p) in enumerate((spec, p) for spec in specs for p in (1.5, 2.0, 3.0, math.inf)):
             args = (spec, p, n, 3, k, k % 2 == 1)
-            assert scan_outcome(*args) == reference_scan(*args, best=reference_best_deviation), (spec, p)
+            assert scan_outcome(*args) == reference_scan(*args, best=closed_or_polished), (spec, p)
 
     @pytest.mark.parametrize("n", [2, 3, 6])
     def test_tied_and_huge_profiles(self, n, monkeypatch):
@@ -1130,6 +1317,9 @@ class TestScanFloor:
                     differing.append(LocationProfile(values))
                     break
         monkeypatch.setattr(deviation, "four_block_profiles", lambda n, p: differing)
+        # every row of these mixtures takes the exact best response, so they
+        # are made to scan as they did before, to meet both means
+        monkeypatch.setattr(deviation, "_inverse_min", lambda *args: None)
         for spec in (median_optimum(5, 0.5), median_optimum(5, 0.9, 2.0), catalog(5)[8]):
             for seed in (0, 1):
                 args = (spec, 2.0, 5, 3, seed)
@@ -1174,7 +1364,9 @@ class TestScanFloor:
         assert len(floors) == 2 and floors[1] > -math.inf
 
     def test_the_sp_opt_shape_polishes_few_agents(self, monkeypatch):
-        # counts polishes, not seconds: 21 profiles of 5 agents are 105 rows
+        # counts polishes, not seconds: 21 profiles of 5 agents are 105 rows,
+        # made to scan as they did before the inverse map took them
+        monkeypatch.setattr(deviation, "_inverse_min", lambda *args: None)
         calls = []
         monkeypatch.setattr(deviation, "_golden_min", lambda *args: calls.append(args) or _golden_min(*args))
         sp_scan(median_optimum(5, 0.5), 3.0, n=5, trials=20, seed=1)
@@ -1186,7 +1378,9 @@ class TestScanFloor:
     @pytest.mark.parametrize("spec", [median_optimum(5, 0.75), median_optimum(5, 0.5)])
     def test_a_lone_profile_polishes_only_its_top_agent(self, spec, monkeypatch):
         # the agent of largest scan gain is polished first and lifts the floor
-        # past every other agent's bound
+        # past every other agent's bound; the rows are made to scan as they did
+        # before the inverse map took them
+        monkeypatch.setattr(deviation, "_inverse_min", lambda *args: None)
         calls = []
         monkeypatch.setattr(deviation, "_golden_min", lambda *args: calls.append(args) or _golden_min(*args))
         for seed in range(1, 6):

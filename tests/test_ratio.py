@@ -474,3 +474,42 @@ class TestSocialCostSanity:
         prof = LocationProfile([0.0, 0.3, 0.9, 2.0])
         costs = [social_cost(prof, 0.5, p) for p in (1.0, 1.5, 2.0, 4.0, 16.0, math.inf)]
         assert all(a >= b - 1e-12 for a, b in zip(costs, costs[1:]))
+
+
+def two_agent_specs():
+    """Fourteen catalog rules at n = 2: lines, optima, lotteries, mirrors and a mixture."""
+    return [
+        Median(),
+        OrderStatistic(1),
+        OrderStatistic(2),
+        Dictator(1),
+        Dictator(2),
+        Optimal(),
+        Optimal(3.0),
+        LRM(),
+        ThreePoint(0.2),
+        Mirror(Median()),
+        Mirror(Optimal()),
+        Symmetrized(ThreePoint(0.2)),
+        Symmetrized(Optimal()),
+        Mixture(dictator_weights=(0.5, 0.0), order_weights=(0.0, 0.25), opt_weight=0.25),
+    ]
+
+
+class TestTwoAgentReduction:
+    """Every catalog rule is shift and scale equivariant, so every
+    nondegenerate two-agent profile prices as (0, 1) or as (1, 0): the
+    search's worst ratio is the larger ratio of those two profiles (the
+    reduction behind the paper's two-agent optimality claim for LRM)."""
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 8.0, math.inf])
+    def test_the_search_equals_the_two_canonical_profiles(self, p):
+        for spec in two_agent_specs():
+            found = worst_ratio_search(spec, p, 2).ratio
+            canonical = max(ratio(spec, LocationProfile(v), p).ratio for v in ([0.0, 1.0], [1.0, 0.0]))
+            # the search prices both splits, so it is never below them; above
+            # them by rounding alone: its climb reaches profiles whose span is
+            # 3e4 times smaller than their distance from 0, where an atom
+            # rounds by an ulp of the reports, 1e-12 of the span
+            # (symmetrize(threepoint:0.2) at p = 1 reads 1.0000000000010099)
+            assert canonical <= found <= canonical * (1.0 + 2e-12), (spec, p)
