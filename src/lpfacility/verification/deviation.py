@@ -29,6 +29,11 @@ bracket into pieces, on most of which the least cost sits at an end, and a
 branch and bound over the optimum's location covers the rest. A handful of
 reports are priced forward, and the cheapest is reported only if it is
 within 1e-9 * (1 + span) of a lower bound proven over every real report.
+Nor does a closed plan search a window: clipped lines, mirrored or not, and
+at most one L_inf optimum (LRM, ThreePoint, Mirror and Symmetrized of
+lines, order and dictator mixtures). Its cost is piecewise linear in the
+report and never below 0, so a least-cost report lies at a kink, and only
+the others' reports, the extremes, the kinks and x are priced.
 """
 
 from __future__ import annotations
@@ -289,13 +294,67 @@ def best_deviation(
       wins a tie with x, as it did before the mixtures took this path.
     Such a row builds no candidates and is not polished; it still passes
     `_check_window` first, so a window the scan refuses is refused at the
-    same agent. Every other row scans, bit for bit as before, as do Mirror
-    and Symmetrized of the optimum, two-agent rules, and mixtures with the
-    L_inf optimum. The scan searches a bounded window: on [0, 0, 0, 1, 1] at
-    p = 1.5 the optimum's row stops at 4.0025, where r = 10 gains twice as
-    much, and Mixture(order_weights=(0, 0.3, 0, 0), opt_weight=0.7) on
-    [0, 0, 1, 1] at p = 1.5 stops at 4.0025 with gain 0.319, where r = 5
-    gains 0.35.
+    same agent. Every other row is priced at its kinks where its plan is
+    closed (below), and else scans, bit for bit as before, as do Mirror and
+    Symmetrized of the optimum at p > 1. The scan searches a bounded
+    window: on [0, 0, 0, 1, 1] at p = 1.5 the optimum's row stops at 4.0025,
+    where r = 10 gains twice as much, and Mixture(order_weights=(0, 0.3, 0,
+    0), opt_weight=0.7) on [0, 0, 1, 1] at p = 1.5 stops at 4.0025 with gain
+    0.319, where r = 5 gains 0.35.
+
+    A closed plan, of clipped lines of slope s in [0, 1], mirrored or not,
+    and then at most one unmirrored L_inf optimum, is priced at its kinks
+    (`_kink_min`): the rows of LRM, ThreePoint, Mirror and Symmetrized of
+    lines, order and dictator mixtures with two or more weights, and the
+    L_inf optimum, mixed or (where `_inverse_min` does not certify it)
+    alone. o is others[0], the other report at n = 2, and B = |low| + |high|.
+    - Least cost at a kink. Each location is continuous and piecewise
+      linear in r: a line's pieces are s r + b and its clip ends lo and hi;
+      a mirrored line's are r + o - (s r + b), r + o - lo and r + o - hi;
+      the midrange's are 0.5 (r + others[-1]) below others[0], a constant
+      up to others[-1] and 0.5 (others[0] + r) above. So the cost C(r), a
+      sum of w |x - y(r)|, is continuous and piecewise linear, and breaks
+      only where a piece ends or meets x. Between two adjacent breaks C is
+      linear, so its least there is at a break. The two outer pieces run to
+      -inf and +inf, and C >= 0 on them, so C does not fall as r goes
+      outward, or it would go below 0: their least is at the outermost
+      breaks. With no break C is constant. So the least over every real
+      report is at a break or, with none, at x.
+    - Kinks. The candidates are the others' reports in agent order, lo -+
+      span and hi -+ span, every break and x, priced by `_plan_at`, as
+      `run` prices the rule; the first strict minimum wins, so the others
+      and the extremes win ties, as in the scan. The breaks are the others'
+      reports and a line's clip ends, exact, and, computed: (v - b) / s
+      for a clip end v and (x - b) / s, s > 0; (x - o + b) / (1 - s),
+      s < 1, and x - o + v, for a mirrored line; 2 x - others[-1] and
+      2 x - others[0] for the midrange. Each is a sum of at most three
+      terms, of magnitudes summing to a, over d in {1, s, 1 - s}: its two
+      roundings lie within u a (1 + u) each, and d and the quotient round
+      by a relative u each, so the computed kink is within 3 eps a / d of
+      the exact one (0 for v and x at s = 1, b = 0: an order statistic or
+      the agent's own dictator). In the catalog s is 0, 1/2 or 1, and every
+      shift and clip end is at most B in magnitude, so a / d <= 5 B (at
+      (x - o + o / 2) / (1 / 2), a mirrored ThreePoint), and every
+      candidate lies in [-3 B, 3 B].
+    - Rounding. C is Lipschitz with L = sum of w_k L_k, L_k = s for a
+      line, 1 for a mirrored one (its pieces' slopes are 1 - s and 1) and
+      1/2 for the midrange, so L <= sum w <= 1 + 1e-12, and the exact cost
+      at the nearest computed kink exceeds the least by at most 15.1 eps B.
+      `_plan_at` rounds each location within 3 eps (|r| + B) (a product and
+      a sum, then two sums for a mirror, or one sum for the midrange), and
+      then |x - y|, w * t and the sum of the K atoms' terms within
+      (K + 2) u C(r), and C(r) <= sum w (|r| + 3 B). So for every real
+      report r the reported cost is at most r's computed cost plus
+      15.1 eps B + e(3 B) + e(r), e(r) = (K + 5) eps (|r| + 3 B): below
+      1e-12 (1 + span) for profiles in [0, 1] at K <= 6 and |r| <= 4.
+    - Fall back. `_pruned_min`'s window cap is bounded as in
+      `_inverse_min`: each location is monotone in r (s <= 1), so each
+      term's largest over the scan's candidates is at their least or
+      greatest, and twice the sum of those largest leaves room for
+      rounding. Where it overflows, or where a kink or a candidate's cost
+      is not finite, the row scans bit for bit, and so refuses an
+      overflowing cost at the same agent. A row priced at its kinks builds
+      no candidate array, makes no `_plan_min` call and is never polished.
 
     A one-line plan is priced in closed form (`_line_min`): the (report,
     cost) the scan (`mechanisms._plan_min`) returns for the full candidate
@@ -416,9 +475,9 @@ def _deviations(spec, profile: LocationProfile, p: float, agents, cfg: SearchCon
     """[best_deviation(spec, profile, p, a, cfg) for a in agents], bit for
     bit, less the agents whose gain provably stays below `floor`, with every
     agent's candidate scan in one `_plan_min` call, so the optimum rows of
-    all agents share its two kernel calls. One-line plans and the certified
-    plans of lines and one optimum take their exact forms instead (see
-    best_deviation), and are never polished. The candidates' extremes and
+    all agents share its two kernel calls. One-line plans, the certified
+    plans of lines and one optimum and closed plans take their exact forms
+    instead (see best_deviation), and are never polished. The candidates' extremes and
     grid are built once for the profile, only if some row scans, and each
     scanning agent's candidates copy them (`misreport_candidates` composes
     the same two parts); a window that is not finite, as read off its scalar ends
@@ -442,6 +501,8 @@ def _deviations(spec, profile: LocationProfile, p: float, agents, cfg: SearchCon
     hull, values = _window_hull(profile, cfg), profile.values.tolist()
     scales = _unit_arrays(cfg.grid_points, cfg.scale_bound, cfg.scale_steps_per_unit)[1]
     slots = lambda: _window_candidates(profile, cfg)[profile.n - 1 : -scales.size - 1]
+    lo, hi, span = profile.low, profile.high, profile.span
+    extremes = [lo - span, lo + span, hi - span, hi + span]
     for agent in agents:
         try:
             x = float(profile.values[_check_agent(agent, profile.n) - 1])
@@ -450,12 +511,14 @@ def _deviations(spec, profile: LocationProfile, p: float, agents, cfg: SearchCon
         except Exception as exc:
             error = exc
             break
-        truthful, best = _plan_at(others, atoms, x, x), None
+        truthful = _plan_at(others, atoms, x, x)
+        reports = values[: agent - 1] + values[agent:]
         if _one_line(atoms):
-            reports = values[: agent - 1] + values[agent:]
             best = _line_min(others, atoms, x, truthful, reports, hull, slots, scales)
         else:
-            best = _inverse_min(others, atoms, x, truthful, profile.span, hull, scales)
+            best = _inverse_min(others, atoms, x, truthful, span, hull, scales)
+            if best is None:
+                best = _kink_min(others, atoms, x, reports + extremes, hull, scales)
         rows.append((agent, others, atoms, x, truthful, best))
     to_scan = [row for row in rows if row[5] is None]
     if to_scan:
@@ -529,10 +592,16 @@ def _line_min(others, atoms, x: float, truthful: float, reports: list, hull, slo
         report = ([r for r in reports if r == 0.0] + grid[grid == 0.0].tolist() + [float(scales[0]) * x])[0]
     if lo == -math.inf or hi == math.inf:
         # the cost is unimodal in r, so its largest is at the least or the greatest candidate
-        ends = float(scales[0]) * x, float(scales[-1]) * x
-        if not math.isfinite(max(cost(min(hull[0], *ends)), cost(max(hull[1], *ends)))):
+        if not math.isfinite(max(map(cost, _candidate_ends(hull, scales, x)))):
             return report, math.inf
     return report, truthful
+
+
+def _candidate_ends(hull, scales, x: float) -> tuple[float, float]:
+    # the least and greatest of the candidates of the agent at x: the ends of
+    # `hull` and of x's scalings `scales` * x, as the others and x lie in the hull
+    scaled = float(scales[0]) * x, float(scales[-1]) * x
+    return min(hull[0], *scaled), max(hull[1], *scaled)
 
 
 def _inverse_report(others, y: float, q: float):
@@ -583,8 +652,7 @@ def _inverse_min(others, atoms, x: float, truthful: float, span: float, hull, sc
         return None
     clip = lambda a, r: min(max(r, a[3]), a[4]) if a[1] else a[2]
     # _pruned_min's cost cap, bounded above: each line is monotone in r
-    scaled = float(scales[0]) * x, float(scales[-1]) * x
-    ends = min(hull[0], *scaled), max(hull[1], *scaled)
+    ends = _candidate_ends(hull, scales, x)
     cap = w * max(abs(x - ends[0]), abs(x - ends[1]))
     for a in lines:
         cap += a[0] * max(abs(x - clip(a, ends[0])), abs(x - clip(a, ends[1])))
@@ -742,6 +810,53 @@ def _inverse_cells(others, q, w, s, sigma, least, lower, upper, span, bound):
     return heap[0][0], min(points.values())[1]
 
 
+def _kink_min(others, atoms, x: float, leading: list, hull, scales):
+    # (report, cost) of a least-cost report for a closed plan, clipped lines of
+    # slope in [0, 1], mirrored or not, then at most one unmirrored L_inf
+    # optimum: the first strict minimum of `leading` (the others' reports in
+    # agent order, then lo -+ span and hi -+ span), the kinks and x, each
+    # priced by _plan_at; None for any other plan and where a kink or a cost
+    # is not finite or the scan's cost cap overflows (see best_deviation);
+    # `hull` and `scales` as in _line_min
+    *lines, last = atoms
+    if last[5] is None:
+        lines = atoms
+    elif last[5] != math.inf or last[6]:
+        return None
+    if any(a[5] is not None or not 0.0 <= a[1] <= 1.0 for a in lines):
+        return None
+    o, kinks = others[0], []
+    for _, slope, shift, lo, hi, _, mirrored in lines:
+        ends = [v for v in (lo, hi) if math.isfinite(v)]
+        if slope:
+            # where the line meets its clip ends and x
+            kinks += [(v - shift) / slope for v in ends] + [(x - shift) / slope]
+        if mirrored:
+            # where r + o - y meets x: y on the line, then at each clip end
+            kinks += ([(x - o + shift) / (1.0 - slope)] if slope != 1.0 else []) + [x - o + v for v in ends]
+    if last[5] is not None:
+        # the midrange leaves its flat middle at others[0] and others[-1], and
+        # 0.5 * (r + others[-1]) and 0.5 * (others[0] + r) meet x at
+        kinks += [2.0 * x - others[-1], 2.0 * x - others[0]]
+    # each location is monotone in r, so each term's largest over the scan's
+    # candidates is at their least or greatest, and twice the cap leaves room
+    # for rounding
+    cap = 0.0
+    for atom, *ends in zip(atoms, *(_plan_at(others, atoms, r) for r in _candidate_ends(hull, scales, x))):
+        cap += atom[0] * max(abs(x - y) for y in ends)
+    if not math.isfinite(2.0 * cap):
+        return None
+    best_r = best_c = None
+    # equal reports cost the same, so pricing each once keeps the first strict minimum
+    for r in dict.fromkeys(leading + kinks + [x]):
+        c = _plan_at(others, atoms, r, x)
+        if not (math.isfinite(r) and math.isfinite(c)):
+            return None
+        if best_c is None or c < best_c:
+            best_r, best_c = r, c
+    return best_r, best_c
+
+
 def _polish_slack(atoms, best_r: float, window: float, reach: float, truthful: float, best_c: float) -> float:
     # every point the polish prices costs at least best_c - slack, so the
     # polished gain is at most truthful - best_c + slack (see best_deviation);
@@ -752,10 +867,6 @@ def _polish_slack(atoms, best_r: float, window: float, reach: float, truthful: f
         mass += w
     delta = 1e-9 * (reach + 2.0 * (abs(best_r) + window))
     return lip * window + 2.0 * mass * delta + 1e-12 * (truthful + best_c)
-
-
-def _report_key(report: DeviationReport):
-    return (report.gain, tuple(report.true_profile.values.tolist()))
 
 
 def sp_scan(
@@ -797,8 +908,10 @@ def sp_scan(
     agents, worst, worst_key = range(1, n + 1), None, None
     for prof in profiles:
         floor = -math.inf if worst is None else worst.gain
+        # every report of the profile shares its values, so the key's tuple is built once
+        values = tuple(prof.values.tolist())
         for report in _deviations(spec, prof, p, agents, cfg, floor):
-            key = _report_key(report)
+            key = (report.gain, values)
             if worst is None or key > worst_key:
                 worst, worst_key = report, key
     return worst

@@ -99,17 +99,48 @@ def inverse_map_row(spec, profile, p, agent):
     return deviation._inverse_min(others, atoms, x, _plan_at(others, atoms, x, x), profile.span, hull, scales)
 
 
+def kink_row(spec, profile, p, agent):
+    """The (report, cost) best_deviation takes at the kinks of a closed plan
+    (`deviation._kink_min`), or None where it scans or takes another form."""
+    cfg = SearchConfig()
+    try:
+        others, atoms = _outcome_plan(spec, profile.values.tolist(), validate_pnorm(p), agent)
+    except Exception:
+        return None
+    hull, x = deviation._window_hull(profile, cfg), float(profile.values[agent - 1])
+    if hull is None or deviation._one_line(atoms) or inverse_map_row(spec, profile, p, agent) is not None:
+        return None
+    scales = deviation._unit_arrays(cfg.grid_points, cfg.scale_bound, cfg.scale_steps_per_unit)[1]
+    lo, hi, span, values = profile.low, profile.high, profile.span, profile.values.tolist()
+    leading = values[: agent - 1] + values[agent:] + [lo - span, lo + span, hi - span, hi + span]
+    return deviation._kink_min(others, atoms, x, leading, hull, scales)
+
+
+def assert_kinked(got, expect, kinked, profile, label):
+    """A row priced at its kinks reports the kink path's (report, cost), the
+    reference's truthful cost and a gain of at least the reference's, less
+    1e-15 * (1 + span)."""
+    report, truthful, cost, gain = map(float.fromhex, got[2:])
+    assert (report, cost) == kinked, label
+    tol = 1e-15 * (1.0 + profile.span)
+    assert truthful == float.fromhex(expect[3]) and gain >= float.fromhex(expect[5]) - tol, label
+
+
 def assert_scan_or_certified(spec, profile, p, agent):
     """best_deviation equals `reference_best_deviation` by float.hex, errors
     included, on every row that scans. A row `_inverse_min` certifies
     reports its closed form instead: the reference's truthful cost and a gain
     of at least the reference's, less 1e-12 * (1 + span); where the plan's
-    one atom is the optimum, a deviated cost of at most 1e-9 * (1 + span)."""
+    one atom is the optimum, a deviated cost of at most 1e-9 * (1 + span).
+    A row priced at its kinks is checked by `assert_kinked`."""
     expect = outcome(reference_best_deviation, spec, profile, p, agent)
     got = outcome(best_deviation, spec, profile, p, agent)
-    closed = inverse_map_row(spec, profile, p, agent)
-    if closed is None or not isinstance(expect[0], int):
+    closed, kinked = inverse_map_row(spec, profile, p, agent), kink_row(spec, profile, p, agent)
+    if (closed is None and kinked is None) or not isinstance(expect[0], int):
         assert got == expect, (spec, p, agent)
+        return
+    if kinked is not None:
+        assert_kinked(got, expect, kinked, profile, (spec, p, agent))
         return
     report, truthful, cost, gain = map(float.fromhex, got[2:])
     tol = 1.0 + profile.span
@@ -542,7 +573,8 @@ class TestPolishSkip:
         # the mixtures' rows scan at NEAR_ONE, where the inverse map is not certified
         calls = self._count_polishes(monkeypatch)
         best_deviation(median_optimum(3, 0.5), LocationProfile([0.0, 0.3, 1.0]), NEAR_ONE, agent=1)
-        best_deviation(Mirror(LRM()), LocationProfile([0.0, 1.0]), 2.0, agent=1)
+        # a mirrored optimum, beside a mirrored dictator that keeps the cost above 0
+        best_deviation(Mirror(Mixture(dictator_weights=(0.5, 0.0), opt_weight=0.5)), LocationProfile([0.0, 1.0]), 2.0, agent=1)
         # a solved optimum atom, although here its location never reaches x
         best_deviation(median_optimum(3, 0.9), LocationProfile([0.0, 10.0, 11.0]), NEAR_ONE, agent=1)
         assert len(calls) == 3
@@ -645,7 +677,8 @@ class TestOneLinePlans:
         # the L_1 optimum is the median's line
         assert sp_scan(Optimal(), 1.0, n=6, trials=5, seed=42).gain == 0.0
         assert calls == []
-        best_deviation(LRM(), LocationProfile([0.0, 1.0]), 2.0, agent=1)
+        # a mirrored optimum still scans
+        best_deviation(Mirror(Optimal()), LocationProfile([0.0, 1.0]), 2.0, agent=1)
         assert "costs" in calls
 
 
@@ -695,7 +728,12 @@ class TestL1Optimum:
         spec, p, optima = cases[pick % len(cases)]
         for agent in range(1, profile.n + 1):
             expect = outcome(l1_atom_reference, spec, optima, profile, p, agent)
-            assert outcome(best_deviation, spec, profile, p, agent) == expect, (spec, agent)
+            got, kinked = outcome(best_deviation, spec, profile, p, agent), kink_row(spec, profile, p, agent)
+            if kinked is None or not isinstance(expect[0], int):
+                assert got == expect, (spec, agent)
+            else:
+                # a plan of two or more lines (the median's and the optimum's) is priced at its kinks
+                assert_kinked(got, expect, kinked, profile, (spec, agent))
 
     @pytest.mark.parametrize(
         "values, location, misreports",
@@ -802,8 +840,8 @@ class TestInverseMap:
         for n in range(2, 9):
             assert sp_scan(Optimal(), p, n, 3, 1).gain > 0.0
         assert calls == []
-        # a mixture with the L_inf optimum still scans
-        sp_scan(median_optimum(5, 0.5, math.inf), p, 5, 3, 1)
+        # a mixture whose optimum the inverse map does not certify still scans
+        sp_scan(median_optimum(5, 0.5, NEAR_ONE), p, 5, 3, 1)
         assert {"scan", "window", "kernel"} <= set(calls)
 
 
@@ -988,6 +1026,191 @@ class TestOptimumMixtures:
         monkeypatch.setattr(deviation, "_golden_min", count("polish", deviation._golden_min))
         for n in range(2, 8):
             for spec in mixture_specs(n, p):
+                sp_scan(spec, p, n, 3, 1)
+        assert calls == []
+
+
+def two_agent_closed_specs():
+    """Two-agent rules whose plans are clipped lines, mirrored or not."""
+    return [
+        LRM(),
+        ThreePoint(0.2),
+        ThreePoint(0.5),
+        Mirror(LRM()),
+        Mirror(Median()),
+        Mirror(Dictator(1)),
+        Mirror(ThreePoint(0.3)),
+        Symmetrized(LRM()),
+        Symmetrized(ThreePoint(0.1)),
+        Symmetrized(Median()),
+    ]
+
+
+def closed_mixture_specs(n):
+    """Order and dictator mixtures with two or more nonzero weights, and the
+    lower median mixed with the L_inf optimum."""
+    zeros = [0.0] * n
+    ends, spread = list(zeros), list(zeros)
+    ends[0], ends[-1] = 0.4, 0.6
+    spread[0] += 0.25
+    spread[(n - 1) // 2] += 0.5
+    spread[-1] += 0.25
+    return [
+        Mixture(dictator_weights=tuple(ends)),
+        Mixture(order_weights=tuple(spread)),
+        Mixture(dictator_weights=tuple(ends[:1] + zeros[1:]), order_weights=tuple(zeros[1:] + [0.6])),
+        median_optimum(n, 0.5, math.inf),
+        Mixture(dictator_weights=tuple(zeros[1:] + [0.3]), opt_weight=0.7, p=math.inf),
+    ]
+
+
+def closed_rows(specs_of, ns, trials, seed):
+    """(spec, profile, agent) over n in ns: the half-half split and `trials`
+    uniform profiles per n, a third of them rounded to thirds, every spec
+    and every agent."""
+    rng = np.random.default_rng(seed)
+    for n in ns:
+        profiles = [LocationProfile([0.0] * (n - n // 2) + [1.0] * (n // 2))]
+        for k in range(trials):
+            values = rng.uniform(0.0, 1.0, n)
+            profiles.append(LocationProfile(np.round(values * 3.0) / 3.0 if k % 3 == 0 else values))
+        for profile in profiles:
+            for spec in specs_of(n):
+                for agent in range(1, n + 1):
+                    yield spec, profile, agent
+
+
+def breaks(others, atoms, x):
+    """Every report where a location of the plan changes slope or meets x,
+    from each location's pieces a * r + c: a line's s * r + b between its
+    clip ends, a mirrored line's r + o - (s * r + b), r + o - lo and
+    r + o - hi, and the midrange's 0.5 * r + 0.5 * others[-1] below
+    others[0] and 0.5 * r + 0.5 * others[0] above others[-1]."""
+    found, o = list(others), others[0]
+    for _, s, b, lo, hi, q, mirrored in atoms:
+        if q is not None:
+            pieces = [(0.5, 0.5 * others[-1]), (0.5, 0.5 * others[0])]
+        else:
+            pieces = [(s, b)] + ([(1.0 - s, o - b)] + [(1.0, o - v) for v in (lo, hi)] if mirrored else [])
+            found += [(v - b) / s for v in (lo, hi) if s and math.isfinite(v)]
+        found += [(x - c) / a for a, c in pieces if a and math.isfinite(c)]
+    return found
+
+
+def random_closed_plan(rng):
+    """(others, x, atoms): one to four clipped lines of slope 0, 1 or uniform
+    in [0, 1], with uniform shifts, clip ends (a third of them infinite) and
+    mirror flags, half the time followed by an unmirrored L_inf optimum, on
+    n = 2..5 uniform reports in [-1, 1]."""
+    n = int(rng.integers(2, 6))
+    others, x, atoms = sorted(rng.uniform(-1.0, 1.0, n - 1).tolist()), float(rng.uniform(-1.0, 1.0)), []
+    for _ in range(int(rng.integers(1, 5))):
+        slope = float(rng.choice([0.0, 1.0, rng.uniform(0.0, 1.0)]))
+        lo, hi = sorted(rng.uniform(-2.0, 2.0, 2).tolist())
+        lo, hi = (-math.inf if rng.random() < 1 / 3 else lo), (math.inf if rng.random() < 1 / 3 else hi)
+        atoms.append((float(rng.uniform(0.1, 1.0)), slope, float(rng.uniform(-1.0, 1.0)), lo, hi, None, bool(rng.random() < 0.5)))
+    if rng.random() < 0.5:
+        atoms.append((float(rng.uniform(0.1, 1.0)), 0.0, 0.0, -math.inf, math.inf, math.inf, False))
+    return others, x, atoms
+
+
+class TestClosedPlans:
+    """A plan of clipped lines of slope in [0, 1], mirrored or not, and at
+    most one unmirrored L_inf optimum is priced at its kinks: its gain is at
+    least the scan's, less 1e-15 * (1 + span), and no report of a dense
+    oracle is more than 1e-12 * (1 + span) cheaper. Such a row never builds
+    candidates, scans or polishes; rows whose kinks or costs are not finite
+    keep the scan's bits."""
+
+    @given(profile=edge_profiles(max_n=7), pick=st.integers(0, 10**6), p=st.sampled_from(P_GRID), agent=st.integers(1, 7))
+    def test_edge_rows_beat_the_scan(self, profile, pick, p, agent):
+        # the mirrored optima close only at p = 1 and keep the scan's bits elsewhere
+        two = two_agent_closed_specs() + [Mirror(Optimal()), Symmetrized(Optimal())]
+        specs = closed_mixture_specs(profile.n) + (two if profile.n == 2 else [])
+        assert_scan_or_certified(specs[pick % len(specs)], profile, p, min(agent, profile.n))
+
+    def test_no_report_of_the_oracle_is_cheaper(self):
+        # 20,001 reports over [lo - 3 span, hi + 3 span] and every break, priced by the batched curve
+        rows = list(closed_rows(lambda n: two_agent_closed_specs(), [2], 5, 31))
+        rows += list(closed_rows(closed_mixture_specs, range(2, 8), 1, 32))[::3]
+        for k, (spec, profile, agent) in enumerate(rows):
+            p = P_GRID[k % len(P_GRID)]
+            got, kinked = best_deviation(spec, profile, p, agent), kink_row(spec, profile, p, agent)
+            assert kinked == (got.best_misreport, got.deviated_cost), (spec, profile, agent)
+            x, span = float(profile.values[agent - 1]), profile.span
+            others, atoms = _outcome_plan(spec, profile.values.tolist(), p, agent)
+            reports = np.linspace(profile.low - 3.0 * span, profile.high + 3.0 * span, 20001)
+            reports = np.concatenate([reports, breaks(others, atoms, x)])
+            costs = deviation_cost_curve(spec, profile, p, agent, reports)
+            assert float(costs.min()) >= got.deviated_cost - 1e-12 * (1.0 + span), (spec, profile, p, agent)
+
+    def test_random_plans_meet_their_least_at_a_kink(self):
+        # at n = 2 every kink of a catalog rule is an other's report, an
+        # extreme or x, so random slopes, shifts and clip ends are needed to
+        # reach the kinks that are none of these
+        rng, cfg = np.random.default_rng(35), SearchConfig()
+        scales = deviation._unit_arrays(cfg.grid_points, cfg.scale_bound, cfg.scale_steps_per_unit)[1]
+        for _ in range(300):
+            others, x, atoms = random_closed_plan(rng)
+            profile = LocationProfile(others + [x])
+            lo, hi, span = profile.low, profile.high, profile.span
+            leading = others + [lo - span, lo + span, hi - span, hi + span]
+            best = deviation._kink_min(others, atoms, x, leading, deviation._window_hull(profile, cfg), scales)
+            assert best is not None and best[1] == _plan_at(others, atoms, best[0], x), (others, x, atoms)
+            reports = np.concatenate([np.linspace(-10.0, 10.0, 4001), breaks(others, atoms, x)])
+            costs = _plan_costs(others, atoms, x, reports)
+            assert float(costs.min()) >= best[1] - 1e-12 * (1.0 + span), (others, x, atoms)
+
+    def test_every_row_of_the_sweep_is_kinked_and_beats_the_scan(self):
+        rows = list(closed_rows(lambda n: two_agent_closed_specs(), [2], 2, 33))
+        rows += list(closed_rows(closed_mixture_specs, range(2, 8), 0, 34))
+        for k, (spec, profile, agent) in enumerate(rows):
+            p = P_GRID[k % len(P_GRID)]
+            assert kink_row(spec, profile, p, agent) is not None, (spec, profile, p, agent)
+            assert_scan_or_certified(spec, profile, p, agent)
+
+    @pytest.mark.parametrize(
+        "spec, values, agent, report, gain",
+        [
+            # the stretch: 2 = hi + span puts the midpoint on x = 1, and the
+            # gain is 1/2 - 2 q; agent 1 mirrors it at lo - span
+            (ThreePoint(0.2), [0.0, 1.0], 2, 2.0, 0.5 - 0.4),
+            (ThreePoint(0.2), [0.0, 1.0], 1, -1.0, 0.5 - 0.4),
+            # strategyproof on the boundary: no report gains, and lo - span is
+            # the first candidate at the truthful cost (the other's costs 1)
+            (LRM(), [0.0, 1.0], 1, -1.0, 0.0),
+            # the facility is always the other's report, whatever agent 1 says
+            (Mirror(Dictator(1)), [0.25, 1.0], 1, 1.0, 0.0),
+            # r = 2 x - others[0] = 2 puts the midrange on x; the median stays at 0.2
+            (median_optimum(3, 0.5, math.inf), [0.0, 0.2, 1.0], 3, 2.0, 0.65 - 0.4),
+        ],
+    )
+    def test_pinned_rows(self, spec, values, agent, report, gain):
+        got = best_deviation(spec, LocationProfile(values), math.inf, agent)
+        assert (got.best_misreport, got.gain) == (report, gain)
+
+    def test_overflowing_costs_keep_the_scan_and_its_refusal(self):
+        # the window is finite, but agent 2's scaling -4 x puts LRM's
+        # clipped line past the largest double from x, so the scan refuses
+        profile = LocationProfile([1e307, 4e307])
+        assert kink_row(LRM(), profile, 2.0, 2) is None
+        expect = (NonFiniteResult, f"misreport costs overflow on {profile!r}")
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert outcome(reference_best_deviation, LRM(), profile, 2.0, 2) == expect
+        assert outcome(best_deviation, LRM(), profile, 2.0, 2) == expect
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
+    def test_a_closed_scan_builds_no_candidate_and_never_polishes(self, p, monkeypatch):
+        # counts calls, not seconds: a row sent back to the scan fails
+        calls = []
+        count = lambda name, fn: lambda *args: calls.append(name) or fn(*args)
+        monkeypatch.setattr(deviation, "_plan_min", count("scan", deviation._plan_min))
+        monkeypatch.setattr(deviation, "_window_candidates", count("window", deviation._window_candidates))
+        monkeypatch.setattr(deviation, "_golden_min", count("polish", deviation._golden_min))
+        for spec in two_agent_closed_specs():
+            sp_scan(spec, p, 2, 3, 1)
+        for n in range(2, 8):
+            for spec in closed_mixture_specs(n):
                 sp_scan(spec, p, n, 3, 1)
         assert calls == []
 
@@ -1246,9 +1469,10 @@ def reference_scan(spec, p, n, trials, seed, include_structured=True, best=best_
 
 
 def closed_or_polished(spec, profile, p, agent):
-    """The closed form's report where `_inverse_min` certifies the row, else
-    `reference_best_deviation`'s, whose polish always runs."""
-    closed = inverse_map_row(spec, profile, p, agent)
+    """The closed form's report where `_inverse_min` certifies the row or
+    `_kink_min` prices it, else `reference_best_deviation`'s, whose polish
+    always runs."""
+    closed = inverse_map_row(spec, profile, p, agent) or kink_row(spec, profile, p, agent)
     if closed is None:
         return reference_best_deviation(spec, profile, p, agent)
     x = float(profile.values[agent - 1])
