@@ -216,9 +216,10 @@ def run(spec: MechanismSpec, reported: LocationProfile, p: float) -> FacilityDis
     return FacilityDistribution(zip(locations, [atom[0] for atom in atoms]))
 
 
-def _outcome_plan(spec, values: list, p: float, agent: int):
+def _outcome_plan(spec, values: list, p: float, agent: int, others: list | None = None):
     """The rule's outcome on a profile's reports `values` (floats, in agent
-    order) as data, with `agent`'s report r left free.
+    order) as data, with `agent`'s report r left free; `others`, if given,
+    are the other reports as `sorted` orders them, else they are sorted here.
 
     Returns (others, atoms): the other agents' reports sorted ascending, and
     one (weight, slope, shift, lo, hi, q, mirrored) tuple per atom. The
@@ -231,7 +232,8 @@ def _outcome_plan(spec, values: list, p: float, agent: int):
     locations, `core._merged_atoms`, drop), so no atom has q = 1.
     """
     n = len(values)
-    others = sorted(values[: agent - 1] + values[agent:])
+    if others is None:
+        others = sorted(values[: agent - 1] + values[agent:])
     inf = math.inf
 
     def ranked(rank, w):
@@ -276,7 +278,7 @@ def _outcome_plan(spec, values: list, p: float, agent: int):
             atoms.append(optimum(spec.p, spec.opt_weight))
     elif isinstance(spec, (Mirror, Symmetrized)):
         _require_two(n, "mirror" if isinstance(spec, Mirror) else "symmetrize")
-        inner = _outcome_plan(spec.inner, values, p, agent)[1]
+        inner = _outcome_plan(spec.inner, values, p, agent, others)[1]
         atoms = [(*atom[:6], not atom[6]) for atom in inner]
         if isinstance(spec, Symmetrized):
             atoms = [(0.5 * atom[0], *atom[1:]) for atom in inner + atoms]

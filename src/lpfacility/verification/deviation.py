@@ -76,9 +76,13 @@ class UnsupportedSupport(ValueError):
 def violation_threshold(profile: LocationProfile, tol: float = DEFAULT_VIOLATION_TOL) -> float:
     """Gain threshold above which a deviation counts as a violation.
 
-    Raises ValueError unless tol is finite and >= 0: a NaN, infinite or
-    negative tol would turn the verdicts silently wrong."""
-    return _check_tol("violation tol", tol) * (1.0 + profile.span)
+    Raises ValueError unless tol is finite and >= 0, and NonFiniteResult if
+    the threshold is not finite: either would turn the verdicts silently
+    wrong (an infinite threshold passes every gain)."""
+    threshold = _check_tol("violation tol", tol) * (1.0 + profile.span)
+    if not math.isfinite(threshold):
+        raise NonFiniteResult(f"the violation threshold of {profile!r} overflows")
+    return threshold
 
 
 @lru_cache(maxsize=8)
@@ -429,8 +433,8 @@ def best_deviation(
     max(rest) + w * max |x - y| over the window, overflows: y lies in the
     window, so each cost rounds to at most the cap, below it no cost
     overflows, and the overflow check holds for the unsolved rows too.
-    `sp_scan` scans every agent of a profile at once (`_deviations`), and
-    best_deviation is its one-agent case.
+    `sp_scan` scans a profile's agents at once (`_deviations`), which keeps
+    the profile's winning row only; best_deviation is its one-agent case.
 
     `sp_scan` keeps only the largest gain, so it skips the polish of an agent
     whose polished gain provably stays below the largest found so far. The
@@ -468,53 +472,70 @@ def best_deviation(
     infinite or NaN; fsum of one infinity or a NaN returns it, and
     `_solve_row` then meets NaN peak distances, never a zero one.
     """
-    return _deviations(spec, profile, p, [agent], cfg, -math.inf)[0]
+    gain, agent, best_r, truthful, best_c = _deviations(spec, profile, p, [agent], cfg, -math.inf)
+    return DeviationReport(agent, profile, best_r, truthful, best_c, gain)
 
 
-def _deviations(spec, profile: LocationProfile, p: float, agents, cfg: SearchConfig, floor: float = math.nan) -> list:
-    """[best_deviation(spec, profile, p, a, cfg) for a in agents], bit for
-    bit, less the agents whose gain provably stays below `floor`, with every
-    agent's candidate scan in one `_plan_min` call, so the optimum rows of
-    all agents share its two kernel calls. One-line plans, the certified
-    plans of lines and one optimum and closed plans take their exact forms
-    instead (see best_deviation), and are never polished. The candidates' extremes and
-    grid are built once for the profile, only if some row scans, and each
-    scanning agent's candidates copy them (`misreport_candidates` composes
-    the same two parts); a window that is not finite, as read off its scalar ends
-    (`_window_hull`), is refused at the first agent whose plan is built, as
-    the per-agent loop refuses it. Plans are built up to the first agent that
-    raises; the costs of the agents before it are checked in order, and only
-    then is its error raised: as neither the closed forms, `_plan_min` nor
-    the polish raises, it is the error the per-agent loop raises first.
+def _deviations(spec, profile: LocationProfile, p: float, agents, cfg: SearchConfig, floor: float = math.nan):
+    """The row (gain, agent, best_r, truthful, best_c) of the first largest
+    gain, in agent order, over best_deviation(spec, profile, p, a, cfg) for
+    a in agents, bit for bit, less the agents whose gain provably stays below
+    `floor`: None if that drops them all. Every agent's candidate scan is in
+    one `_plan_min` call, so the optimum rows of all agents share its two
+    kernel calls. One-line plans, the certified plans of lines and one
+    optimum and closed plans take their exact forms instead (see
+    best_deviation), and are never polished. Each agent's others are the
+    profile's stable sort less the agent's slot: `sorted`'s values and order.
+    The candidates' extremes and grid are built once for the profile, only if
+    some row scans, and each scanning agent's candidates copy them
+    (`misreport_candidates` composes the same two parts); a window that is
+    not finite (`_window_hull`) is refused at the first agent whose plan is
+    built, as the per-agent loop refuses it. A one-line row after the
+    profile's first one-line row is only checked: its window, its truthful
+    cost and, on an unbounded line, its costs at the candidates' ends
+    (`_line_overflows`). Where these are finite `_line_min` returns the
+    truthful cost, so its gain is truthful - truthful = +0.0, as is the first
+    one-line row's; an exact row is never dropped and the first of equal
+    gains wins, so it can neither win nor, its gain tied with an earlier
+    one, raise the floor. Plans are built up to the first agent that raises;
+    the costs of the agents before it are checked in order, and only then is
+    its error raised: as neither the closed forms, `_plan_min` nor the
+    polish raises, it is the error the per-agent loop raises first.
 
     The agents are then polished in decreasing order of their scan gain, and
     the floor rises to each gain found. An agent whose polish would run but
     whose gain bound (`_polish_slack`) lies strictly below the floor is
-    neither polished nor reported: its gain cannot reach the floor. The
-    reports left come back in agent order. `sp_scan` passes its largest gain
-    so far, -inf before the first profile, and best_deviation -inf, which
-    drops nothing from one agent; the default, NaN, never rises and drops
-    nothing, since no comparison with NaN holds.
+    neither polished nor kept: its gain cannot reach the floor. `sp_scan`
+    passes its largest gain so far, -inf before the first profile, and
+    best_deviation -inf, which drops nothing from one agent; the default,
+    NaN, never rises and drops nothing, since no comparison with NaN holds.
     """
-    p = validate_pnorm(p)
-    rows, error = [], None
-    hull, values = _window_hull(profile, cfg), profile.values.tolist()
+    p, n = validate_pnorm(p), profile.n
+    agents = [_check_agent(agent, n) for agent in agents]
+    rows, error, line_seen = [], None, False
+    hull, values, ranked = _window_hull(profile, cfg), profile.values.tolist(), profile.sorted_values.tolist()
+    slot = profile.order.argsort().tolist()
     scales = _unit_arrays(cfg.grid_points, cfg.scale_bound, cfg.scale_steps_per_unit)[1]
-    slots = lambda: _window_candidates(profile, cfg)[profile.n - 1 : -scales.size - 1]
+    slots = lambda: _window_candidates(profile, cfg)[n - 1 : -scales.size - 1]
     lo, hi, span = profile.low, profile.high, profile.span
     extremes = [lo - span, lo + span, hi - span, hi + span]
     for agent in agents:
+        x, j = values[agent - 1], slot[agent - 1]
         try:
-            x = float(profile.values[_check_agent(agent, profile.n) - 1])
-            others, atoms = _outcome_plan(spec, values, p, agent)
+            others, atoms = _outcome_plan(spec, values, p, agent, ranked[:j] + ranked[j + 1 :])
             _check_window(hull, profile, x, cfg)
         except Exception as exc:
             error = exc
             break
-        truthful = _plan_at(others, atoms, x, x)
+        truthful, line = _plan_at(others, atoms, x, x), _one_line(atoms)
+        if line and line_seen:
+            if not math.isfinite(truthful) or _line_overflows(others, atoms, x, hull, scales):
+                error = NonFiniteResult(f"misreport costs overflow on {profile!r}")
+                break
+            continue
         reports = values[: agent - 1] + values[agent:]
-        if _one_line(atoms):
-            best = _line_min(others, atoms, x, truthful, reports, hull, slots, scales)
+        if line:
+            line_seen, best = True, _line_min(others, atoms, x, truthful, reports, hull, slots, scales)
         else:
             best = _inverse_min(others, atoms, x, truthful, span, hull, scales)
             if best is None:
@@ -539,7 +560,7 @@ def _deviations(spec, profile: LocationProfile, p: float, agents, cfg: SearchCon
         raise error
     window = profile.span * (1.0 + 2.0 * cfg.grid_pad) / (cfg.grid_points - 1)
     reach = 1.0 + abs(profile.low) + abs(profile.high)
-    reports = [None] * len(scanned)
+    kept = [None] * len(scanned)
     for k in sorted(range(len(scanned)), key=lambda k: -scanned[k][0]):
         _, agent, others, atoms, x, best_r, truthful, best_c, exact = scanned[k]
         a, b = best_r - window, best_r + window
@@ -551,15 +572,9 @@ def _deviations(spec, profile: LocationProfile, p: float, agents, cfg: SearchCon
             if c2 < best_c:
                 best_r, best_c = float(r2), float(c2)
         floor = max(floor, truthful - best_c)
-        reports[k] = DeviationReport(
-            agent=agent,
-            true_profile=profile,
-            best_misreport=best_r,
-            truthful_cost=truthful,
-            deviated_cost=best_c,
-            gain=truthful - best_c,
-        )
-    return [report for report in reports if report is not None]
+        kept[k] = (truthful - best_c, agent, best_r, truthful, best_c)
+    # max keeps the first of equal gains
+    return max((row for row in kept if row is not None), key=lambda row: row[0], default=None)
 
 
 def _one_line(atoms) -> bool:
@@ -579,22 +594,27 @@ def _line_min(others, atoms, x: float, truthful: float, reports: list, hull, slo
     # (see best_deviation for the proof); _plan_at prices a line as
     # _plan_costs does, to the bit
     _, slope, _, lo, hi, _, _ = atoms[0]
-    cost = lambda r: _plan_at(others, atoms, r, x)
     if slope == 0.0:
         return reports[0], truthful
     if not lo < x < hi:
-        report = next(r for r in reports if cost(r) == truthful)
+        report = next(r for r in reports if _plan_at(others, atoms, r, x) == truthful)
     elif x != 0.0:
         report = x
     else:
         # the first zero in assembly order: an other, an extreme, a grid point or a scaling
         grid = slots()
         report = ([r for r in reports if r == 0.0] + grid[grid == 0.0].tolist() + [float(scales[0]) * x])[0]
-    if lo == -math.inf or hi == math.inf:
-        # the cost is unimodal in r, so its largest is at the least or the greatest candidate
-        if not math.isfinite(max(map(cost, _candidate_ends(hull, scales, x)))):
-            return report, math.inf
-    return report, truthful
+    return report, math.inf if _line_overflows(others, atoms, x, hull, scales) else truthful
+
+
+def _line_overflows(others, atoms, x: float, hull, scales) -> bool:
+    # whether a candidate's cost overflows on the one-line plan: none can on a
+    # bounded line or at slope 0, and elsewhere the cost is unimodal in r, so
+    # its largest is at the least or the greatest candidate
+    _, slope, _, lo, hi, _, _ = atoms[0]
+    if slope == 0.0 or (lo != -math.inf and hi != math.inf):
+        return False
+    return not math.isfinite(max(_plan_at(others, atoms, r, x) for r in _candidate_ends(hull, scales, x)))
 
 
 def _candidate_ends(hull, scales, x: float) -> tuple[float, float]:
@@ -887,13 +907,14 @@ def sp_scan(
     values lexicographically (the first of equals wins), so reruns are identical.
 
     Each profile's agents are scanned together, their optimum rows in two
-    batched kernel calls per profile rather than two per agent, and every
-    report is best_deviation's to the bit. Each profile is scanned with the
-    largest gain so far as its floor: an agent whose polished gain provably
-    stays below it is not polished (see best_deviation), since it cannot be
-    the worst deviation, so the result is the reduction over every agent's
-    report, to the bit. Raises TypeError unless n, trials and seed are
-    integers, and ValueError for n < 2, trials < 0 or seed < 0.
+    batched kernel calls per profile rather than two per agent, and only the
+    profile's winning row comes back; one report is built, for the overall
+    winner. Each profile is scanned with the largest gain so far as its
+    floor: an agent whose polished gain provably stays below it is not
+    polished (see best_deviation), since it cannot be the worst deviation.
+    So the report is the reduction of best_deviation over every agent of
+    every profile, to the bit. Raises TypeError unless n, trials and seed
+    are integers, and ValueError for n < 2, trials < 0 or seed < 0.
     """
     p = validate_pnorm(p)
     n, trials, seed = _check_int(n, "n", 2), _check_int(trials, "trials", 0), _check_int(seed, "seed", 0)
@@ -907,14 +928,14 @@ def sp_scan(
         raise ValueError("nothing to scan: zero trials and no structured profiles")
     agents, worst, worst_key = range(1, n + 1), None, None
     for prof in profiles:
-        floor = -math.inf if worst is None else worst.gain
-        # every report of the profile shares its values, so the key's tuple is built once
-        values = tuple(prof.values.tolist())
-        for report in _deviations(spec, prof, p, agents, cfg, floor):
-            key = (report.gain, values)
-            if worst is None or key > worst_key:
-                worst, worst_key = report, key
-    return worst
+        row = _deviations(spec, prof, p, agents, cfg, -math.inf if worst is None else worst_key[0])
+        if row is None:
+            continue
+        key = (row[0], tuple(prof.values.tolist()))
+        if worst is None or key > worst_key:
+            worst, worst_key = (prof, row), key
+    prof, (gain, agent, best_r, truthful, best_c) = worst
+    return DeviationReport(agent, prof, best_r, truthful, best_c, gain)
 
 
 def symmetric_sp_margin(dist, x2: float) -> float:
@@ -927,8 +948,8 @@ def symmetric_sp_margin(dist, x2: float) -> float:
     UnsupportedSupport when mass lies outside [0, x2].
     """
     x2 = float(x2)
-    if not x2 > 0.0:
-        raise ValueError(f"x2 must be positive, got {x2!r}")
+    if not 0.0 < x2 < math.inf:
+        raise ValueError(f"x2 must be positive and finite, got {x2!r}")
     locs = dist.locations
     probs = dist.probabilities
     if locs[0] < 0.0 or locs[-1] > x2:

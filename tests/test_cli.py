@@ -285,6 +285,17 @@ class TestBadInput:
 
     @pytest.mark.parametrize(
         "argv",
+        [["frontier", "--p", "2", "--q-grid", "0.1"], ["spcheck", "--spec", "median", "--n", "3", "--trials", "2"]],
+        ids=["frontier", "spcheck"],
+    )
+    def test_an_overflowing_violation_threshold_exits_two(self, capsys, argv):
+        # an infinite threshold passes every gain: frontier would call ThreePoint(0.1) strategyproof
+        code, out, err = run_cli(capsys, argv + ["--tol", "1.7e308"])
+        assert (code, out) == (2, "")
+        assert err == "error: the violation threshold of LocationProfile([0.0, 1.0]) overflows\n"
+
+    @pytest.mark.parametrize(
+        "argv",
         [
             ["eval", "--spec", "median", "--profile", "0,1", "--p", "2", "--out", "{missing}"],
             ["thm3", "--p", "3", "--k", "2", "--roots", "{missing}"],

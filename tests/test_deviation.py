@@ -387,6 +387,13 @@ class TestViolationThreshold:
     def test_zero_tol_is_accepted(self):
         assert violation_threshold(LocationProfile([0.0, 3.0]), 0.0) == 0.0
 
+    @pytest.mark.parametrize("values, tol", [([-1e308, 1e308], 1e-7), ([-1e308, 1e308], 0.0), ([0.0, 1.0], 1.7e308)])
+    def test_a_threshold_that_is_not_finite_is_refused(self, values, tol):
+        # an infinite threshold passes every gain; at tol 0 the infinite span makes it NaN
+        profile = LocationProfile(values)
+        with pytest.raises(NonFiniteResult, match=re.escape(f"the violation threshold of {profile!r} overflows")):
+            violation_threshold(profile, tol)
+
 
 class TestDeviationCostCurve:
     SPECS = [
@@ -1237,13 +1244,23 @@ def per_agent_loop(spec, profile, p):
     return reports
 
 
+def first_largest(reports):
+    """per_agent_loop's reports reduced to the first of the largest gain, in
+    agent order; an error outcome is returned as it is."""
+    if not isinstance(reports, list):
+        return reports
+    return max(reports, key=lambda got: float.fromhex(got[5]))
+
+
 def profile_batch(spec, profile, p):
-    """`deviation._deviations` over every agent, as per_agent_loop gives it."""
+    """`deviation._deviations`' winning row over every agent, as an outcome
+    of its report, to compare with first_largest(per_agent_loop(...))."""
     try:
-        reports = deviation._deviations(spec, profile, p, range(1, profile.n + 1), SearchConfig())
+        row = deviation._deviations(spec, profile, p, range(1, profile.n + 1), SearchConfig())
     except Exception as exc:
         return type(exc), str(exc)
-    return [outcome(lambda report: report, report) for report in reports]
+    gain, agent, best_r, truthful, best_c = row
+    return outcome(DeviationReport, agent, profile, best_r, truthful, best_c, gain)
 
 
 class TestPrunedScan:
@@ -1315,7 +1332,7 @@ class TestPrunedScan:
         # is certified, as its truthful cost is within 1e-9 * (1 + span) of 0
         profile = LocationProfile([1e307, 1.1e307, 4e307])
         for spec in (median_optimum(3, 0.9), median_optimum(3, 0.5)):
-            expect = per_agent_loop(spec, profile, NEAR_ONE)
+            expect = first_largest(per_agent_loop(spec, profile, NEAR_ONE))
             pruned_calls.clear()
             assert profile_batch(spec, profile, NEAR_ONE) == expect, spec
             assert [found is None for found in pruned_calls] == [False, True]
@@ -1394,8 +1411,9 @@ class TestPrunedScan:
 
 
 class TestProfileBatch:
-    """Every agent of a profile is scanned in one batch, whose reports equal
-    the per-agent loop's by float.hex; an error is the one the loop raises first."""
+    """Every agent of a profile is scanned in one batch, whose winning row is
+    the per-agent loop's first largest gain by float.hex; an error is the one
+    the loop raises first."""
 
     @pytest.mark.parametrize(
         "n, p", [(n, p) for n in range(2, 8) for p in PRUNE_P] + [(8, 1.5), (9, 8.0), (10, 3.0), (11, 1.5), (12, 8.0)]
@@ -1407,13 +1425,13 @@ class TestProfileBatch:
             for spec in optimum_specs(n, p) + [Optimal()]:
                 expect = per_agent_loop(spec, profile, p)
                 assert isinstance(expect, list)
-                assert profile_batch(spec, profile, p) == expect, spec
+                assert profile_batch(spec, profile, p) == first_largest(expect), spec
 
     @pytest.mark.parametrize("span", [1e300, 1.5e307])
     def test_huge_spans_match_the_per_agent_loop(self, span):
         profile = LocationProfile([-span, 0.25 * span, span])
         for spec in optimum_specs(3, 3.0):
-            assert profile_batch(spec, profile, 3.0) == per_agent_loop(spec, profile, 3.0), spec
+            assert profile_batch(spec, profile, 3.0) == first_largest(per_agent_loop(spec, profile, 3.0)), spec
 
     def test_the_first_agent_error_of_the_loop_is_raised(self):
         # agent 1's costs overflow at its misreport -4x; agent 3's window
@@ -1613,6 +1631,52 @@ class TestScanFloor:
             assert len(calls) == 1, seed
 
 
+class TestProfileRows:
+    """A one-line row after a profile's first gains +0.0 and cannot be its
+    first largest, so the scan only checks it for overflow: its report, and
+    its first error, still equal the reduction over every agent's report."""
+
+    @pytest.mark.parametrize("n", range(9, 13))
+    def test_the_bench_shapes_equal_the_reduction_over_every_agent(self, n):
+        # the benchmark's largest shapes, which skip the most rows
+        rng = np.random.default_rng(90 + n)
+        for k, p in enumerate(P_GRID):
+            specs = [Median(), OrderStatistic(int(rng.integers(1, n + 1))), Dictator(int(rng.integers(1, n + 1)))]
+            for spec in specs + ([Optimal()] if p == 1.0 else []):
+                args = (spec, p, n, 1, k)
+                assert scan_outcome(*args) == reference_scan(*args), (spec, p)
+
+    @pytest.mark.parametrize(
+        "spec, values, message",
+        [
+            # agent 1's line is finite; agent 2's, unbounded below, overflows at its misreport -4x
+            (OrderStatistic(1), [1e307, 4e307, 4.4e307], "misreport costs overflow on {}"),
+            # agent 1's line is constant; agent 2's own, unbounded, overflows
+            (Dictator(2), [1e307, 4e307, 4.4e307], "misreport costs overflow on {}"),
+            # as above, before agent 3's misreport window overflows
+            (Dictator(2), [3.6e307, 3.8e307, 4.6e307], "misreport costs overflow on {}"),
+            # agents 1 and 2 pass; agent 3's misreport window overflows
+            (Median(), [3.6e307, 3.8e307, 4.6e307], "the misreport window of {} overflows"),
+            (Dictator(3), [3.6e307, 3.8e307, 4.6e307], "the misreport window of {} overflows"),
+        ],
+    )
+    def test_a_later_row_raises_the_first_error_of_the_loop(self, spec, values, message, monkeypatch):
+        profile = LocationProfile(values)
+        expect = (NonFiniteResult, message.format(repr(profile)))
+        assert per_agent_loop(spec, profile, 3.0) == profile_batch(spec, profile, 3.0) == expect
+        monkeypatch.setattr(deviation, "four_block_profiles", lambda n, p: [profile])
+        assert scan_outcome(spec, 3.0, 3, 0, 0) == reference_scan(spec, 3.0, 3, 0, 0) == expect
+
+    def test_a_profile_prices_one_line_row_and_builds_one_report(self, monkeypatch):
+        lines, reports = [], []
+        line_min, report = deviation._line_min, deviation.DeviationReport
+        monkeypatch.setattr(deviation, "_line_min", lambda *args: lines.append(args) or line_min(*args))
+        monkeypatch.setattr(deviation, "DeviationReport", lambda *args: reports.append(args) or report(*args))
+        sp_scan(Median(), 3.0, 12, 5, 1)
+        assert len(lines) == 1 + len(deviation.four_block_profiles(12, 3.0)) + 5
+        assert len(reports) == 1
+
+
 class TestPolishSlack:
     """Every point the golden polish prices costs at least best_c - slack, so
     the polished gain is at most truthful - best_c + slack."""
@@ -1753,3 +1817,9 @@ class TestSymmetricMargin:
             symmetric_sp_margin(FacilityDistribution([(-0.1, 0.5), (1.0, 0.5)]), 1.0)
         with pytest.raises(ValueError):
             symmetric_sp_margin(point_mass(0.0), 0.0)
+
+    @pytest.mark.parametrize("x2", [math.inf, math.nan])
+    def test_a_non_finite_x2_is_refused(self, x2):
+        # at x2 = inf the margin would be inf * 0 less the mass below, NaN
+        with pytest.raises(ValueError, match="x2 must be positive and finite"):
+            symmetric_sp_margin(lrm_distribution(LocationProfile([0.0, 1.0])), x2)
