@@ -222,14 +222,23 @@ def _outcome_plan(spec, values: list, p: float, agent: int, others: list | None 
     are the other reports as `sorted` orders them, else they are sorted here.
 
     Returns (others, atoms): the other agents' reports sorted ascending, and
-    one (weight, slope, shift, lo, hi, q, mirrored) tuple per atom. The
-    atom's location is slope * r + shift clipped to [lo, hi] when q is None,
-    else the L_q optimum of others + [r]; when mirrored, it is reflected
-    about the midpoint of the two reports (r + others[0] minus it, or
-    (r - y) + others[0] where that sum overflows). Mixture components of
-    zero weight are left out. The L_1 optimum is the median's line (it may
-    differ from `optimizer._optimum` in a zero's sign, which costs and merged
-    locations, `core._merged_atoms`, drop), so no atom has q = 1.
+    one (weight, lo, hi, q) tuple per atom. The atom's location is r clipped
+    to the window [lo, hi] when q is None (another agent's dictator is the
+    window [v, v]), else the L_q optimum of others + [r]. Mixture components
+    of zero weight are left out. The L_1 optimum is the median's line (it
+    may differ from `optimizer._optimum` in a zero's sign, which costs and
+    merged locations, `core._merged_atoms`, drop), so no atom has q = 1. On
+    two agents every L_q optimum, q > 1, is their midpoint, so it and the
+    midpoint atom of LRM and ThreePoint are written as the L_inf optimum,
+    which `optimizer._optimum` computes as the midrange: the correctly
+    rounded midpoint, inside the profile's hull.
+
+    Mirror and Symmetrized are a map on these two-agent atoms, with o the
+    other report: every window is [-inf, o], [o, inf], [-inf, inf] or
+    [o, o], and the reflection r + o - y of each is another of them (min(r,
+    o) and max(r, o) swap, as do r and o), while the midrange maps to
+    itself. So a mirrored outcome is the exact reflection, and
+    Mirror(Mirror(s)) has the plan of s.
     """
     n = len(values)
     if others is None:
@@ -239,18 +248,17 @@ def _outcome_plan(spec, values: list, p: float, agent: int, others: list | None 
     def ranked(rank, w):
         if rank > n:
             raise ArityMismatch(f"order statistic {rank} needs {rank} agents, profile has {n}")
-        return (w, 1.0, 0.0, *_rank_window(others, rank), None, False)
+        return (w, *_rank_window(others, rank), None)
 
     def dictated(i, w):
         if i > n:
             raise ArityMismatch(f"dictator {i} needs {i} agents, profile has {n}")
-        if i == agent:
-            return (w, 1.0, 0.0, -inf, inf, None, False)
-        return (w, 0.0, values[i - 1], -inf, inf, None, False)
+        v = values[i - 1]
+        return (w, -inf, inf, None) if i == agent else (w, v, v, None)
 
     def optimum(q, w):
         q = p if q is None else q
-        return ranked((n + 1) // 2, w) if q == 1.0 else (w, 0.0, 0.0, -inf, inf, q, False)
+        return ranked((n + 1) // 2, w) if q == 1.0 else (w, -inf, inf, inf if n == 2 else q)
 
     if isinstance(spec, Median):
         atoms = [ranked((n + 1) // 2, 1.0)]
@@ -263,11 +271,7 @@ def _outcome_plan(spec, values: list, p: float, agent: int, others: list | None 
     elif isinstance(spec, (LRM, ThreePoint)):
         _require_two(n, "lrm" if isinstance(spec, LRM) else "threepoint")
         q, o = (0.25 if isinstance(spec, LRM) else spec.q_end), others[0]
-        atoms = [
-            (q, 1.0, 0.0, -inf, o, None, False),
-            (1.0 - 2.0 * q, 0.5, 0.5 * o, -inf, inf, None, False),
-            (q, 1.0, 0.0, o, inf, None, False),
-        ]
+        atoms = [(q, -inf, o, None), (1.0 - 2.0 * q, -inf, inf, inf), (q, o, inf, None)]
     elif isinstance(spec, Mixture):
         for label, weights in (("dictator", spec.dictator_weights), ("order", spec.order_weights)):
             if weights and len(weights) != n:
@@ -278,10 +282,10 @@ def _outcome_plan(spec, values: list, p: float, agent: int, others: list | None 
             atoms.append(optimum(spec.p, spec.opt_weight))
     elif isinstance(spec, (Mirror, Symmetrized)):
         _require_two(n, "mirror" if isinstance(spec, Mirror) else "symmetrize")
-        inner = _outcome_plan(spec.inner, values, p, agent, others)[1]
-        atoms = [(*atom[:6], not atom[6]) for atom in inner]
+        inner, o = _outcome_plan(spec.inner, values, p, agent, others)[1], others[0]
+        atoms = [a if a[3] else (a[0], -inf if a[1] == o else o, inf if a[2] == o else o, None) for a in inner]
         if isinstance(spec, Symmetrized):
-            atoms = [(0.5 * atom[0], *atom[1:]) for atom in inner + atoms]
+            atoms = [(0.5 * a[0], *a[1:]) for a in inner + atoms]
     else:
         raise TypeError(f"unknown mechanism spec {spec!r}")
     return others, atoms
@@ -292,18 +296,11 @@ def _plan_at(others: list, atoms: list, r: float, x: float | None = None):
     x, the expected distance from x to them, summed directly."""
     locations = []
     total = 0.0
-    for w, slope, shift, lo, hi, q, mirrored in atoms:
+    for w, lo, hi, q in atoms:
         if q is None:
-            y = slope * r + shift
-            if y < lo:
-                y = lo
-            elif y > hi:
-                y = hi
+            y = lo if r < lo else hi if r > hi else r
         else:
             y = _optimum(sorted([*others, r]), q)
-        if mirrored:
-            m = r + others[0] - y
-            y = m if math.isfinite(m) else (r - y) + others[0]
         if x is None:
             locations.append(y)
         else:
@@ -315,25 +312,18 @@ def _plan_costs(others: list, atoms: list, x: float, reports: np.ndarray) -> np.
     """The expected distance from x to the plan's outcome at each report,
     one numpy column per atom; optima come from the batched kernel. The
     sum starts from the first term, since every term is w * |x - y| >= +0
-    or NaN, so 0.0 + t = t; lines left unclipped and terms of weight 1 keep
-    their bits, as max(y, -inf), min(y, inf) and 1.0 * t are y and t."""
+    or NaN, so 0.0 + t = t; windows left unclipped and terms of weight 1
+    keep their bits, as max(y, -inf), min(y, inf) and 1.0 * t are y and t."""
     total = None
-    for w, slope, shift, lo, hi, q, mirrored in atoms:
+    for w, lo, hi, q in atoms:
         if q is None:
-            y = reports if slope == 1.0 and shift == 0.0 else slope * reports + shift
+            y = reports
             if lo > -math.inf:
                 y = np.maximum(y, lo)
             if hi < math.inf:
                 y = np.minimum(y, hi)
         else:
             y = _optimum_rows([(others, reports)], q)[0]
-        if mirrored:
-            with np.errstate(over="ignore"):
-                m = reports + others[0] - y
-                wide = ~np.isfinite(m)
-                if wide.any():
-                    m[wide] = (reports[wide] - y[wide]) + others[0]
-            y = m
         term = np.abs(x - y)
         if w != 1.0:
             term *= w
@@ -356,11 +346,11 @@ def _plan_min(plans: list) -> list:
     bit; the cost is inf when an entry is not finite, and overflow is not
     warned of, since callers check the costs. The plans must come from one
     rule on one profile, so they share n and the exponent q of any solved
-    optimum. Plans of clipped lines of slope >= 0 and then one optimum that
-    is not a closed form, none mirrored (every catalog plan with a solved
-    optimum and no mirror), solve only the reports that can win, all of
-    them in one kernel call per phase; `verification.deviation.best_deviation`
-    gives the argument. The other plans take the full curve, one by one.
+    optimum. Plans of clipped lines and then one optimum that is not a
+    closed form (every catalog plan with a solved optimum) solve only the
+    reports that can win, all of them in one kernel call per phase;
+    `verification.deviation.best_deviation` gives the argument. The other
+    plans take the full curve, one by one.
     """
     found = _pruned_min(plans)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -382,8 +372,8 @@ def _pruned_min(plans: list) -> list:
     # a line's cost may overflow; the cap then sends its plan to the full curve
     with np.errstate(over="ignore", invalid="ignore"):
         for k, (others, atoms, x, reports) in enumerate(plans):
-            *lines, (w, _, _, _, _, q, mirrored) = atoms
-            if q in _UNSOLVED or mirrored or any(a[1] < 0.0 or a[5] is not None or a[6] for a in lines):
+            *lines, (w, _, _, q) = atoms
+            if q in _UNSOLVED or any(a[3] is not None for a in lines):
                 continue
             order = np.argsort(reports, kind="stable")
             r = reports[order]
@@ -442,7 +432,7 @@ def _optima_at(plans: list, scans: list, rows: list) -> list:
     if not any(idx.size for idx in rows):
         return [None] * len(scans)
     blocks = [(plans[k][0], r[idx]) for (k, _, r, *_), idx in zip(scans, rows)]
-    return _optimum_rows(blocks, plans[scans[0][0]][1][-1][5])
+    return _optimum_rows(blocks, plans[scans[0][0]][1][-1][3])
 
 
 def format_mechanism(spec: MechanismSpec) -> str:

@@ -17,11 +17,11 @@ polish in pure Python, since numpy overhead dominates one-point evaluations.
 decreasing order of scan gain and skips every agent whose gain, bounded by
 what the polish can add, stays below the largest found so far.
 A one-line plan (an order statistic or a dictator: Median, OrderStatistic,
-Dictator, the L_1 optimum and mixtures with one nonzero weight) is not
-scanned at all: its best response is the truthful cost, proven over every
-real report, and the report the scan would pick is found in closed form
-(see `best_deviation`). Nor is a plan of such lines and then one
-unmirrored L_q optimum, q > 1 (`Optimal` at p > 1, and the median/optimum,
+Dictator, the L_1 optimum, mixtures with one nonzero weight and their
+mirrors) is not scanned at all: its best response is the truthful cost,
+proven over every real report, and the report the scan would pick is found
+in closed form (see `best_deviation`). Nor is a plan of such lines and then
+one L_q optimum, q > 1 (`Optimal` at p > 1, and the median/optimum,
 order/optimum and dictator/optimum mixtures at finite q), wherever it
 certifies itself. The report r* that puts the optimum on x (the inverse
 map, a formula) and x bracket a least-cost report; the lines' ends cut the
@@ -29,11 +29,11 @@ bracket into pieces, on most of which the least cost sits at an end, and a
 branch and bound over the optimum's location covers the rest. A handful of
 reports are priced forward, and the cheapest is reported only if it is
 within 1e-9 * (1 + span) of a lower bound proven over every real report.
-Nor does a closed plan search a window: clipped lines, mirrored or not, and
-at most one L_inf optimum (LRM, ThreePoint, Mirror and Symmetrized of
-lines, order and dictator mixtures). Its cost is piecewise linear in the
-report and never below 0, so a least-cost report lies at a kink, and only
-the others' reports, the extremes, the kinks and x are priced.
+Nor does a closed plan search a window: clipped lines and L_inf optima
+(LRM, ThreePoint, Mirror, Symmetrized, order and dictator mixtures, and
+every two-agent optimum). Its cost is piecewise linear in the report and
+never below 0, so a least-cost report lies at a kink, and only the others'
+reports, the extremes, the kinks and x are priced.
 """
 
 from __future__ import annotations
@@ -209,11 +209,11 @@ def best_deviation(
     side of r; the polished point is kept only if strictly cheaper. On exact
     ties the first (assembly-order) candidate wins, so reruns are identical.
 
-    A plan of unmirrored clipped lines of slope 0, or of slope 1 and shift
-    0, and then one unmirrored L_q optimum of weight w, q > 1 and finite when
-    a line is present, takes an exact best response (`_inverse_min`): the
-    rows of `Optimal` at p > 1 and of the median/optimum, order/optimum and
-    dictator/optimum mixtures. u is the unit roundoff and eps = 2u.
+    A plan of clipped lines and then one L_q optimum of weight w, q > 1 and
+    finite when a line is present, takes an exact best response
+    (`_inverse_min`): the rows of `Optimal` at p > 1 and, on three or more
+    agents, of the median/optimum, order/optimum and dictator/optimum
+    mixtures. u is the unit roundoff and eps = 2u.
     - Inverse map. The optimum y of others + [r] is the root of
       sign(r - y) |r - y|^(q-1) = D(y), D(y) = sum over the others of
       sign(y - o) |y - o|^(q-1), so the report that puts it on y is
@@ -232,14 +232,14 @@ def best_deviation(
       M, the power, the product and the sum, |R~ - R| <= |R~ - y| (2 k e /
       |S~| + 8 eps) + 2 eps |R~|. Elsewhere R lies within
       M (|S~| + e)^(1/(q-1)) (1 + 8 eps) of y, which with |R~ - y| bounds it.
-    - Bracket. Below min(x, r*) every line term w |x - l(r)| (a slope-1 line
-      is r clipped) and the optimum's w |x - y(r)| (y(r) <= x there) is
+    - Bracket. Below min(x, r*) every line term w |x - l(r)| (l(r) is r
+      clipped) and the optimum's w |x - y(r)| (y(r) <= x there) is
       nonincreasing in r, and above max(x, r*) nondecreasing, so a least-cost
       report lies between x and r*, and its optimum between the truthful
       optimum and x, inside the profile's hull, however far r* lies.
-    - Pieces. The finite ends of the slope-1 lines strictly between x and r*
-      cut the bracket into pieces. On each, with sigma = sign(r* - x) and s
-      the sum of the weights of the slope-1 lines unclipped there, the cost
+    - Pieces. The finite clip ends strictly between x and r* cut the
+      bracket into pieces. On each, with sigma = sign(r* - x) and s the sum
+      of the weights of the lines unclipped there, the cost
       as a function of the optimum's location is C(y) = K + sigma (s R(y) -
       w y), so C'(y) = sigma (s R'(y) - w), where
       R'(y) = 1 + |D|^((2-q)/(q-1)) * sum |y - o|^(q-2).
@@ -299,76 +299,64 @@ def best_deviation(
     Such a row builds no candidates and is not polished; it still passes
     `_check_window` first, so a window the scan refuses is refused at the
     same agent. Every other row is priced at its kinks where its plan is
-    closed (below), and else scans, bit for bit as before, as do Mirror and
-    Symmetrized of the optimum at p > 1. The scan searches a bounded
-    window: on [0, 0, 0, 1, 1] at p = 1.5 the optimum's row stops at 4.0025,
-    where r = 10 gains twice as much, and Mixture(order_weights=(0, 0.3, 0,
-    0), opt_weight=0.7) on [0, 0, 1, 1] at p = 1.5 stops at 4.0025 with gain
-    0.319, where r = 5 gains 0.35.
+    closed (below), and else scans, bit for bit as before. The scan searches
+    a bounded window: on [0, 0, 0, 1, 1] at p = 1.5 the optimum's row stops
+    at 4.0025, where r = 10 gains twice as much, and Mixture(order_weights=
+    (0, 0.3, 0, 0), opt_weight=0.7) on [0, 0, 1, 1] at p = 1.5 stops at
+    4.0025 with gain 0.319, where r = 5 gains 0.35.
 
-    A closed plan, of clipped lines of slope s in [0, 1], mirrored or not,
-    and then at most one unmirrored L_inf optimum, is priced at its kinks
-    (`_kink_min`): the rows of LRM, ThreePoint, Mirror and Symmetrized of
-    lines, order and dictator mixtures with two or more weights, and the
-    L_inf optimum, mixed or (where `_inverse_min` does not certify it)
-    alone. o is others[0], the other report at n = 2, and B = |low| + |high|.
-    - Least cost at a kink. Each location is continuous and piecewise
-      linear in r: a line's pieces are s r + b and its clip ends lo and hi;
-      a mirrored line's are r + o - (s r + b), r + o - lo and r + o - hi;
-      the midrange's are 0.5 (r + others[-1]) below others[0], a constant
-      up to others[-1] and 0.5 (others[0] + r) above. So the cost C(r), a
-      sum of w |x - y(r)|, is continuous and piecewise linear, and breaks
-      only where a piece ends or meets x. Between two adjacent breaks C is
-      linear, so its least there is at a break. The two outer pieces run to
-      -inf and +inf, and C >= 0 on them, so C does not fall as r goes
-      outward, or it would go below 0: their least is at the outermost
-      breaks. With no break C is constant. So the least over every real
-      report is at a break or, with none, at x.
+    A closed plan, of clipped lines and L_inf optima, is priced at its
+    kinks (`_kink_min`): the rows of LRM, ThreePoint, Mirror, Symmetrized,
+    order and dictator mixtures with two or more weights, and the L_inf
+    optimum (every two-agent optimum), mixed or (where `_inverse_min` does
+    not certify it) alone. B = |low| + |high|.
+    - Least cost at a kink. Each location is continuous, piecewise linear
+      and nondecreasing in r: a line's pieces are its clip ends lo and hi and
+      r between them; the midrange's are 0.5 (r + others[-1]) below
+      others[0], a constant up to others[-1] and 0.5 (others[0] + r) above.
+      So the cost C(r), a sum of w |x - y(r)|, is continuous and piecewise
+      linear, and breaks only where a piece ends or meets x. Between two
+      adjacent breaks C is linear, so its least there is at a break. The two
+      outer pieces run to -inf and +inf, and C >= 0 on them, so C does not
+      fall as r goes outward, or it would go below 0: their least is at the
+      outermost breaks. With no break C is constant. So the least over every
+      real report is at a break or, with none, at x.
     - Kinks. The candidates are the others' reports in agent order, lo -+
-      span and hi -+ span, every break and x, priced by `_plan_at`, as
-      `run` prices the rule; the first strict minimum wins, so the others
-      and the extremes win ties, as in the scan. The breaks are the others'
-      reports and a line's clip ends, exact, and, computed: (v - b) / s
-      for a clip end v and (x - b) / s, s > 0; (x - o + b) / (1 - s),
-      s < 1, and x - o + v, for a mirrored line; 2 x - others[-1] and
-      2 x - others[0] for the midrange. Each is a sum of at most three
-      terms, of magnitudes summing to a, over d in {1, s, 1 - s}: its two
-      roundings lie within u a (1 + u) each, and d and the quotient round
-      by a relative u each, so the computed kink is within 3 eps a / d of
-      the exact one (0 for v and x at s = 1, b = 0: an order statistic or
-      the agent's own dictator). In the catalog s is 0, 1/2 or 1, and every
-      shift and clip end is at most B in magnitude, so a / d <= 5 B (at
-      (x - o + o / 2) / (1 / 2), a mirrored ThreePoint), and every
-      candidate lies in [-3 B, 3 B].
-    - Rounding. C is Lipschitz with L = sum of w_k L_k, L_k = s for a
-      line, 1 for a mirrored one (its pieces' slopes are 1 - s and 1) and
-      1/2 for the midrange, so L <= sum w <= 1 + 1e-12, and the exact cost
-      at the nearest computed kink exceeds the least by at most 15.1 eps B.
-      `_plan_at` rounds each location within 3 eps (|r| + B) (a product and
-      a sum, then two sums for a mirror, or one sum for the midrange), and
-      then |x - y|, w * t and the sum of the K atoms' terms within
-      (K + 2) u C(r), and C(r) <= sum w (|r| + 3 B). So for every real
-      report r the reported cost is at most r's computed cost plus
-      15.1 eps B + e(3 B) + e(r), e(r) = (K + 5) eps (|r| + 3 B): below
-      1e-12 (1 + span) for profiles in [0, 1] at K <= 6 and |r| <= 4.
+      span and hi -+ span, every break and x, priced by `_plan_at`, as `run`
+      prices the rule; the first strict minimum wins, so the others and the
+      extremes win ties, as in the scan. The breaks are the others' reports,
+      the clip ends and x, all exact, and the midrange's 2 x - others[-1]
+      and 2 x - others[0], each one rounding of a value of magnitude at most
+      3 B, so within 3 u B of the exact break. Every candidate lies in
+      [-3 B, 3 B].
+    - Rounding. C is Lipschitz with L = sum of w_k L_k, L_k = 1 for a line
+      and 1/2 for the midrange, so L <= sum w <= 1 + 1e-12, and the exact
+      cost at the nearest computed kink exceeds the least by at most
+      3.1 u B. `_plan_at` clips exactly and rounds the midrange within
+      u (|r| + B) / 2, and then |x - y|, w * t and the sum of the K atoms'
+      terms within (K + 2) u C(r), and C(r) <= sum w (|r| + 2 B). So each
+      computed cost is within e(r) = (K + 4) u (|r| + 2 B) of the exact one,
+      and for every real report r the reported cost is at most r's computed
+      cost plus 3.1 u B + e(3 B) + e(r): below 1e-12 (1 + span) for
+      profiles in [0, 1] at K <= 6 and |r| <= 4.
     - Fall back. `_pruned_min`'s window cap is bounded as in
-      `_inverse_min`: each location is monotone in r (s <= 1), so each
-      term's largest over the scan's candidates is at their least or
-      greatest, and twice the sum of those largest leaves room for
-      rounding. Where it overflows, or where a kink or a candidate's cost
-      is not finite, the row scans bit for bit, and so refuses an
-      overflowing cost at the same agent. A row priced at its kinks builds
-      no candidate array, makes no `_plan_min` call and is never polished.
+      `_inverse_min`: each location is monotone in r, so each term's largest
+      over the scan's candidates is at their least or greatest, and twice
+      the sum of those largest leaves room for rounding. Where it overflows,
+      or where a kink or a candidate's cost is not finite, the row scans bit
+      for bit, and so refuses an overflowing cost at the same agent. A row
+      priced at its kinks builds no candidate array, makes no `_plan_min`
+      call and is never polished.
 
     A one-line plan is priced in closed form (`_line_min`): the (report,
     cost) the scan (`mechanisms._plan_min`) returns for the full candidate
     array, to the bit, with no candidate array, no cost curve and no polish.
-    Its one atom has q None, is not mirrored, and has either slope 1 and
-    shift 0 (an order statistic, or the agent's own dictator: y(r) is r
-    clipped to [lo, hi]) or slope 0 (another agent's dictator). The rows of
-    Median, OrderStatistic, Dictator, of the L_1 optimum (`_outcome_plan`
-    writes it as the median's line) and of a Mixture with one nonzero
-    weight are such plans.
+    Its one atom is a line, y(r) = r clipped to [lo, hi]: an order
+    statistic's rank window, or a dictator's (the whole line for the
+    agent's own, [v, v] for another's). The rows of Median,
+    OrderStatistic, Dictator, of the L_1 optimum (`_outcome_plan` writes it
+    as the median's line), of a Mixture with one nonzero weight and, on two
+    agents, of Mirror of these are such plans.
     - Least cost is truthful. y(r) lies in [lo, hi] and x's own clip is the
       point of [lo, hi] nearest x. x - y, |.| and w * (.) each round
       monotonically, so fl(w |x - y(r)|) >= cost(x) = truthful for every
@@ -378,7 +366,8 @@ def best_deviation(
     - The report is the first candidate in assembly order (the others in
       agent order, the extremes, the grid, the scalings, then x) priced at
       truthful, as argmin picks it. If x <= lo or x >= hi, a finite window
-      end is an other's report (`core._rank_window`) and costs truthful, so
+      end is an other's report (`core._rank_window`, a dictator's or, under
+      Mirror, the other's) and costs truthful, so
       the report is the first other, in agent order, whose cost equals
       truthful, priced by `_plan_at`: it prices a line as `_plan_costs`
       does, to the bit (y may differ only in a zero's sign, which |x - y|
@@ -388,15 +377,12 @@ def best_deviation(
       The report is then x, bit for bit, unless x is a zero; its sign is
       then the first zero's among the others (only the agent's own
       dictator, on the whole line, can have one), the extremes and the
-      grid, else that of scales[0] * x. If the slope is 0, 0 * r + shift is
-      shift up to a zero's sign, every candidate costs truthful, and the
-      report is the first other.
+      grid, else that of scales[0] * x.
     - Overflow. The scan reports cost inf if any candidate's cost
       overflows. With both window ends finite, x and y(r) lie in [low,
       high], so no cost exceeds w * span, which is finite: the extremes
       low - span and high + span are finite only if span is at most about
-      2/3 of the largest double, and w <= 1 + 1e-12. With slope 0 every
-      cost is truthful, whose own check refuses an overflow. With lo = -inf
+      2/3 of the largest double, and w <= 1 + 1e-12. With lo = -inf
       or hi = inf, the cost is unimodal in r (y(r) is monotone), so its
       largest is at the least or the greatest candidate: the least or
       greatest of the extremes and the grid (which `_window_hull` reads off
@@ -411,9 +397,9 @@ def best_deviation(
 
     The candidate scan (`mechanisms._plan_min`) solves only the optimum rows
     that can win, and returns the same index and cost, bit for bit, as the
-    full curve. It prunes plans of clipped lines of slope >= 0 and then one
-    optimum that is not a closed form, none mirrored (`Optimal` and its
-    mixtures with dictators and order statistics), which cost
+    full curve. It prunes plans of clipped lines and then one optimum that
+    is not a closed form (`Optimal` and its mixtures with dictators and
+    order statistics, on three or more agents), which cost
     rest + w * |x - y| at report r: rest, the lines' cost in the full curve's
     atom order, is evaluated at every candidate, and the optimum y of
     others + [r] is nondecreasing in r by strict convexity (the monotonicity
@@ -428,8 +414,8 @@ def best_deviation(
     [y0 - delta, y1 + delta]); one with LB * (1 - 1e-12) - delta > UB cannot
     be the least and is not solved, and the rest are solved in one more
     batch, where a row's solve does not depend on the rest of the batch
-    (`optimizer._bisect_columns`). Other plans take the full curve (a
-    mirrored optimum is not monotone), as do plans whose cap,
+    (`optimizer._bisect_columns`). Other plans take the full curve, as do
+    plans whose cap,
     max(rest) + w * max |x - y| over the window, overflows: y lies in the
     window, so each cost rounds to at most the cap, below it no cost
     overflows, and the overflow check holds for the unsolved rows too.
@@ -440,18 +426,18 @@ def best_deviation(
     whose polished gain provably stays below the largest found so far. The
     polish prices reports r in [a, b], and with b - a finite every golden
     point lies there, within window + u * (|r*| + window) of r* = best_r, u
-    the unit roundoff. Each atom's location is Lipschitz in r: |slope| for a
-    clipped line; 1 for an L_q optimum, which is nondecreasing and
-    translation equivariant (adding h to every point adds h to it); plus 1
-    when mirrored. Each computed location is within
+    the unit roundoff. Each atom's location is Lipschitz in r: 1 for a
+    clipped line, 0 for a window [v, v]; 1 for an L_q optimum, which is
+    nondecreasing and translation equivariant (adding h to every point adds
+    h to it). Each computed location is within
     delta = 1e-9 * (1 + |w0| + |w1|) of the exact one, [w0, w1] the hull of
     the profile and [a, b]: a solved optimum by the certificate above; a
-    line, a mirror, the median, the midrange and both p = 2 means (the
+    line, the median, the midrange and both p = 2 means (the
     scalar fsum(row) / n and the batched (fsum(others) + r) / n, which can
     differ in the last bits) to within a few ulps of the row's largest |y|.
     So each atom moves by at most L_k * window + 2 * delta between the
     scan's r* and a golden point, the unit roundoff's share of the golden
-    distance (at most 2u (|r*| + window), as L_k <= 2 in the catalog) lying
+    distance (at most u (|r*| + window), as L_k <= 1) lying
     deep inside delta's 1000-fold margin. The cost is a sum of K terms
     w * |x - y|, each rounded twice and summed K times, so the scan's c and a
     golden point's cost carry relative errors of at most (K + 2) u each,
@@ -578,12 +564,8 @@ def _deviations(spec, profile: LocationProfile, p: float, agents, cfg: SearchCon
 
 
 def _one_line(atoms) -> bool:
-    # one unmirrored clipped line: the identity (an order statistic or the
-    # agent's own dictator) or a constant (another agent's dictator)
-    if len(atoms) != 1:
-        return False
-    _, slope, shift, _, _, q, mirrored = atoms[0]
-    return q is None and not mirrored and (slope == 0.0 or (slope == 1.0 and shift == 0.0))
+    # one clipped line: an order statistic or a dictator
+    return len(atoms) == 1 and atoms[0][3] is None
 
 
 def _line_min(others, atoms, x: float, truthful: float, reports: list, hull, slots, scales) -> tuple[float, float]:
@@ -593,9 +575,7 @@ def _line_min(others, atoms, x: float, truthful: float, reports: list, hull, slo
     # extremes and the grid, built only when read, x's scalings `scales` * x
     # (see best_deviation for the proof); _plan_at prices a line as
     # _plan_costs does, to the bit
-    _, slope, _, lo, hi, _, _ = atoms[0]
-    if slope == 0.0:
-        return reports[0], truthful
+    _, lo, hi, _ = atoms[0]
     if not lo < x < hi:
         report = next(r for r in reports if _plan_at(others, atoms, r, x) == truthful)
     elif x != 0.0:
@@ -608,11 +588,11 @@ def _line_min(others, atoms, x: float, truthful: float, reports: list, hull, slo
 
 
 def _line_overflows(others, atoms, x: float, hull, scales) -> bool:
-    # whether a candidate's cost overflows on the one-line plan: none can on a
-    # bounded line or at slope 0, and elsewhere the cost is unimodal in r, so
-    # its largest is at the least or the greatest candidate
-    _, slope, _, lo, hi, _, _ = atoms[0]
-    if slope == 0.0 or (lo != -math.inf and hi != math.inf):
+    # whether a candidate's cost overflows on the one-line plan: none can in a
+    # bounded window, and elsewhere the cost is unimodal in r, so its largest
+    # is at the least or the greatest candidate
+    _, lo, hi, _ = atoms[0]
+    if lo != -math.inf and hi != math.inf:
         return False
     return not math.isfinite(max(_plan_at(others, atoms, r, x) for r in _candidate_ends(hull, scales, x)))
 
@@ -651,12 +631,11 @@ def _inverse_report(others, y: float, q: float):
 
 def _inverse_min(others, atoms, x: float, truthful: float, span: float, hull, scales):
     # (report, cost) of a least-cost report, priced forward, for a plan of
-    # unmirrored clipped lines of slope 0, or of slope 1 and shift 0, and then
-    # one unmirrored L_q optimum, q > 1 and finite when a line is present; None
-    # for any other plan and for a row that does not certify itself (see
-    # best_deviation); `hull` and `scales` as in _line_min
-    *lines, (w, _, _, _, _, q, mirrored) = atoms
-    if q is None or mirrored:
+    # clipped lines and then one L_q optimum, q > 1 and finite when a line is
+    # present; None for any other plan and for a row that does not certify
+    # itself (see best_deviation); `hull` and `scales` as in _line_min
+    *lines, (w, _, _, q) = atoms
+    if q is None:
         return None
     if not lines:
         # _inverse_search's one piece, which ends at r*, where its bound is 0;
@@ -668,9 +647,9 @@ def _inverse_min(others, atoms, x: float, truthful: float, span: float, hull, sc
         c = _plan_at(others, atoms, r, x)
         best_r, best_c = (r, c) if c <= truthful else (x, truthful)
         return (best_r, best_c) if best_c <= 1e-9 * (1.0 + span) else None
-    if q == math.inf or any(a[5] is not None or a[6] or not (a[1] == 0.0 or (a[1] == 1.0 and a[2] == 0.0)) for a in lines):
+    if q == math.inf or any(a[3] is not None for a in lines):
         return None
-    clip = lambda a, r: min(max(r, a[3]), a[4]) if a[1] else a[2]
+    clip = lambda a, r: min(max(r, a[1]), a[2])
     # _pruned_min's cost cap, bounded above: each line is monotone in r
     ends = _candidate_ends(hull, scales, x)
     cap = w * max(abs(x - ends[0]), abs(x - ends[1]))
@@ -686,9 +665,9 @@ def _inverse_min(others, atoms, x: float, truthful: float, span: float, hull, sc
 
 def _inverse_search(others, lines, atoms, x, truthful, span, clip):
     # _inverse_min past its plan and cap checks
-    w, q = atoms[-1][0], atoms[-1][5]
+    w, q = atoms[-1][0], atoms[-1][3]
     r_star, err_star = _inverse_report(others, x, q)
-    kinks = {b for a in lines if a[1] for b in a[3:5] if math.isfinite(b)}
+    kinks = {b for a in lines for b in a[1:3] if math.isfinite(b)}
     sigma, degenerate = (1.0 if r_star > x else -1.0), abs(r_star - x) <= err_star
     if not degenerate and any(abs(b - r_star) <= err_star for b in kinks):
         return None
@@ -734,7 +713,7 @@ def _inverse_search(others, lines, atoms, x, truthful, span, clip):
         candidates.append(r_star)
     for j in range(0 if degenerate else len(pts) - 1):
         a, b = pts[j], pts[j + 1]
-        free = [line[0] for line in lines if line[1] and line[3] <= min(a, b) and max(a, b) <= line[4]]
+        free = [line[0] for line in lines if line[1] <= min(a, b) and max(a, b) <= line[2]]
         s = math.fsum(free)
         i_lo, i_hi = (j, j + 1) if a < b else (j + 1, j)
         # fsum rounds correctly, so its sign is the exact sum's: s r' >= least s >= w
@@ -831,33 +810,23 @@ def _inverse_cells(others, q, w, s, sigma, least, lower, upper, span, bound):
 
 
 def _kink_min(others, atoms, x: float, leading: list, hull, scales):
-    # (report, cost) of a least-cost report for a closed plan, clipped lines of
-    # slope in [0, 1], mirrored or not, then at most one unmirrored L_inf
-    # optimum: the first strict minimum of `leading` (the others' reports in
-    # agent order, then lo -+ span and hi -+ span), the kinks and x, each
-    # priced by _plan_at; None for any other plan and where a kink or a cost
-    # is not finite or the scan's cost cap overflows (see best_deviation);
-    # `hull` and `scales` as in _line_min
-    *lines, last = atoms
-    if last[5] is None:
-        lines = atoms
-    elif last[5] != math.inf or last[6]:
-        return None
-    if any(a[5] is not None or not 0.0 <= a[1] <= 1.0 for a in lines):
-        return None
-    o, kinks = others[0], []
-    for _, slope, shift, lo, hi, _, mirrored in lines:
-        ends = [v for v in (lo, hi) if math.isfinite(v)]
-        if slope:
-            # where the line meets its clip ends and x
-            kinks += [(v - shift) / slope for v in ends] + [(x - shift) / slope]
-        if mirrored:
-            # where r + o - y meets x: y on the line, then at each clip end
-            kinks += ([(x - o + shift) / (1.0 - slope)] if slope != 1.0 else []) + [x - o + v for v in ends]
-    if last[5] is not None:
-        # the midrange leaves its flat middle at others[0] and others[-1], and
-        # 0.5 * (r + others[-1]) and 0.5 * (others[0] + r) meet x at
-        kinks += [2.0 * x - others[-1], 2.0 * x - others[0]]
+    # (report, cost) of a least-cost report for a closed plan, clipped lines
+    # and L_inf optima: the first strict minimum of `leading` (the others'
+    # reports in agent order, then lo -+ span and hi -+ span), the kinks and
+    # x, each priced by _plan_at; None for any other plan and where a kink or
+    # a cost is not finite or the scan's cost cap overflows (see
+    # best_deviation); `hull` and `scales` as in _line_min
+    kinks = []
+    for _, lo, hi, q in atoms:
+        if q is None:
+            # the line's clip ends, and where it meets x
+            kinks += [v for v in (lo, hi) if math.isfinite(v)] + [x]
+        elif q == math.inf:
+            # the midrange leaves its flat middle at others[0] and others[-1],
+            # and 0.5 * (r + others[-1]) and 0.5 * (others[0] + r) meet x at
+            kinks += [2.0 * x - others[-1], 2.0 * x - others[0]]
+        else:
+            return None
     # each location is monotone in r, so each term's largest over the scan's
     # candidates is at their least or greatest, and twice the cap leaves room
     # for rounding
@@ -882,8 +851,8 @@ def _polish_slack(atoms, best_r: float, window: float, reach: float, truthful: f
     # polished gain is at most truthful - best_c + slack (see best_deviation);
     # reach is 1 + |low| + |high| of the profile
     lip = mass = 0.0
-    for w, slope, _, _, _, q, mirrored in atoms:
-        lip += w * ((abs(slope) if q is None else 1.0) + mirrored)
+    for w, lo, hi, q in atoms:
+        lip += w * (q is not None or lo < hi)
         mass += w
     delta = 1e-9 * (reach + 2.0 * (abs(best_r) + window))
     return lip * window + 2.0 * mass * delta + 1e-12 * (truthful + best_c)

@@ -87,7 +87,6 @@ def _ratios(spec, rows: np.ndarray, p: float) -> list:
     `ratio` raises on it. A row's results do not depend on the rest of its
     batch.
     """
-    inf = math.inf
     values = rows.tolist()
     plans, ys, owners, masses, error = [], [], [], None, None
     for i, row in enumerate(values):
@@ -97,8 +96,8 @@ def _ratios(spec, rows: np.ndarray, p: float) -> list:
             opt_y = _optimum(srt, p)
             # an optimum atom at q == p solves the same sorted list (up to the
             # order of equal zeros, which moves no distance): the row's
-            # optimum, here a constant line
-            atoms = [(a[0], 0.0, opt_y, -inf, inf, None, a[6]) if a[5] == p else a for a in atoms]
+            # optimum, here the window [opt_y, opt_y]
+            atoms = [(a[0], opt_y, opt_y, None) if a[3] == p else a for a in atoms]
             # a rule's masses do not move with the reports: validated on the
             # first row, after its locations, and again only if they change
             weights = [a[0] for a in atoms]

@@ -99,6 +99,14 @@ class TestEval:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_a_tied_subnormal_profile(self, capsys):
+        # a midpoint taken as 0.5 * r + 0.5 * o rounds this tie to 0, and
+        # pricing the ratio at unit span would divide by the zero span
+        code, out, _ = run_cli(capsys, ["eval", "--spec", "lrm", "--profile=5e-324,5e-324", "--p", "2"])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["ratio"] == 1.0 and [a["location"] for a in payload["distribution"]] == [5e-324]
+
 
 class TestSpcheck:
     def test_median_is_clean(self, capsys):

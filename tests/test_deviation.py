@@ -294,15 +294,8 @@ class TestCandidates:
 def reference_plan_costs(others, atoms, x, reports):
     """_plan_costs in its first form: a zero seed, .clip and w * |x - y|."""
     total = np.zeros(reports.size)
-    for w, slope, shift, lo, hi, q, mirrored in atoms:
-        if q is None:
-            y = (reports if slope == 1.0 and shift == 0.0 else slope * reports + shift).clip(lo, hi)
-        else:
-            y = _optimum_rows([(others, reports)], q)[0]
-        if mirrored:
-            # r + others[0] - y, or (r - y) + others[0] where that sum overflows
-            summed = reports + others[0] - y
-            y = np.where(np.isfinite(summed), summed, (reports - y) + others[0])
+    for w, lo, hi, q in atoms:
+        y = reports.clip(lo, hi) if q is None else _optimum_rows([(others, reports)], q)[0]
         total += w * np.abs(x - y)
     return total
 
@@ -580,8 +573,8 @@ class TestPolishSkip:
         # the mixtures' rows scan at NEAR_ONE, where the inverse map is not certified
         calls = self._count_polishes(monkeypatch)
         best_deviation(median_optimum(3, 0.5), LocationProfile([0.0, 0.3, 1.0]), NEAR_ONE, agent=1)
-        # a mirrored optimum, beside a mirrored dictator that keeps the cost above 0
-        best_deviation(Mirror(Mixture(dictator_weights=(0.5, 0.0), opt_weight=0.5)), LocationProfile([0.0, 1.0]), 2.0, agent=1)
+        # a solved optimum, beside another agent's dictator that keeps the cost above 0
+        best_deviation(Mixture(dictator_weights=(0.0, 0.5, 0.0), opt_weight=0.5), LocationProfile([0.0, 0.3, 1.0]), NEAR_ONE, agent=1)
         # a solved optimum atom, although here its location never reaches x
         best_deviation(median_optimum(3, 0.9), LocationProfile([0.0, 10.0, 11.0]), NEAR_ONE, agent=1)
         assert len(calls) == 3
@@ -684,8 +677,8 @@ class TestOneLinePlans:
         # the L_1 optimum is the median's line
         assert sp_scan(Optimal(), 1.0, n=6, trials=5, seed=42).gain == 0.0
         assert calls == []
-        # a mirrored optimum still scans
-        best_deviation(Mirror(Optimal()), LocationProfile([0.0, 1.0]), 2.0, agent=1)
+        # an optimum mixture the inverse map does not certify still scans
+        best_deviation(median_optimum(3, 0.5), LocationProfile([0.0, 0.3, 1.0]), NEAR_ONE, agent=1)
         assert "costs" in calls
 
 
@@ -697,18 +690,19 @@ def l1_cases(n):
     mixture = Mixture(order_weights=tuple(median), opt_weight=0.5)
     cases = [(Optimal(), 1.0, {0}), (Optimal(1.0), 2.0, {0}), (mixture, 1.0, {1})]
     if n == 2:
-        cases += [(Mirror(Optimal()), 1.0, {0}), (Symmetrized(Optimal()), 1.0, {0, 1})]
+        # the first atom is the L_1 optimum; its mirror, the second, is the upper median's line
+        cases.append((Symmetrized(Optimal()), 1.0, {0}))
     return cases
 
 
 def l1_atom_reference(spec, optima, profile, p, agent, cfg=SearchConfig()):
-    """best_deviation with the L_1 optimum priced as a solved atom, (w, 0.0,
-    0.0, -inf, inf, 1.0, mirrored): `optimizer._optimum(sorted([*others, r]),
-    1.0)` per candidate, the first least cost, then the golden polish, which
-    always runs. `optima` are the indices of the L_1 optimum's atoms."""
+    """best_deviation with the L_1 optimum priced as a solved atom, (w, -inf,
+    inf, 1.0): `optimizer._optimum(sorted([*others, r]), 1.0)` per candidate,
+    the first least cost, then the golden polish, which always runs.
+    `optima` are the indices of the L_1 optimum's atoms."""
     x = float(profile.values[agent - 1])
     others, atoms = _outcome_plan(spec, profile.values.tolist(), p, agent)
-    atoms = [(a[0], 0.0, 0.0, -math.inf, math.inf, 1.0, a[6]) if k in optima else a for k, a in enumerate(atoms)]
+    atoms = [(a[0], -math.inf, math.inf, 1.0) if k in optima else a for k, a in enumerate(atoms)]
     cost = lambda r: _plan_at(others, atoms, r, x)
     truthful = cost(x)
     candidates = reference_candidates(profile, agent, cfg).tolist()
@@ -778,10 +772,10 @@ def inverse_map_rows(ps, trials=1, seed=11):
 
 
 class TestInverseMap:
-    """A plan whose one atom is an unmirrored L_q optimum, q > 1, takes the
-    report that puts the optimum on x, priced forward. Where that cost is
-    finite and at most 1e-9 * (1 + span) the row reports it, unpolished;
-    every other row keeps the scan's bits."""
+    """A plan whose one atom is an L_q optimum, q > 1, takes the report
+    that puts the optimum on x, priced forward. Where that cost is finite
+    and at most 1e-9 * (1 + span) the row reports it, unpolished; every
+    other row keeps the scan's bits."""
 
     @given(
         profile=edge_profiles(max_n=8),
@@ -906,7 +900,7 @@ def assert_no_cheaper_report(spec, profile, p, agent):
     the optimum on x, by the inverse map written out in numpy."""
     got = best_deviation(spec, profile, p, agent)
     x, atoms = float(profile.values[agent - 1]), _outcome_plan(spec, profile.values.tolist(), p, agent)[1]
-    q = atoms[-1][5]
+    q = atoms[-1][3]
     d = x - np.delete(profile.values, agent - 1)
     total = float(np.sum(np.sign(d) * np.abs(d) ** (q - 1.0)))
     r_star = x + math.copysign(abs(total) ** (1.0 / (q - 1.0)), total)
@@ -917,11 +911,11 @@ def assert_no_cheaper_report(spec, profile, p, agent):
 
 
 class TestOptimumMixtures:
-    """A plan of clipped lines of slope 0 or 1 and one unmirrored L_q
-    optimum, 1 < q < inf, takes an exact best response where it certifies
-    itself: its gain is at least the scan's, less 1e-12 * (1 + span), and no
-    report of a dense oracle is more than 1e-9 * (1 + span) cheaper. Every
-    other row keeps the scan's bits."""
+    """A plan of clipped lines and one L_q optimum, 1 < q < inf, takes an
+    exact best response where it certifies itself: its gain is at least the
+    scan's, less 1e-12 * (1 + span), and no report of a dense oracle is more
+    than 1e-9 * (1 + span) cheaper. Every other row keeps the scan's bits.
+    On two agents the optimum is the midrange, and the plan is closed."""
 
     @given(
         profile=edge_profiles(max_n=7),
@@ -934,7 +928,7 @@ class TestOptimumMixtures:
         assert_scan_or_certified(specs[pick % len(specs)], profile, p, min(agent, profile.n))
 
     @given(
-        values=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=7),
+        values=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=7),
         pick=st.integers(0, 10**6),
         p=st.sampled_from(MIXTURE_P),
         agent=st.integers(1, 7),
@@ -953,9 +947,12 @@ class TestOptimumMixtures:
                 specs = mixture_specs(n, p)
                 for agent in range(1, n + 1):
                     spec = specs[(n + agent) % len(specs)]
-                    assert inverse_map_row(spec, profile, p, agent) is not None, (spec, p, agent)
+                    # on two agents the optimum is the midrange, priced at the plan's kinks
+                    closed = inverse_map_row if n > 2 else kink_row
+                    assert closed(spec, profile, p, agent) is not None, (spec, p, agent)
                     assert_scan_or_certified(spec, profile, p, agent)
-                    assert_no_cheaper_report(spec, profile, p, agent)
+                    if n > 2:
+                        assert_no_cheaper_report(spec, profile, p, agent)
 
     @pytest.mark.parametrize("p", [1.01, 1.1])
     def test_near_one_the_uncertified_rows_keep_the_scan(self, p):
@@ -1038,18 +1035,19 @@ class TestOptimumMixtures:
 
 
 def two_agent_closed_specs():
-    """Two-agent rules whose plans are clipped lines, mirrored or not."""
+    """Two-agent rules whose plans are two or more clipped lines and
+    midranges (Mirror of a one-line rule is one line)."""
     return [
         LRM(),
         ThreePoint(0.2),
         ThreePoint(0.5),
         Mirror(LRM()),
-        Mirror(Median()),
-        Mirror(Dictator(1)),
         Mirror(ThreePoint(0.3)),
         Symmetrized(LRM()),
         Symmetrized(ThreePoint(0.1)),
         Symmetrized(Median()),
+        Symmetrized(Optimal()),
+        Mirror(Mixture(dictator_weights=(0.5, 0.0), opt_weight=0.5)),
     ]
 
 
@@ -1089,50 +1087,48 @@ def closed_rows(specs_of, ns, trials, seed):
 
 def breaks(others, atoms, x):
     """Every report where a location of the plan changes slope or meets x,
-    from each location's pieces a * r + c: a line's s * r + b between its
-    clip ends, a mirrored line's r + o - (s * r + b), r + o - lo and
-    r + o - hi, and the midrange's 0.5 * r + 0.5 * others[-1] below
-    others[0] and 0.5 * r + 0.5 * others[0] above others[-1]."""
-    found, o = list(others), others[0]
-    for _, s, b, lo, hi, q, mirrored in atoms:
+    from each location's pieces a * r + c: a line's r between its clip ends
+    and the midrange's 0.5 * r + 0.5 * others[-1] below others[0] and
+    0.5 * r + 0.5 * others[0] above others[-1]."""
+    found = list(others)
+    for _, lo, hi, q in atoms:
         if q is not None:
             pieces = [(0.5, 0.5 * others[-1]), (0.5, 0.5 * others[0])]
         else:
-            pieces = [(s, b)] + ([(1.0 - s, o - b)] + [(1.0, o - v) for v in (lo, hi)] if mirrored else [])
-            found += [(v - b) / s for v in (lo, hi) if s and math.isfinite(v)]
-        found += [(x - c) / a for a, c in pieces if a and math.isfinite(c)]
+            pieces = [(1.0, 0.0)]
+            found += [v for v in (lo, hi) if math.isfinite(v)]
+        found += [(x - c) / a for a, c in pieces]
     return found
 
 
 def random_closed_plan(rng):
-    """(others, x, atoms): one to four clipped lines of slope 0, 1 or uniform
-    in [0, 1], with uniform shifts, clip ends (a third of them infinite) and
-    mirror flags, half the time followed by an unmirrored L_inf optimum, on
-    n = 2..5 uniform reports in [-1, 1]."""
+    """(others, x, atoms): one to four clipped lines with uniform clip ends
+    (a third of them infinite, a fifth of the lines a window [v, v]) and zero
+    to two L_inf optima, in random order, on n = 2..5 uniform reports in
+    [-1, 1]."""
     n = int(rng.integers(2, 6))
     others, x, atoms = sorted(rng.uniform(-1.0, 1.0, n - 1).tolist()), float(rng.uniform(-1.0, 1.0)), []
     for _ in range(int(rng.integers(1, 5))):
-        slope = float(rng.choice([0.0, 1.0, rng.uniform(0.0, 1.0)]))
         lo, hi = sorted(rng.uniform(-2.0, 2.0, 2).tolist())
         lo, hi = (-math.inf if rng.random() < 1 / 3 else lo), (math.inf if rng.random() < 1 / 3 else hi)
-        atoms.append((float(rng.uniform(0.1, 1.0)), slope, float(rng.uniform(-1.0, 1.0)), lo, hi, None, bool(rng.random() < 0.5)))
-    if rng.random() < 0.5:
-        atoms.append((float(rng.uniform(0.1, 1.0)), 0.0, 0.0, -math.inf, math.inf, math.inf, False))
-    return others, x, atoms
+        if rng.random() < 0.2:
+            lo = hi = float(rng.uniform(-2.0, 2.0))
+        atoms.append((float(rng.uniform(0.1, 1.0)), lo, hi, None))
+    atoms += [(float(rng.uniform(0.1, 1.0)), -math.inf, math.inf, math.inf) for _ in range(int(rng.integers(0, 3)))]
+    return others, x, [atoms[k] for k in rng.permutation(len(atoms))]
 
 
 class TestClosedPlans:
-    """A plan of clipped lines of slope in [0, 1], mirrored or not, and at
-    most one unmirrored L_inf optimum is priced at its kinks: its gain is at
-    least the scan's, less 1e-15 * (1 + span), and no report of a dense
-    oracle is more than 1e-12 * (1 + span) cheaper. Such a row never builds
-    candidates, scans or polishes; rows whose kinks or costs are not finite
-    keep the scan's bits."""
+    """A plan of clipped lines and L_inf optima is priced at its kinks: its
+    gain is at least the scan's, less 1e-15 * (1 + span), and no report of a
+    dense oracle is more than 1e-12 * (1 + span) cheaper. Such a row never
+    builds candidates, scans or polishes; rows whose kinks or costs are not
+    finite keep the scan's bits."""
 
     @given(profile=edge_profiles(max_n=7), pick=st.integers(0, 10**6), p=st.sampled_from(P_GRID), agent=st.integers(1, 7))
     def test_edge_rows_beat_the_scan(self, profile, pick, p, agent):
-        # the mirrored optima close only at p = 1 and keep the scan's bits elsewhere
-        two = two_agent_closed_specs() + [Mirror(Optimal()), Symmetrized(Optimal())]
+        # on two agents every optimum is the midrange: alone it takes the inverse map
+        two = two_agent_closed_specs() + [Mirror(Optimal()), Mirror(Dictator(1)), Mirror(Median())]
         specs = closed_mixture_specs(profile.n) + (two if profile.n == 2 else [])
         assert_scan_or_certified(specs[pick % len(specs)], profile, p, min(agent, profile.n))
 
@@ -1152,9 +1148,8 @@ class TestClosedPlans:
             assert float(costs.min()) >= got.deviated_cost - 1e-12 * (1.0 + span), (spec, profile, p, agent)
 
     def test_random_plans_meet_their_least_at_a_kink(self):
-        # at n = 2 every kink of a catalog rule is an other's report, an
-        # extreme or x, so random slopes, shifts and clip ends are needed to
-        # reach the kinks that are none of these
+        # at n = 2 every clip end of a catalog rule is an other's report, so
+        # random clip ends are needed to reach the kinks that are none of these
         rng, cfg = np.random.default_rng(35), SearchConfig()
         scales = deviation._unit_arrays(cfg.grid_points, cfg.scale_bound, cfg.scale_steps_per_unit)[1]
         for _ in range(300):
@@ -1221,6 +1216,17 @@ class TestClosedPlans:
                 sp_scan(spec, p, n, 3, 1)
         assert calls == []
 
+    @pytest.mark.parametrize("p", [1.01, 1.5, 2.0, 3.0, math.inf])
+    def test_no_two_agent_optimum_row_scans(self, p, monkeypatch):
+        # every two-agent optimum is the midrange, so Mirror and Symmetrized of
+        # an optimum are closed plans, or one optimum for the inverse map
+        calls = []
+        monkeypatch.setattr(deviation, "_plan_min", lambda *args: calls.append(args) or mechanisms._plan_min(*args))
+        specs = [Mirror(Optimal()), Symmetrized(Optimal()), Mirror(Optimal(3.0))]
+        for spec in specs + [Mirror(Mixture(dictator_weights=(0.5, 0.0), opt_weight=0.5))]:
+            sp_scan(spec, p, 2, 20, 1)
+        assert calls == []
+
 
 def assert_plan_min_is_the_full_curve(spec, profile, p, agent):
     """`mechanisms._plan_min` on the row's plan and candidates returns the
@@ -1281,7 +1287,8 @@ class TestPrunedScan:
         monkeypatch.setattr(mechanisms, "_pruned_min", spy)
         return calls
 
-    @pytest.mark.parametrize("n", range(2, 13))
+    # on two agents every optimum is the midrange, a closed form the scan does not prune
+    @pytest.mark.parametrize("n", range(3, 13))
     @pytest.mark.parametrize("p", PRUNE_P)
     def test_reports_match_the_full_curve(self, n, p, pruned_calls):
         rng = np.random.default_rng(int(10 * p) + n)
@@ -1337,30 +1344,19 @@ class TestPrunedScan:
             assert profile_batch(spec, profile, NEAR_ONE) == expect, spec
             assert [found is None for found in pruned_calls] == [False, True]
 
-    def test_mirrored_plans_take_the_full_curve(self, pruned_calls):
-        profile = LocationProfile([0.2, 0.9])
-        mirrored_mixture = Mirror(Mixture(dictator_weights=(0.5, 0.0), opt_weight=0.5))
-        for spec in (Mirror(Optimal()), Symmetrized(Optimal(3.0)), mirrored_mixture):
-            for agent in (1, 2):
-                expect = outcome(reference_best_deviation, spec, profile, 3.0, agent)
-                assert outcome(best_deviation, spec, profile, 3.0, agent) == expect, (spec, agent)
-        assert pruned_calls == [None] * 6
-
     def test_plans_of_another_shape_take_the_full_curve(self, pruned_calls):
         # hand-built plans the catalog never makes: the scan prices only clipped
-        # lines of slope >= 0 followed by one solved optimum
+        # lines followed by one solved optimum
         inf = math.inf
         profile = LocationProfile(np.random.default_rng(5).uniform(0.0, 1.0, size=5))
         others, _ = _outcome_plan(Median(), profile.values.tolist(), 3.0, 1)
         x, reports = float(profile.values[0]), misreport_candidates(profile, 1)
-        optimum = lambda w, q: (w, 0.0, 0.0, -inf, inf, q, False)
-        line = lambda w, slope, shift: (w, slope, shift, others[1], others[2], None, False)
+        optimum = lambda w, q: (w, -inf, inf, q)
+        line = lambda w: (w, others[1], others[2], None)
         shapes = {
-            "optimum before a line": [optimum(0.5, 3.0), line(0.25, 1.0, 0.0), line(0.25, 0.5, 0.1)],
+            "optimum before a line": [optimum(0.5, 3.0), line(0.25), line(0.25)],
             "two solved optima": [optimum(0.4, 3.0), optimum(0.6, 5.0)],
-            "a closed-form optimum": [optimum(0.3, 2.0), line(0.2, 1.0, 0.0), optimum(0.5, 3.0)],
-            "a line of negative slope": [line(0.5, -1.0, 1.0), optimum(0.5, 3.0)],
-            "a mirrored line": [(*line(0.5, 1.0, 0.0)[:6], True), optimum(0.5, 3.0)],
+            "a closed-form optimum": [optimum(0.3, 2.0), line(0.2), optimum(0.5, 3.0)],
         }
         for shape, atoms in shapes.items():
             pruned_calls.clear()
@@ -1739,11 +1735,13 @@ class TestPolishSlack:
             for row in ([big] * m, [big * (1.0 - 2.0**-52)] * (m - 1) + [big], [-big] * m):
                 assert abs(_optimum(row, 2.0)) <= big
 
-    @pytest.mark.parametrize("slope, mirrored, lip", [(1.0, False, 1.0), (0.5, False, 0.5), (-1.0, True, 2.0)])
-    def test_the_lipschitz_term_is_attained(self, slope, mirrored, lip):
-        # the facility at slope * r, mirrored to r + 0 - y: from a best report one
+    @pytest.mark.parametrize(
+        "lo, hi, q, lip", [(-math.inf, math.inf, None, 1.0), (-math.inf, math.inf, math.inf, 0.5)], ids=["line", "midrange"]
+    )
+    def test_the_lipschitz_term_is_attained(self, lo, hi, q, lip):
+        # the facility at r, or at the midrange r / 2: from a best report one
         # window above the cheapest one, the polish takes off nearly lip * window
-        atoms = [(1.0, slope, 0.0, -math.inf, math.inf, None, mirrored)]
+        atoms = [(1.0, lo, hi, q)]
         others, x, best_r, window = [0.0], 0.0, 0.25, 0.25
         best_c = _plan_at(others, atoms, best_r, x)
         _, c2 = _golden_min(lambda r: _plan_at(others, atoms, r, x), best_r - window, best_r + window, 48)

@@ -28,6 +28,7 @@ from lpfacility import (
     run,
     three_point_distribution,
 )
+from lpfacility import mechanisms
 
 
 def dyadic_profiles():
@@ -213,19 +214,47 @@ class TestMirrorAndSymmetrize:
                 assert run(Symmetrized(spec), prof, 2.0) == run(spec, prof, 2.0)
 
     def test_symmetrized_output_pairs_exactly(self):
+        # each atom pairs with its exact reflection: low with high, and the
+        # midrange with itself
         rng = np.random.default_rng(33)
         for _ in range(200):
             prof = LocationProfile(rng.uniform(-7, 7, size=2))
-            t = prof.low + prof.high
+            reflect = {prof.low: prof.high, prof.high: prof.low}
             for spec in (Dictator(1), Dictator(2), ThreePoint(0.3)):
                 d = run(Symmetrized(spec), prof, 2.0)
                 locs = d.locations
                 probs = d.probabilities
                 m = locs.size
                 for i in range(m):
-                    a, b = locs[i], locs[m - 1 - i]
-                    assert (b == t - a) or (a == t - b)
+                    assert locs[m - 1 - i] == reflect.get(locs[i], locs[i])
                     assert probs[i] == probs[m - 1 - i]
+
+    def test_the_mirror_of_dictator_one_is_agent_two_to_the_bit(self):
+        # a float reflection r + o - y lands an ulp off the other report,
+        # outside the profile, on 1,294 of these profiles
+        for row in np.random.default_rng(1).uniform(0.0, 1.0, size=(10_000, 2)).tolist():
+            assert run(Mirror(Dictator(1)), LocationProfile(row), 2.0).locations.tolist() == [row[1]]
+
+    def test_no_mirrored_atom_leaves_the_profile(self):
+        rows = np.random.default_rng(1).uniform(0.0, 1.0, size=(10_000, 2)).tolist()
+        for inner in (Dictator(1), Median(), LRM(), ThreePoint(0.3)):
+            for spec in (Mirror(inner), Symmetrized(inner)):
+                for row in rows:
+                    locations = mechanisms._plan_at(*mechanisms._outcome_plan(spec, row, 2.0, 1), row[0])
+                    assert min(row) <= min(locations) and max(locations) <= max(row), (spec, row)
+
+    @pytest.mark.parametrize(
+        "inner",
+        [Median(), OrderStatistic(1), OrderStatistic(2), Dictator(1), Dictator(2), Optimal(), Optimal(3.0), LRM()]
+        + [ThreePoint(0.2), Mixture(dictator_weights=(0.5, 0.0), opt_weight=0.5), Mirror(LRM()), Symmetrized(Median())],
+    )
+    def test_a_double_mirror_has_the_inner_plan(self, inner):
+        rng = np.random.default_rng(34)
+        for row in [[0.0, 1.0], [1.0, 0.0], [0.5, 0.5], [-0.0, 0.0]] + rng.uniform(-3.0, 3.0, size=(20, 2)).tolist():
+            for p in (1.0, 1.5, 2.0, 3.0, math.inf):
+                for agent in (1, 2):
+                    plan = mechanisms._outcome_plan(inner, row, p, agent)
+                    assert mechanisms._outcome_plan(Mirror(Mirror(inner)), row, p, agent) == plan
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, math.inf])
     @pytest.mark.parametrize("spec", [Mirror(Optimal()), Mirror(Dictator(1)), Symmetrized(Optimal())])

@@ -63,13 +63,36 @@ class TestRatio:
 
     def test_optimal_rule_ratio_is_exactly_one(self):
         # run places the optimum through the same one-row kernel as
-        # optimal_location, so the two agree to the last bit
+        # optimal_location, so the two agree to the last bit; on two agents
+        # at p > 1 it places the midrange, which the solve may miss by an ulp
         rng = np.random.default_rng(51)
         for _ in range(20):
             prof = LocationProfile(rng.uniform(-3, 3, size=int(rng.integers(2, 9))))
             for p in (1.0, 1.5, 2.0, 2.7, 3.0, math.inf):
                 assert ratio(Optimal(), prof, p).ratio == 1.0
-                assert run(Optimal(), prof, p).locations[0] == optimal_location(prof, p).location
+                q = math.inf if prof.n == 2 and p > 1.0 else p
+                assert run(Optimal(), prof, p).locations[0] == optimal_location(prof, q).location
+
+    def test_two_agent_optima_and_their_mirrors_rate_exactly_one(self):
+        # every two-agent optimum is the midrange, the exact mirror of itself;
+        # a float reflection r + o - y misses the optimum's cost on some rows
+        rng = np.random.default_rng(2)
+        for spec in (Optimal(), Mirror(Optimal()), Symmetrized(Optimal())):
+            for p in (1.0, 1.5, 2.0, 3.0, math.inf):
+                for _ in range(60):
+                    assert ratio(spec, LocationProfile(rng.uniform(-1.0, 2.0, 2)), p).ratio == 1.0, (spec, p)
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_a_tied_profile_rates_one_and_runs_to_the_tie(self, n):
+        # a midpoint taken as 0.5 * r + 0.5 * o rounds 5e-324 to 0, off the
+        # tie, and the unit-span pricing would then divide by the zero span
+        rules = catalog(2) if n == 2 else [Median(), Dictator(n), Optimal(), catalog(n)[7]]
+        for tie in (5e-324, 1.5e-323, -2.5e-323, 1e-310, 1.7976931348623157e308, -1e308):
+            profile = LocationProfile([tie] * n)
+            for spec in rules:
+                for p in (1.0, 1.5, 2.0, 3.0, math.inf):
+                    assert ratio(spec, profile, p).ratio == 1.0, (spec, tie, p)
+                    assert run(spec, profile, p).locations.tolist() == [tie], (spec, tie, p)
 
     def test_degenerate_profile_convention(self):
         report = ratio(Median(), LocationProfile([4.0, 4.0, 4.0]), 2.0)
