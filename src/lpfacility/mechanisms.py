@@ -291,16 +291,29 @@ def _outcome_plan(spec, values: list, p: float, agent: int, others: list | None 
     return others, atoms
 
 
-def _plan_at(others: list, atoms: list, r: float, x: float | None = None):
+def _plan_at(others: list, atoms: list, r: float, x: float | None = None, solved: dict | None = None):
     """The plan at report r in pure Python: the atom locations, or, given
-    x, the expected distance from x to them, summed directly."""
+    x, the expected distance from x to them, summed directly. `solved`, if
+    given, maps (q, *row) to the row's solved optimum (q not in {2, inf}),
+    and a row found there is not solved again. Rows that differ only in a
+    zero's sign share a key. `_optimum` meets them with equal values, and
+    its arithmetic reads a zero's sign only into the sign of a zero result
+    (Python raises on division by either zero, and `_solve_row`'s copysign
+    takes a zero distance's sign for a zero power), so their optima differ
+    only in a zero's sign, which |x - y| drops and comparisons ignore."""
     locations = []
     total = 0.0
     for w, lo, hi, q in atoms:
         if q is None:
             y = lo if r < lo else hi if r > hi else r
-        else:
+        elif solved is None or q in _UNSOLVED:
             y = _optimum(sorted([*others, r]), q)
+        else:
+            row = sorted([*others, r])
+            key = (q, *row)
+            if key not in solved:
+                solved[key] = _optimum(row, q)
+            y = solved[key]
         if x is None:
             locations.append(y)
         else:

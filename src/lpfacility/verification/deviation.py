@@ -15,7 +15,11 @@ optimum rows that can win, every agent of a profile in one batch, and the
 polish in pure Python, since numpy overhead dominates one-point evaluations.
 `sp_scan` keeps only its largest gain, so it polishes a profile's agents in
 decreasing order of scan gain and skips every agent whose gain, bounded by
-what the polish can add, stays below the largest found so far.
+what the polish can add, stays below the largest found so far. For the same
+reason it prices a profile's exact rows (below) in decreasing order of
+truthful cost, which bounds a row's gain, and drops each row whose truthful
+cost stays below the largest gain found, unless its costs may overflow; the
+profile's own optimum, every agent's truthful row, is solved once.
 A one-line plan (an order statistic or a dictator: Median, OrderStatistic,
 Dictator, the L_1 optimum, mixtures with one nonzero weight and their
 mirrors) is not scanned at all: its best response is the truthful cost,
@@ -421,6 +425,9 @@ def best_deviation(
     overflows, and the overflow check holds for the unsolved rows too.
     `sp_scan` scans a profile's agents at once (`_deviations`), which keeps
     the profile's winning row only; best_deviation is its one-agent case.
+    There a row's gain is at most its truthful cost, so an exact row whose
+    truthful cost is below the largest gain found is not priced where its
+    cost cap is finite, below which no cost overflows (see `_deviations`).
 
     `sp_scan` keeps only the largest gain, so it skips the polish of an agent
     whose polished gain provably stays below the largest found so far. The
@@ -458,17 +465,18 @@ def best_deviation(
     infinite or NaN; fsum of one infinity or a NaN returns it, and
     `_solve_row` then meets NaN peak distances, never a zero one.
     """
-    gain, agent, best_r, truthful, best_c = _deviations(spec, profile, p, [agent], cfg, -math.inf)
+    p, agents = validate_pnorm(p), [_check_agent(agent, profile.n)]
+    gain, agent, best_r, truthful, best_c = _deviations(spec, profile, p, agents, cfg, -math.inf)
     return DeviationReport(agent, profile, best_r, truthful, best_c, gain)
 
 
 def _deviations(spec, profile: LocationProfile, p: float, agents, cfg: SearchConfig, floor: float = math.nan):
     """The row (gain, agent, best_r, truthful, best_c) of the first largest
     gain, in agent order, over best_deviation(spec, profile, p, a, cfg) for
-    a in agents, bit for bit, less the agents whose gain provably stays below
-    `floor`: None if that drops them all. Every agent's candidate scan is in
-    one `_plan_min` call, so the optimum rows of all agents share its two
-    kernel calls. One-line plans, the certified plans of lines and one
+    a in agents (checked indices), bit for bit, less the agents whose gain
+    provably stays below `floor`: None if that drops them all. Every
+    agent's candidate scan is in one `_plan_min` call, so the optimum rows
+    of all agents share its two kernel calls. One-line plans, the certified plans of lines and one
     optimum and closed plans take their exact forms instead (see
     best_deviation), and are never polished. Each agent's others are the
     profile's stable sort less the agent's slot: `sorted`'s values and order.
@@ -488,6 +496,20 @@ def _deviations(spec, profile: LocationProfile, p: float, agents, cfg: SearchCon
     its error raised: as neither the closed forms, `_plan_min` nor the
     polish raises, it is the error the per-agent loop raises first.
 
+    The exact rows (`_inverse_min`, then `_kink_min`) are priced once every
+    plan is built, in decreasing order of truthful cost (ties in agent
+    order), and the floor rises to each exact gain. A row whose truthful
+    cost is strictly below the floor and whose cost cap (`_cost_cap`) is
+    finite is neither priced nor kept: every cost is a sum of w * |x - y|
+    >= +0 and fl(t - c) <= t for c >= 0, so its gain is at most its truthful
+    cost; below a finite cap no cost overflows, and the exact forms and the
+    polish raise nothing, so it hides no error. A row that would scan is
+    dropped alike, as no batched solve depends on the rest of its batch.
+    Every truthful row, sorted(others + [x]), is the profile's sorted
+    reports, which `_inverse_search` prices again, so the call keeps its
+    solved optima in one dict (see `_plan_at`): keying by values merges rows
+    that differ only in a zero's sign, which |x - y| drops, so no cost moves.
+
     The agents are then polished in decreasing order of their scan gain, and
     the floor rises to each gain found. An agent whose polish would run but
     whose gain bound (`_polish_slack`) lies strictly below the floor is
@@ -497,8 +519,7 @@ def _deviations(spec, profile: LocationProfile, p: float, agents, cfg: SearchCon
     NaN, never rises and drops nothing, since no comparison with NaN holds.
     """
     p, n = validate_pnorm(p), profile.n
-    agents = [_check_agent(agent, n) for agent in agents]
-    rows, error, line_seen = [], None, False
+    rows, error, line_seen, solved = [], None, False, {}
     hull, values, ranked = _window_hull(profile, cfg), profile.values.tolist(), profile.sorted_values.tolist()
     slot = profile.order.argsort().tolist()
     scales = _unit_arrays(cfg.grid_points, cfg.scale_bound, cfg.scale_steps_per_unit)[1]
@@ -513,20 +534,30 @@ def _deviations(spec, profile: LocationProfile, p: float, agents, cfg: SearchCon
         except Exception as exc:
             error = exc
             break
-        truthful, line = _plan_at(others, atoms, x, x), _one_line(atoms)
+        truthful, line = _plan_at(others, atoms, x, x, solved), _one_line(atoms)
         if line and line_seen:
             if not math.isfinite(truthful) or _line_overflows(others, atoms, x, hull, scales):
                 error = NonFiniteResult(f"misreport costs overflow on {profile!r}")
                 break
             continue
-        reports = values[: agent - 1] + values[agent:]
+        best = None
         if line:
+            reports = values[: agent - 1] + values[agent:]
             line_seen, best = True, _line_min(others, atoms, x, truthful, reports, hull, slots, scales)
-        else:
-            best = _inverse_min(others, atoms, x, truthful, span, hull, scales)
-            if best is None:
-                best = _kink_min(others, atoms, x, reports + extremes, hull, scales)
         rows.append((agent, others, atoms, x, truthful, best))
+    # sorted is stable: ties in truthful cost keep agent order
+    for k in sorted((k for k, row in enumerate(rows) if row[5] is None), key=lambda k: -rows[k][4]):
+        agent, others, atoms, x, truthful, _ = rows[k]
+        if truthful < floor and math.isfinite(_cost_cap(atoms, x, hull, scales)):
+            rows[k] = None
+            continue
+        best = _inverse_min(others, atoms, x, truthful, span, hull, scales, solved)
+        if best is None:
+            best = _kink_min(others, atoms, x, values[: agent - 1] + values[agent:] + extremes, hull, scales)
+        if best is not None:
+            rows[k] = (agent, others, atoms, x, truthful, best)
+            floor = max(floor, truthful - best[1])
+    rows = [row for row in rows if row is not None]
     to_scan = [row for row in rows if row[5] is None]
     if to_scan:
         shared = _window_candidates(profile, cfg)
@@ -604,6 +635,18 @@ def _candidate_ends(hull, scales, x: float) -> tuple[float, float]:
     return min(hull[0], *scaled), max(hull[1], *scaled)
 
 
+def _cost_cap(atoms, x: float, hull, scales) -> float:
+    # a bound on the cost of the agent at x at every candidate, all between
+    # its _candidate_ends: a line's clip is monotone, an optimum lies in the
+    # hull of r and the others, and rounding is monotone, so summed in atom
+    # order, as the scan sums a cost, it bounds every term and partial sum
+    cap, ends = 0.0, _candidate_ends(hull, scales, x)
+    for w, lo, hi, q in atoms:
+        ys = ends if q is not None else [min(max(e, lo), hi) for e in ends]
+        cap += w * max(abs(x - y) for y in ys)
+    return cap
+
+
 def _inverse_report(others, y: float, q: float):
     # the report R(y) that puts the L_q optimum of others + [R] on y, by the
     # inverse map, and a bound on its rounding error (see best_deviation);
@@ -629,11 +672,12 @@ def _inverse_report(others, y: float, q: float):
     return r, err
 
 
-def _inverse_min(others, atoms, x: float, truthful: float, span: float, hull, scales):
+def _inverse_min(others, atoms, x: float, truthful: float, span: float, hull, scales, solved=None):
     # (report, cost) of a least-cost report, priced forward, for a plan of
     # clipped lines and then one L_q optimum, q > 1 and finite when a line is
     # present; None for any other plan and for a row that does not certify
-    # itself (see best_deviation); `hull` and `scales` as in _line_min
+    # itself (see best_deviation); `hull` and `scales` as in _line_min, and
+    # `solved` as in _plan_at
     *lines, (w, _, _, q) = atoms
     if q is None:
         return None
@@ -644,28 +688,23 @@ def _inverse_min(others, atoms, x: float, truthful: float, span: float, hull, sc
             r = _inverse_report(others, x, q)[0]
         except OverflowError:
             return None
-        c = _plan_at(others, atoms, r, x)
+        c = _plan_at(others, atoms, r, x, solved)
         best_r, best_c = (r, c) if c <= truthful else (x, truthful)
         return (best_r, best_c) if best_c <= 1e-9 * (1.0 + span) else None
     if q == math.inf or any(a[3] is not None for a in lines):
         return None
-    clip = lambda a, r: min(max(r, a[1]), a[2])
-    # _pruned_min's cost cap, bounded above: each line is monotone in r
-    ends = _candidate_ends(hull, scales, x)
-    cap = w * max(abs(x - ends[0]), abs(x - ends[1]))
-    for a in lines:
-        cap += a[0] * max(abs(x - clip(a, ends[0])), abs(x - clip(a, ends[1])))
-    if not math.isfinite(cap):
+    if not math.isfinite(_cost_cap(atoms, x, hull, scales)):
         return None
     try:
-        return _inverse_search(others, lines, atoms, x, truthful, span, clip)
+        return _inverse_search(others, lines, atoms, x, truthful, span, solved)
     except OverflowError:
         return None
 
 
-def _inverse_search(others, lines, atoms, x, truthful, span, clip):
+def _inverse_search(others, lines, atoms, x, truthful, span, solved):
     # _inverse_min past its plan and cap checks
     w, q = atoms[-1][0], atoms[-1][3]
+    clip = lambda a, r: min(max(r, a[1]), a[2])
     r_star, err_star = _inverse_report(others, x, q)
     kinks = {b for a in lines for b in a[1:3] if math.isfinite(b)}
     sigma, degenerate = (1.0 if r_star > x else -1.0), abs(r_star - x) <= err_star
@@ -678,7 +717,7 @@ def _inverse_search(others, lines, atoms, x, truthful, span, clip):
     def price(r):
         # the forward cost at report r, summed as _plan_at sums it, and the optimum there
         if r not in memo:
-            locs, c = _plan_at(others, atoms, r), 0.0
+            locs, c = _plan_at(others, atoms, r, None, solved), 0.0
             for atom, y in zip(atoms, locs):
                 c += atom[0] * abs(x - y)
             memo[r] = c, locs[-1]
@@ -881,8 +920,11 @@ def sp_scan(
     winner. Each profile is scanned with the largest gain so far as its
     floor: an agent whose polished gain provably stays below it is not
     polished (see best_deviation), since it cannot be the worst deviation.
-    So the report is the reduction of best_deviation over every agent of
-    every profile, to the bit. Raises TypeError unless n, trials and seed
+    Exact rows are priced in decreasing truthful cost, which bounds their
+    gain, and not at all below the floor unless their costs may overflow
+    (see `_deviations`); a profile's own optimum is solved once. So the
+    report is the reduction of best_deviation over every agent of every
+    profile, to the bit. Raises TypeError unless n, trials and seed
     are integers, and ValueError for n < 2, trials < 0 or seed < 0.
     """
     p = validate_pnorm(p)

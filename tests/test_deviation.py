@@ -1575,6 +1575,14 @@ class TestScanFloor:
                 [3.6e307, 3.8e307, 4.6e307],
                 (NonFiniteResult, "misreport costs overflow on {}"),
             ),
+            # agent 2, whose own dictator carries 0.9, costs 0 truthfully, below
+            # the floor, but its misreport -4x costs past the largest double
+            (
+                Mixture(dictator_weights=(0.0, 0.9, 0.0), opt_weight=0.1),
+                3,
+                [14.5 * 2.0**1018, 15.0 * 2.0**1018, 15.5 * 2.0**1018],
+                (NonFiniteResult, "misreport costs overflow on {}"),
+            ),
             (LRM(), 2, [0.0, 0.5, 1.0], (mechanisms.ArityMismatch, "lrm is a two-agent rule, profile has 3")),
             (
                 Mixture(dictator_weights=(0.5, 0.5)),
@@ -1625,6 +1633,70 @@ class TestScanFloor:
             calls.clear()
             sp_scan(spec, 3.0, n=5, trials=1, seed=seed, include_structured=False)
             assert len(calls) == 1, seed
+
+
+def shared_best():
+    """best_deviation, each (profile, agent) computed once, for one rule and
+    p: reference_scan calls it twice per agent, and its scans with and
+    without the structured profiles share the random ones."""
+    seen = {}
+
+    def best(spec, profile, p, agent):
+        key = (tuple(profile.values.tolist()), agent)
+        if key not in seen:
+            try:
+                seen[key] = best_deviation(spec, profile, p, agent)
+            except Exception as exc:
+                seen[key] = exc
+        if isinstance(seen[key], Exception):
+            raise seen[key]
+        return seen[key]
+
+    return best
+
+
+class TestExactRowFloor:
+    """sp_scan prices a profile's exact rows in decreasing truthful cost and
+    drops a row whose truthful cost is strictly below the floor and whose
+    cost cap is finite: its gain is at most its truthful cost, and below a
+    finite cap no cost overflows. Its report, and its first error, still
+    equal the reduction over every agent's report by float.hex."""
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_optimum_scans_equal_the_reduction(self, n):
+        # at p near 1 some rows still scan beside the pruned exact rows
+        for spec in [Optimal()] + [median_optimum(n, w) for w in (0.25, 0.5, 0.75)]:
+            for p in (1.01, 1.1, 1.5, 2.0, 3.0, 5.0, math.inf):
+                best = shared_best()
+                for seed, structured in ((seed, s) for seed in (1, 2, 3) for s in (True, False)):
+                    args = (spec, p, n, 5, seed, structured)
+                    assert scan_outcome(*args) == reference_scan(*args, best=best), args
+
+    @pytest.mark.parametrize("values", [[0.0, 1.0], [0.0, 0.5, 1.0], [0.0, 0.0, 1.0, 1.0]])
+    def test_symmetric_profiles_report_the_reference_agent(self, values, monkeypatch):
+        # the first and last agents tie in truthful cost and gain; the copy
+        # shifted by 1/2 can tie the gain of the profile before it and, its
+        # values larger, then wins, so a row whose truthful cost equals the
+        # floor must still be priced
+        n = len(values)
+        injected = [LocationProfile(values), LocationProfile(np.add(values, 0.5))]
+        monkeypatch.setattr(deviation, "four_block_profiles", lambda n, p: injected)
+        for spec in [Optimal()] + [median_optimum(n, w) for w in (0.25, 0.5, 0.75)]:
+            for p in (1.01, 1.5, 2.0, 3.0, math.inf):
+                args = (spec, p, n, 0, 0)
+                assert scan_outcome(*args) == reference_scan(*args), (spec, p)
+
+    def test_a_scan_prices_few_rows_and_solves_each_profile_once(self, monkeypatch):
+        # counts calls, not seconds: 20 profiles of 6 agents are 120 rows
+        inverse, solve = deviation._inverse_min, optimizer._solve_row
+        priced, solved = [], []
+        monkeypatch.setattr(deviation, "_inverse_min", lambda *args: priced.append(args) or inverse(*args))
+        monkeypatch.setattr(optimizer, "_solve_row", lambda row, p: solved.append(tuple(row)) or solve(row, p))
+        sp_scan(Optimal(), 3.0, 6, 20, 1, include_structured=False)
+        assert len(priced) < 6 * 20
+        rng = np.random.default_rng(1)
+        for _ in range(20):
+            assert solved.count(tuple(sorted(rng.uniform(0.0, 1.0, size=6).tolist()))) == 1
 
 
 class TestProfileRows:
